@@ -76,7 +76,7 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     t = d_inverse_aperiodic(s).first
     u = complement(t.bits)[::-1]
     drop = n if n % 2 == 0 else n - 1
-    return FiniteSeq(t.bits + u[drop:])
+    return FiniteSeq._trusted(t.bits + u[drop:])
 
 
 def build_aos(
@@ -84,14 +84,12 @@ def build_aos(
     *,
     starter: FiniteSeq = DEFAULT_STARTER,
     starter_order: int = DEFAULT_STARTER_ORDER,
-    verify_steps: bool = False,
 ) -> tuple[FiniteSeq, ConstructionTrace]:
     """Iterate merge_step from the starter up to order n_target.
 
     The starter is always fully validated (ideal and orientable at its
-    order); with verify_steps=True every intermediate is re-verified as well.
-    The trace records one step per order; inserted_bit marks the odd-order
-    merges, which add one extra window (the alternating one).
+    order).  The trace records one step per order; inserted_bit marks the
+    odd-order merges, which add one extra window (the alternating one).
     """
     n0 = starter_order
     if n_target < n0:
@@ -108,9 +106,6 @@ def build_aos(
     trace = ConstructionTrace([TraceStep(n0, len(s), s.weight, False, None)])
     for n in range(n0, n_target):
         s = merge_step(s, n)
-        if verify_steps:
-            if not is_ideal(s, n + 1) or verify_orientable(s, n + 1) is not None:
-                raise PreconditionError(f"recursion invariant broken at order {n + 1}")
         trace.steps.append(TraceStep(n + 1, len(s), s.weight, n % 2 == 1, None))
     return s, trace
 
@@ -135,4 +130,6 @@ def burns_bound(n: int) -> int:
 
 def aos_from_periodic(c: GeneratingCycle, n: int) -> FiniteSeq:
     """Unroll an orientable cycle into a finite word of length period + n - 1."""
-    return FiniteSeq(cyclic_slice(c, 0, c.period + n - 1))
+    if n < 1:
+        raise ValueError(f"need order >= 1, got {n}")
+    return FiniteSeq._trusted(cyclic_slice(c, 0, c.period + n - 1))

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: construct {periodic|aperiodic|debruijn}, verify, bound, search,
-index, locate, tables.  Exit codes: 0 success, 1 property violation (the
+locate, tables.  Exit codes: 0 success, 1 property violation (the
 counterexample is reported), 2 usage error.  All commands are deterministic;
 --json switches to machine-readable output.
 """
@@ -165,17 +165,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
-    seq, _, file_order = _load_seq(args.seq, args.mode)
-    order = args.order or file_order
-    if order is None:
-        raise BitsError(f"{args.seq} has no order header; pass --order")
-    idx = locator.build_index(seq, order)
-    locator.save_index(idx, args.out)
-    print(f"indexed {len(idx)} windows at order {order} -> {args.out}")
-    return 0
-
-
 def _cmd_locate(args) -> int:
     seq, _, file_order = _load_seq(args.seq, args.mode)
     order = args.order or file_order
@@ -288,13 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="write the result JSON here")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=_cmd_search)
-
-    ix = sub.add_parser("index", help="build a position+orientation lookup table")
-    ix.add_argument("--seq", required=True)
-    ix.add_argument("--order", type=int)
-    ix.add_argument("--mode", choices=["periodic", "aperiodic"])
-    ix.add_argument("--out", required=True)
-    ix.set_defaults(func=_cmd_index)
 
     lc = sub.add_parser("locate", help="look up one window's position and direction")
     lc.add_argument("--seq", required=True)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
-from .seqcore import FiniteSeq, GeneratingCycle, WindowRangeError, complement
+from .seqcore import FiniteSeq, GeneratingCycle, Seq, WindowRangeError, complement
 
 __all__ = [
     "InverseKind",
@@ -29,9 +29,6 @@ __all__ = [
     "d_forward_aperiodic",
     "d_inverse_aperiodic",
 ]
-
-Seq = Union[GeneratingCycle, FiniteSeq]
-
 
 class InverseKind(Enum):
     COMPLEMENTARY_PAIR = "complementary_pair"
@@ -103,7 +100,8 @@ def d_inverse_periodic(c: GeneratingCycle) -> InverseImage:
             GeneratingCycle._trusted(complement(first)),
         )
     t = _integrate(b + b, int(b[0]))
-    return InverseImage(InverseKind.DOUBLED_SINGLE, GeneratingCycle._trusted(t))
+    # t is a word followed by its complement, so it has one 1 per bit of c.
+    return InverseImage(InverseKind.DOUBLED_SINGLE, GeneratingCycle._trusted(t, len(b)))
 
 
 def d_forward_aperiodic(s: FiniteSeq) -> FiniteSeq:
@@ -112,7 +110,7 @@ def d_forward_aperiodic(s: FiniteSeq) -> FiniteSeq:
         raise WindowRangeError("need at least 2 bits to take adjacent XORs")
     x = int(s.bits, 2)
     n = len(s) - 1
-    return FiniteSeq(format((x ^ (x >> 1)) & ((1 << n) - 1), f"0{n}b"))
+    return FiniteSeq._trusted(format((x ^ (x >> 1)) & ((1 << n) - 1), f"0{n}b"))
 
 
 def d_inverse_aperiodic(s: FiniteSeq) -> InverseImage:
@@ -120,6 +118,6 @@ def d_inverse_aperiodic(s: FiniteSeq) -> InverseImage:
     first = "0" + format(_prefix_xor(s.bits), f"0{len(s)}b")
     return InverseImage(
         InverseKind.COMPLEMENTARY_PAIR,
-        FiniteSeq(first),
-        FiniteSeq(complement(first)),
+        FiniteSeq._trusted(first),
+        FiniteSeq._trusted(complement(first)),
     )

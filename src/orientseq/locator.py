@@ -7,19 +7,13 @@ refuses non-orientable sources.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, Window
+from .seqcore import FORWARD, REVERSE, GeneratingCycle, PreconditionError, Seq, Window
 from .verifier import all_windows, verify_orientable
 
-__all__ = ["FORWARD", "REVERSE", "LocatorIndex", "build_index", "locate", "save_index", "load_index"]
-
-FORWARD = "forward"
-REVERSE = "reverse"
-
-Seq = Union[GeneratingCycle, FiniteSeq]
+__all__ = ["LocatorIndex", "build_index", "locate"]
 
 
 @dataclass(frozen=True)
@@ -68,37 +62,3 @@ def locate(idx: LocatorIndex, t: Window) -> Optional[tuple[int, str]]:
             f"window has {len(t)} bits but the index was built at order {idx.order}"
         )
     return idx.entries.get(t)
-
-
-def save_index(idx: LocatorIndex, path: Union[str, os.PathLike]) -> None:
-    """Write the index as sorted 'window position orientation' lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# locator order={idx.order} mode={idx.mode} size={idx.source_size}\n")
-        for w in sorted(idx.entries):
-            pos, orient = idx.entries[w]
-            fh.write(f"{w} {pos} {orient}\n")
-
-
-def load_index(path: Union[str, os.PathLike]) -> LocatorIndex:
-    order = mode = size = None
-    entries: dict[Window, tuple[int, str]] = {}
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if key == "order":
-                        order = int(value)
-                    elif key == "mode":
-                        mode = value
-                    elif key == "size":
-                        size = int(value)
-                continue
-            w, pos, orient = line.split()
-            entries[w] = (int(pos), orient)
-    if order is None or mode is None or size is None:
-        raise ValueError(f"missing locator header in {path}")
-    return LocatorIndex(order, mode, size, entries)

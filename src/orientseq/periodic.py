@@ -109,7 +109,7 @@ def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[i
         return c, None
     r = positions[0]
     # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
-    out = GeneratingCycle._trusted(c.bits[:r] + "1" + c.bits[r:])
+    out = GeneratingCycle._trusted(c.bits[:r] + "1" + c.bits[r:], c.weight + 1)
     # The four windows covering the grown run must all contain 1^{n-3} and be
     # pairwise distinct; anything else means the input was not orientable.
     grown = "1" * (n - 3)
@@ -149,14 +149,11 @@ def build_orientable(
     starter: GeneratingCycle,
     n0: int,
     n_target: int,
-    *,
-    verify_steps: bool = False,
 ) -> tuple[GeneratingCycle, ConstructionTrace]:
     """Iterate the recursion from a validated starter up to n_target.
 
     The starter must be orientable at order n0, good, and of odd weight; the
-    first failing property is reported.  With verify_steps=True every
-    intermediate cycle is re-verified (cost grows with the period).
+    first failing property is reported.
     """
     if n_target < n0:
         raise PreconditionError(f"target order {n_target} below starter order {n0}")
@@ -176,10 +173,6 @@ def build_orientable(
     c = starter
     for n in range(n0, n_target):
         c, step = next_orientable(c, n)
-        if verify_steps:
-            bad = verify_orientable(c, n + 1)
-            if bad is not None or not is_good(c, n + 1) or c.weight % 2 == 0:
-                raise PreconditionError(f"recursion invariant broken at order {n + 1}")
         trace.steps.append(step)
     return c, trace
 

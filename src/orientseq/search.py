@@ -14,7 +14,6 @@ its result can seed a later run as an initial lower bound.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,10 +40,6 @@ class SearchResult:
         }
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _orbit_table(n: int) -> list[Optional[int]]:
     """orbit[u] is the id of {u, reverse(u)}, or None when u is symmetric."""
     size = 1 << n
@@ -55,143 +50,115 @@ def _orbit_table(n: int) -> list[Optional[int]]:
     return table
 
 
+def _branch_and_bound(
+    n: int,
+    closed: bool,
+    cap: int,
+    node_budget: Optional[int],
+    initial_best: Optional[tuple[int, str]],
+) -> SearchResult:
+    """Depth-first search over walks on the shift graph, one root at a time.
+
+    A closed walk starts with its anchor edge, the least orbit it uses, and
+    counts each time it returns to the anchor's start vertex; every orbit up
+    to the anchor's is barred.  An open walk starts at a vertex and counts at
+    every edge.  Either way the first bit is 0 (complement symmetry), edges are
+    tried bit 0 first, and each edge claims one orbit, so the most a walk
+    from a root can reach is a constant `bound` checked against the best
+    result at every node.
+    """
+    vmask = (1 << (n - 1)) - 1
+    orbit = _orbit_table(n)
+    ids = sorted({o for o in orbit if o is not None})
+    claim = [0 if o is None else 1 << o for o in orbit]
+    if closed:
+        roots = [
+            (a & vmask, [a], (2 << a) - 1, len(ids) - k, "")
+            for k, a in enumerate(ids)
+            if a < 1 << (n - 1)
+        ]
+    else:
+        roots = [
+            (v, [], 0, n - 1 + len(ids), format(v, f"0{n - 1}b"))
+            for v in range(1 << (n - 2))
+        ]
+    base_len = 0 if closed else n - 1
+
+    best_len, best_bits = initial_best if initial_best is not None else (0, None)
+    nodes = 0
+    for cur, walk, used, bound, prefix in roots:
+        if best_len >= cap:
+            break
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return SearchResult(best_len, best_bits, False, nodes)
+        if bound <= best_len:
+            continue
+        home = walk[0] >> 1 if closed else None
+        floor = len(walk)
+        t = cur << 1  # the next edge to try
+        while True:
+            o = claim[t]
+            if o and not used & o:
+                used |= o
+                walk.append(t)
+                cur = t & vmask
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    return SearchResult(best_len, best_bits, False, nodes)
+                length = base_len + len(walk)
+                if length >= best_len and (home is None or cur == home):
+                    bits = "".join("1" if e & 1 else "0" for e in walk)
+                    cand = least_rotation(bits) if closed else prefix + bits
+                    if length > best_len or best_bits is None or cand < best_bits:
+                        best_len, best_bits = length, cand
+                if bound > best_len:
+                    t = cur << 1
+                    continue
+            elif not t & 1:
+                t |= 1
+                continue
+            # Back up to the deepest edge whose bit-1 sibling is untried.
+            while len(walk) > floor:
+                t = walk.pop()
+                used ^= claim[t]
+                if not t & 1:
+                    t |= 1
+                    break
+            else:
+                break
+    return SearchResult(best_len, best_bits, True, nodes)
+
+
 def max_orientable_period(
     n: int,
     *,
     node_budget: Optional[int] = None,
-    prune: bool = True,
-    symmetry_reduction: bool = True,
     initial_best: Optional[tuple[int, str]] = None,
 ) -> SearchResult:
     """Maximum period of an orientable cycle of order n, with a witness.
 
     Each candidate cycle is anchored at the smallest edge orbit it uses, which
     enumerates every cycle once up to rotation; reversed traversals are
-    skipped since the reversed cycle has the same period.  With
-    symmetry_reduction the anchor's first bit is fixed to 0 (complement
-    symmetry); disabling it or `prune` only slows the search down.
+    skipped since the reversed cycle has the same period, and complemented
+    ones by fixing the anchor's first bit to 0.
     """
     if n < 5:
         raise ValueError(f"no periodic orientable sequence exists for order {n} < 5")
-    vmask = (1 << (n - 1)) - 1
-    orbit = _orbit_table(n)
-    orbit_ids = sorted({o for o in orbit if o is not None})
-    cap = dai_bound(n)
-
-    best_len = 0
-    best_bits: Optional[str] = None
-    if initial_best is not None:
-        best_len, best_bits = initial_best
-    nodes = 0
-    exhaustive = True
-
-    if symmetry_reduction:
-        anchors = [o for o in orbit_ids if o < 1 << (n - 1)]
-    else:
-        anchors = [u for u in range(1 << n) if orbit[u] is not None]
-
-    def dfs(cur: int, start: int, used: set, path: list, a_orbit: int, claimable: int):
-        nonlocal nodes, best_len, best_bits
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _BudgetExhausted
-        if cur == start:
-            length = len(path)
-            if length >= best_len:
-                cand = least_rotation("".join(path))
-                if length > best_len or best_bits is None or cand < best_bits:
-                    best_len, best_bits = length, cand
-        if prune and len(path) + claimable - len(used) <= best_len:
-            return
-        base = cur << 1
-        for b in "01":
-            t = base | (b == "1")
-            o = orbit[t]
-            if o is None or o < a_orbit or o in used:
-                continue
-            used.add(o)
-            path.append(b)
-            dfs(t & vmask, start, used, path, a_orbit, claimable)
-            path.pop()
-            used.discard(o)
-
-    try:
-        for anchor in anchors:
-            if best_len >= cap:
-                break
-            a_orbit = orbit[anchor]
-            claimable = len(orbit_ids) - bisect_left(orbit_ids, a_orbit)
-            dfs(
-                anchor & vmask,
-                anchor >> 1,
-                {a_orbit},
-                ["1" if anchor & 1 else "0"],
-                a_orbit,
-                claimable,
-            )
-    except _BudgetExhausted:
-        exhaustive = False
-    return SearchResult(best_len, best_bits, exhaustive, nodes)
+    return _branch_and_bound(n, True, dai_bound(n), node_budget, initial_best)
 
 
 def max_aos_length(
     n: int,
     *,
     node_budget: Optional[int] = None,
-    prune: bool = True,
-    symmetry_reduction: bool = True,
     initial_best: Optional[tuple[int, str]] = None,
 ) -> SearchResult:
     """Maximum length of an aperiodic orientable sequence of order n.
 
     Open walks are enumerated from every start vertex (each path has a unique
-    one); symmetry_reduction fixes the first bit to 0 via complement symmetry.
+    one) whose first bit is 0, by complement symmetry.
     """
     if n < 2:
         raise ValueError(f"aperiodic search needs order >= 2, got {n}")
-    vmask = (1 << (n - 1)) - 1
-    orbit = _orbit_table(n)
-    total_claimable = len({o for o in orbit if o is not None})
-    cap = burns_bound(n)
-
-    best_len = 0
-    best_bits: Optional[str] = None
-    if initial_best is not None:
-        best_len, best_bits = initial_best
-    nodes = 0
-    exhaustive = True
-
-    starts = range(1 << (n - 2)) if symmetry_reduction else range(1 << (n - 1))
-
-    def dfs(cur: int, prefix: str, used: set, path: list):
-        nonlocal nodes, best_len, best_bits
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _BudgetExhausted
-        length = (n - 1) + len(path)
-        if path and length >= best_len:
-            cand = prefix + "".join(path)
-            if length > best_len or best_bits is None or cand < best_bits:
-                best_len, best_bits = length, cand
-        if prune and length + total_claimable - len(used) <= best_len:
-            return
-        base = cur << 1
-        for b in "01":
-            t = base | (b == "1")
-            o = orbit[t]
-            if o is None or o in used:
-                continue
-            used.add(o)
-            path.append(b)
-            dfs(t & vmask, prefix, used, path)
-            path.pop()
-            used.discard(o)
-
-    try:
-        for v in starts:
-            if best_len >= cap:
-                break
-            dfs(v, format(v, f"0{n - 1}b"), set(), [])
-    except _BudgetExhausted:
-        exhaustive = False
-    return SearchResult(best_len, best_bits, exhaustive, nodes)
+    return _branch_and_bound(n, False, burns_bound(n), node_budget, initial_best)

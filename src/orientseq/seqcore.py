@@ -7,16 +7,20 @@ functions.
 """
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
     "BitsError",
     "NonMinimalPeriodError",
     "WindowRangeError",
     "PreconditionError",
+    "FORWARD",
+    "REVERSE",
+    "SYMMETRIC",
     "Window",
     "GeneratingCycle",
     "FiniteSeq",
+    "Seq",
     "as_bits",
     "window",
     "reverse",
@@ -31,6 +35,12 @@ __all__ = [
 
 # A fixed-length binary word, e.g. "0110".
 Window = str
+
+# Reading directions, shared by counterexample kinds and lookup results;
+# SYMMETRIC marks a window equal to its own reversal.
+FORWARD = "forward"
+REVERSE = "reverse"
+SYMMETRIC = "symmetric"
 
 _COMPLEMENT = str.maketrans("01", "10")
 
@@ -85,15 +95,16 @@ class GeneratingCycle:
                 f"[{s}] is not a minimal period (repeats every {p} bits)"
             )
         self._bits = s
-        self._weight: Union[int, None] = None
+        self._weight: Optional[int] = None
 
     @classmethod
-    def _trusted(cls, bits: str) -> "GeneratingCycle":
+    def _trusted(cls, bits: str, weight: Optional[int] = None) -> "GeneratingCycle":
         # Fast path for internal construction where minimality is already
         # guaranteed; skips validation, which dominates at 10^8-bit periods.
+        # A weight the caller already knows saves recounting the bits.
         obj = object.__new__(cls)
         obj._bits = bits
-        obj._weight = None
+        obj._weight = weight
         return obj
 
     @property
@@ -135,6 +146,13 @@ class FiniteSeq:
     def __init__(self, bits: Union[str, Iterable[int]]):
         self._bits = as_bits(bits)
 
+    @classmethod
+    def _trusted(cls, bits: str) -> "FiniteSeq":
+        # Fast path for bits the library produced itself; skips validation.
+        obj = object.__new__(cls)
+        obj._bits = bits
+        return obj
+
     @property
     def bits(self) -> str:
         return self._bits
@@ -165,7 +183,7 @@ class FiniteSeq:
         return f"FiniteSeq({self._bits})"
 
 
-Sequence = Union[GeneratingCycle, FiniteSeq]
+Seq = Union[GeneratingCycle, FiniteSeq]
 
 
 def cyclic_slice(c: GeneratingCycle, start: int, length: int) -> str:
@@ -176,7 +194,7 @@ def cyclic_slice(c: GeneratingCycle, start: int, length: int) -> str:
     return (c.bits * reps)[start : start + length]
 
 
-def window(source: Sequence, i: int, n: int) -> Window:
+def window(source: Seq, i: int, n: int) -> Window:
     """The n-bit window appearing at position i.
 
     For cycles the index wraps modulo the period and n may exceed it; for
@@ -228,7 +246,7 @@ def cyclic_occurrences(c: GeneratingCycle, t: Window) -> int:
 
 
 def least_rotation(s: str) -> str:
-    """Lexicographically least rotation of s (Booth's algorithm)."""
+    """Lexicographically least rotation of s (two-pointer minimal-rotation scan)."""
     d = s + s
     k = 0
     i, j = 0, 1

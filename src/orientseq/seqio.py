@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .seqcore import BitsError, FiniteSeq, GeneratingCycle
+from .seqcore import BitsError, FiniteSeq, GeneratingCycle, as_bits
 
 __all__ = ["SequenceFile", "parse_sequence", "read_sequence", "write_sequence"]
 
@@ -56,10 +56,7 @@ def parse_sequence(text: str) -> SequenceFile:
         raise BitsError(
             f"expected exactly one line of bits, found {len(bits_lines)}"
         )
-    bits = bits_lines[0]
-    if bits.strip("01"):
-        raise BitsError(f"sequence line contains non-binary characters: {bits!r}")
-    return SequenceFile(bits=bits, mode=mode, order=order)
+    return SequenceFile(bits=as_bits(bits_lines[0]), mode=mode, order=order)
 
 
 def read_sequence(path: Union[str, os.PathLike]) -> SequenceFile:

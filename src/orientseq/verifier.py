@@ -8,14 +8,21 @@ failure is reported as the lexicographically first offending position pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .seqcore import FiniteSeq, GeneratingCycle, WindowRangeError, complement, cyclic_slice
+from .seqcore import (
+    FORWARD,
+    REVERSE,
+    SYMMETRIC,
+    FiniteSeq,
+    GeneratingCycle,
+    Seq,
+    WindowRangeError,
+    complement,
+    cyclic_slice,
+)
 
 __all__ = [
-    "FORWARD",
-    "REVERSED",
-    "SYMMETRIC",
     "Counterexample",
     "all_windows",
     "verify_nwindow",
@@ -25,13 +32,7 @@ __all__ = [
     "verify_primitive",
 ]
 
-Seq = Union[GeneratingCycle, FiniteSeq]
-
-FORWARD = "forward"
-REVERSED = "reversed"
-SYMMETRIC = "symmetric"
-
-_KIND_RANK = {FORWARD: 0, REVERSED: 1, SYMMETRIC: 2}
+_KIND_RANK = {FORWARD: 0, REVERSE: 1, SYMMETRIC: 2}
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,13 @@ def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
         i = first.get(w[::-1])
         if i is None:
             continue
-        kind = SYMMETRIC if i == j else REVERSED
+        kind = SYMMETRIC if i == j else REVERSE
         cand = (i, j, _KIND_RANK[kind])
         if best is None or cand < best:
             best = cand
     if best is None:
         return None
-    kind = [FORWARD, REVERSED, SYMMETRIC][best[2]]
+    kind = [FORWARD, REVERSE, SYMMETRIC][best[2]]
     return Counterexample(best[0], best[1], kind)
 
 
@@ -130,7 +131,7 @@ def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     first_t = _first_positions(all_windows(t, n))
     best: Optional[tuple[int, int, int]] = None
     for i, w in enumerate(all_windows(s, n)):
-        for key, kind in ((w, FORWARD), (w[::-1], REVERSED)):
+        for key, kind in ((w, FORWARD), (w[::-1], REVERSE)):
             j = first_t.get(key)
             if j is not None:
                 cand = (i, j, _KIND_RANK[kind])
@@ -138,7 +139,7 @@ def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
                     best = cand
     if best is None:
         return None
-    return Counterexample(best[0], best[1], [FORWARD, REVERSED, SYMMETRIC][best[2]])
+    return Counterexample(best[0], best[1], [FORWARD, REVERSE, SYMMETRIC][best[2]])
 
 
 def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:

@@ -23,7 +23,7 @@ from orientseq.lempel import (
     InverseKind,
     d_inverse_periodic,
 )
-from orientseq.locator import FORWARD, REVERSE, build_index, locate
+from orientseq.locator import build_index, locate
 from orientseq.periodic import (
     DEFAULT_STARTER,
     build_orientable,
@@ -33,7 +33,7 @@ from orientseq.periodic import (
     predicted_period,
 )
 from orientseq.search import max_aos_length, max_orientable_period
-from orientseq.seqcore import FiniteSeq, GeneratingCycle
+from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle
 from orientseq.verifier import all_windows, verify_nwindow, verify_orientable
 
 

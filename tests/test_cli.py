@@ -160,12 +160,7 @@ class TestSearch:
 class TestIndexAndLocate:
     def test_index_then_locate(self, capsys, tmp_path):
         seq_path = tmp_path / "seq.txt"
-        idx_path = tmp_path / "idx.txt"
         write_sequence(seq_path, "001101", mode="periodic", order=5)
-        code, out, _ = run(
-            capsys, "index", "--seq", str(seq_path), "--out", str(idx_path)
-        )
-        assert code == 0 and "12 windows" in out
         code, out, _ = run(
             capsys,
             "locate", "--seq", str(seq_path), "--window", "01100", "--json",
@@ -189,7 +184,7 @@ class TestIndexAndLocate:
         seq_path = tmp_path / "seq.txt"
         write_sequence(seq_path, "0011", mode="periodic", order=4)
         code, _, err = run(
-            capsys, "index", "--seq", str(seq_path), "--out", "/dev/null"
+            capsys, "locate", "--seq", str(seq_path), "--window", "0011"
         )
         assert code == 1 and "property violation" in err
 

@@ -76,7 +76,7 @@ class TestInversePeriodic:
         else:
             assert inv.kind is InverseKind.DOUBLED_SINGLE
             assert inv.first.period == 2 * m
-            assert inv.first.weight == m
+            assert inv.first.weight == inv.first.bits.count("1") == m
 
 
 class TestOrientabilityLifting:

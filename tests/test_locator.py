@@ -3,15 +3,8 @@ from __future__ import annotations
 import pytest
 
 from orientseq.aperiodic import build_aos
-from orientseq.locator import (
-    FORWARD,
-    REVERSE,
-    build_index,
-    load_index,
-    locate,
-    save_index,
-)
-from orientseq.seqcore import FiniteSeq, GeneratingCycle, PreconditionError
+from orientseq.locator import build_index, locate
+from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError
 from orientseq.verifier import all_windows
 
 
@@ -59,18 +52,3 @@ class TestLocate:
             for i, w in enumerate(all_windows(s, n)):
                 assert locate(idx, w) == (i, FORWARD)
                 assert locate(idx, w[::-1]) == (i, REVERSE)
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        idx = build_index(GeneratingCycle("001101"), 5)
-        path = tmp_path / "idx.txt"
-        save_index(idx, path)
-        back = load_index(path)
-        assert back == idx
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("00110 0 forward\n")
-        with pytest.raises(ValueError, match="header"):
-            load_index(path)

@@ -1,10 +1,80 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from orientseq.search import max_aos_length, max_orientable_period
 from orientseq.seqcore import FiniteSeq, GeneratingCycle, least_rotation
 from orientseq.verifier import verify_orientable
+
+
+def brute_force_max_period(n):
+    """Longest minimal cycle orientable at order n, checking every word.
+
+    A cycle of period m orientable at order n shows 2m distinct windows, none
+    symmetric, which bounds m by half the number of non-symmetric windows.
+    """
+    best = 0
+    for m in range(1, (2**n - 2 ** ((n + 1) // 2)) // 2 + 1):
+        for word in product("01", repeat=m):
+            s = "".join(word)
+            if (s + s).find(s, 1) == m and verify_orientable(GeneratingCycle(s), n) is None:
+                best = m
+    return best
+
+
+def brute_force_max_aos_length(n):
+    """Longest word orientable at order n.
+
+    Every prefix of an orientable word is orientable, so extending the
+    orientable words of each length by one bit reaches every orientable word.
+    """
+    best = 0
+    words = ["".join(w) for w in product("01", repeat=n)]
+    while words:
+        words = [w for w in words if verify_orientable(FiniteSeq(w), n) is None]
+        if words:
+            best = len(words[0])
+        words = [w + b for w in words for b in "01"]
+    return best
+
+
+# Value, witness, exhaustive flag and node count of each search, pinned so
+# the order in which the search visits nodes cannot drift.
+PINNED = [
+    pytest.param(max_orientable_period, 5, None, 6, "001011", True, 52, id="periodic-5"),
+    pytest.param(
+        max_orientable_period, 6, None, 16, "0001010110010111", True, 1685, id="periodic-6"
+    ),
+    pytest.param(max_aos_length, 4, None, 8, "00010111", True, 23, id="aos-4"),
+    pytest.param(max_aos_length, 5, None, 14, "00001101001111", True, 120, id="aos-5"),
+    pytest.param(
+        max_aos_length, 6, None, 26, "00000100110111000101011111", True, 4807, id="aos-6"
+    ),
+    pytest.param(max_orientable_period, 6, 50, 0, None, False, 51, id="periodic-6-budget-50"),
+    pytest.param(max_aos_length, 5, 30, 14, "00001101001111", False, 31, id="aos-5-budget-30"),
+]
+
+
+@pytest.mark.parametrize("search,n,budget,value,witness,exhaustive,nodes", PINNED)
+def test_pinned_results(search, n, budget, value, witness, exhaustive, nodes):
+    r = search(n, node_budget=budget)
+    assert (r.value, r.witness, r.exhaustive, r.nodes) == (value, witness, exhaustive, nodes)
+
+
+@pytest.mark.parametrize(
+    "search,seq_type",
+    [(max_orientable_period, GeneratingCycle), (max_aos_length, FiniteSeq)],
+    ids=["periodic", "aos"],
+)
+def test_order_twelve_budget_has_no_depth_limit(search, seq_type):
+    # Walks at order 12 run deeper than the interpreter's recursion limit.
+    r = search(12, node_budget=200_000)
+    assert (r.nodes, r.exhaustive) == (200_001, False)
+    if r.witness is not None:
+        assert len(r.witness) == r.value
+        assert verify_orientable(seq_type(r.witness), 12) is None
 
 
 class TestPeriodicSearch:
@@ -40,12 +110,8 @@ class TestPeriodicSearch:
         assert result.exhaustive
         assert verify_orientable(GeneratingCycle(result.witness), 7) is None
 
-    def test_pruning_and_reduction_change_nothing(self):
-        base = max_orientable_period(5)
-        for prune in (True, False):
-            for reduce_ in (True, False):
-                r = max_orientable_period(5, prune=prune, symmetry_reduction=reduce_)
-                assert (r.value, r.exhaustive) == (base.value, True)
+    def test_matches_brute_force_oracle(self):
+        assert max_orientable_period(5).value == brute_force_max_period(5)
 
     def test_budget_exhaustion(self):
         r = max_orientable_period(6, node_budget=50)
@@ -89,12 +155,8 @@ class TestAperiodicSearch:
         assert result.exhaustive
         assert verify_orientable(FiniteSeq(result.witness), 7) is None
 
-    def test_pruning_and_reduction_change_nothing(self):
-        base = max_aos_length(5)
-        for prune in (True, False):
-            for reduce_ in (True, False):
-                r = max_aos_length(5, prune=prune, symmetry_reduction=reduce_)
-                assert (r.value, r.exhaustive) == (base.value, True)
+    def test_matches_brute_force_oracle(self):
+        assert max_aos_length(5).value == brute_force_max_aos_length(5)
 
     def test_budget_exhaustion_and_resume(self):
         partial = max_aos_length(5, node_budget=30)

@@ -81,7 +81,7 @@ class TestOrientable:
     def test_reversed_kind(self):
         # [0011] at order 4: 0011 at position 0 reappears reversed at position 2
         cx = verify_orientable(GeneratingCycle("0011"), 4)
-        assert (cx.i, cx.j, cx.kind) == (0, 2, "reversed")
+        assert (cx.i, cx.j, cx.kind) == (0, 2, "reverse")
 
     @given(cycles(max_size=16), st.integers(1, 6))
     def test_matches_naive_oracle(self, c, n):
@@ -109,7 +109,7 @@ class TestPairProperties:
         a, b = GeneratingCycle("001011"), GeneratingCycle("110100")
         assert verify_disjoint(a, b, 6) is None
         cx = verify_o_disjoint(a, b, 6)
-        assert (cx.i, cx.j, cx.kind) == (0, 0, "reversed")
+        assert (cx.i, cx.j, cx.kind) == (0, 0, "reverse")
         assert all_windows(a, 6)[0] == all_windows(b, 6)[0][::-1]
 
     def test_primitive(self):
