@@ -4,9 +4,9 @@ An orientable sequence of order n is a binary sequence in which every n-bit
 window occurs at most once, in either reading direction, so reading n bits
 fixes both position and direction of travel.  This package builds such
 sequences (periodic and finite) by recursive application of the adjacent-XOR
-derivative map and its inverse, verifies all defining window properties by
-brute force, searches exhaustively for optimal sequences at small orders, and
-exposes the position+orientation lookup table that motivates them.
+derivative map and its inverse, verifies every window property exactly over
+integer window values, searches exhaustively for optimal sequences at small
+orders, and exposes the position+orientation lookup table that motivates them.
 """
 from .aperiodic import (
     aos_from_periodic,

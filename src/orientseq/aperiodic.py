@@ -18,7 +18,7 @@ from .seqcore import (
     complement,
     cyclic_slice,
 )
-from .verifier import verify_orientable
+from .verifier import require_orientable
 
 __all__ = [
     "BURNS_TABLE",
@@ -96,12 +96,7 @@ def build_aos(
         raise PreconditionError(f"target order {n_target} below starter order {n0}")
     if not is_ideal(starter, n0):
         raise PreconditionError(f"starter is not ideal at order {n0}")
-    cx = verify_orientable(starter, n0)
-    if cx is not None:
-        raise PreconditionError(
-            f"starter is not orientable at order {n0}: windows at "
-            f"{cx.i} and {cx.j} collide ({cx.kind})"
-        )
+    require_orientable(starter, n0, "starter")
     s = starter
     trace = ConstructionTrace([TraceStep(n0, len(s), s.weight, False, None)])
     for n in range(n0, n_target):

@@ -2,8 +2,8 @@
 
 Subcommands: construct {periodic|aperiodic|debruijn}, verify, bound, search,
 locate, tables.  Exit codes: 0 success, 1 property violation (the
-counterexample is reported), 2 usage error.  All commands are deterministic;
---json switches to machine-readable output.
+counterexample is reported) or lookup miss, 2 usage or input error; never a
+traceback.  All commands are deterministic; --json gives machine output.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import aperiodic, locator, periodic, search, seqio
 from .join import debruijn_lempel
-from .seqcore import BitsError, FiniteSeq, GeneratingCycle, PreconditionError
+from .seqcore import BitsError, GeneratingCycle, PreconditionError, WindowRangeError, as_bits
 from .verifier import verify_nwindow, verify_orientable
 
 __all__ = ["main"]
@@ -27,82 +27,59 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _write_outputs(args, seq, order: int, trace=None) -> None:
+def _load_seq(path: str, mode: Optional[str], order: Optional[int]):
+    """The sequence in path, its mode and its order; flags override the header."""
+    f = seqio.read_sequence(path)
+    mode = mode or f.mode
+    if mode is None:
+        raise BitsError(f"{path} has no mode header; pass --mode periodic|aperiodic")
+    order = order if order is not None else f.order
+    if order is None:
+        raise BitsError(f"{path} has no order header; pass --order")
+    return (f.to_cycle() if mode == "periodic" else f.to_finite()), mode, order
+
+
+def _report_construction(args, title: str, seq, order: int, trace=None) -> int:
+    """Write the --out and --trace files, then print the sequence."""
     if getattr(args, "out", None):
         seqio.write_sequence(args.out, seq, order=order)
     if getattr(args, "trace", None) and trace is not None:
         with open(args.trace, "w", encoding="ascii") as fh:
             json.dump(trace.as_dict(), fh, indent=2)
-
-
-def _load_seq(path: str, mode: Optional[str]):
-    f = seqio.read_sequence(path)
-    mode = mode or f.mode
-    if mode is None:
-        raise BitsError(
-            f"{path} has no mode header; pass --mode periodic|aperiodic"
-        )
-    return (f.to_cycle() if mode == "periodic" else f.to_finite()), mode, f.order
+    cyclic = isinstance(seq, GeneratingCycle)
+    size_name, size = ("period", seq.period) if cyclic else ("length", len(seq))
+    payload = {"mode": "periodic" if cyclic else "aperiodic", "order": order, size_name: size}
+    payload["bits"] = seq.bits
+    if trace is not None:
+        payload["trace"] = trace.as_dict()
+    _emit(args, payload, f"{title} order {order} {size_name} {size}\n{seq.bits}")
+    return 0
 
 
 def _cmd_construct_periodic(args) -> int:
     if args.starter:
         f = seqio.read_sequence(args.starter)
         starter = f.to_cycle()
-        n0 = args.starter_order or f.order
+        n0 = args.starter_order if args.starter_order is not None else f.order
         if n0 is None:
             raise BitsError("starter file has no order header; pass --starter-order")
     else:
         starter, n0 = periodic.DEFAULT_STARTER, periodic.DEFAULT_STARTER_ORDER
     cycle, trace = periodic.build_orientable(starter, n0, args.target_order)
-    _write_outputs(args, cycle, args.target_order, trace)
-    _emit(
-        args,
-        {
-            "mode": "periodic",
-            "order": args.target_order,
-            "period": cycle.period,
-            "bits": cycle.bits,
-            "trace": trace.as_dict(),
-        },
-        f"orientable order {args.target_order} period {cycle.period}\n{cycle.bits}",
-    )
-    return 0
+    return _report_construction(args, "orientable", cycle, args.target_order, trace)
 
 
 def _cmd_construct_aperiodic(args) -> int:
     seq, trace = aperiodic.build_aos(args.target_order)
-    _write_outputs(args, seq, args.target_order, trace)
-    _emit(
-        args,
-        {
-            "mode": "aperiodic",
-            "order": args.target_order,
-            "length": len(seq),
-            "bits": seq.bits,
-            "trace": trace.as_dict(),
-        },
-        f"aperiodic orientable order {args.target_order} length {len(seq)}\n{seq.bits}",
-    )
-    return 0
+    return _report_construction(args, "aperiodic orientable", seq, args.target_order, trace)
 
 
 def _cmd_construct_debruijn(args) -> int:
-    cycle = debruijn_lempel(args.order)
-    _write_outputs(args, cycle, args.order)
-    _emit(
-        args,
-        {"mode": "periodic", "order": args.order, "period": cycle.period, "bits": cycle.bits},
-        f"de Bruijn order {args.order} period {cycle.period}\n{cycle.bits}",
-    )
-    return 0
+    return _report_construction(args, "de Bruijn", debruijn_lempel(args.order), args.order)
 
 
 def _cmd_verify(args) -> int:
-    seq, mode, file_order = _load_seq(args.file, args.mode)
-    order = args.order or file_order
-    if order is None:
-        raise BitsError(f"{args.file} has no order header; pass --order")
+    seq, mode, order = _load_seq(args.file, args.mode, args.order)
     check = verify_orientable if args.property == "orientable" else verify_nwindow
     cx = check(seq, order)
     size = seq.period if isinstance(seq, GeneratingCycle) else len(seq)
@@ -166,11 +143,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    seq, _, file_order = _load_seq(args.seq, args.mode)
-    order = args.order or file_order
-    if order is None:
-        raise BitsError(f"{args.seq} has no order header; pass --order")
-    idx = locator.build_index(seq, order)
+    seq, _, order = _load_seq(args.seq, args.mode, args.order)
+    if len(as_bits(args.window)) != order:
+        raise ValueError(f"window has {len(args.window)} bits, expected {order}")
+    try:
+        idx = locator.build_index(seq, order)
+    except PreconditionError as exc:
+        print(f"property violation: {exc}", file=sys.stderr)
+        return 1
     hit = locator.locate(idx, args.window)
     if hit is None:
         _emit(args, {"found": False, "window": args.window}, "not found")
@@ -186,7 +166,7 @@ def _cmd_locate(args) -> int:
 
 def _cmd_tables(args) -> int:
     max_order = args.max_order
-    periods = {
+    periods = {} if max_order < periodic.DEFAULT_STARTER_ORDER else {
         step.order: step.period
         for step in periodic.build_orientable(
             periodic.DEFAULT_STARTER, periodic.DEFAULT_STARTER_ORDER, max_order
@@ -299,10 +279,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PreconditionError as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return 1
-    except (BitsError, ValueError, OSError) as exc:
+    except (ValueError, WindowRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

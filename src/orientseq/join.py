@@ -16,9 +16,11 @@ from .seqcore import (
     PreconditionError,
     conjugate,
     cyclic_slice,
+    first_in,
     window,
+    window_bits,
+    window_values,
 )
-from .verifier import all_windows
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
 
@@ -31,15 +33,13 @@ def find_conjugate_positions(
     Positions are scanned with smallest i first, then smallest j, so the
     result is deterministic.  Returns None when no conjugate pair exists;
     callers are responsible for the inputs being disjoint n-window cycles.
+    Windows are compared as integers, where conjugation flips the top bit.
     """
-    first_j: dict[str, int] = {}
-    for j, w in enumerate(all_windows(t, n)):
-        first_j.setdefault(w, j)
-    for i, w in enumerate(all_windows(s, n)):
-        j = first_j.get(conjugate(w))
-        if j is not None:
-            return (i, j)
-    return None
+    theirs = window_values(window_bits(t, n), n)
+    top = 1 << (n - 1)
+    ours = window_values(window_bits(s, n), n)
+    i = first_in(ours, set(map(top.__xor__, theirs)))
+    return None if i is None else (i, theirs.index(ours[i] ^ top))
 
 
 def join_at(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .seqcore import FORWARD, REVERSE, GeneratingCycle, PreconditionError, Seq, Window
-from .verifier import all_windows, verify_orientable
+from .verifier import all_windows, require_orientable
 
 __all__ = ["LocatorIndex", "build_index", "locate"]
 
@@ -36,20 +36,15 @@ class LocatorIndex:
 
 def build_index(s: Seq, n: int) -> LocatorIndex:
     """Index every window of s, in both directions, at order n."""
-    cx = verify_orientable(s, n)
-    if cx is not None:
-        raise PreconditionError(
-            f"source is not orientable at order {n}: windows at "
-            f"{cx.i} and {cx.j} collide ({cx.kind})"
-        )
     windows = all_windows(s, n)
     entries: dict[Window, tuple[int, str]] = {}
     for i, w in enumerate(windows):
         entries[w] = (i, FORWARD)
     for i, w in enumerate(windows):
         entries[w[::-1]] = (i, REVERSE)
-    # Orientability guarantees the two passes never collide.
-    assert len(entries) == 2 * len(windows)
+    # 2N distinct keys iff s is orientable; the verifier only words the refusal.
+    if len(entries) != 2 * len(windows):
+        require_orientable(s, n, "source")
     if isinstance(s, GeneratingCycle):
         return LocatorIndex(n, "periodic", s.period, entries)
     return LocatorIndex(n, "aperiodic", len(s), entries)

@@ -24,7 +24,7 @@ from .seqcore import (
     cyclic_positions,
     window,
 )
-from .verifier import verify_orientable
+from .verifier import require_orientable
 
 __all__ = [
     "TraceStep",
@@ -157,12 +157,7 @@ def build_orientable(
     """
     if n_target < n0:
         raise PreconditionError(f"target order {n_target} below starter order {n0}")
-    cx = verify_orientable(starter, n0)
-    if cx is not None:
-        raise PreconditionError(
-            f"starter is not orientable at order {n0}: windows at "
-            f"{cx.i} and {cx.j} collide ({cx.kind})"
-        )
+    require_orientable(starter, n0, "starter")
     if not is_good(starter, n0):
         raise PreconditionError(f"starter is not good at order {n0}")
     if starter.weight % 2 == 0:

@@ -2,12 +2,15 @@
 
 Sequences and windows are stored as strings of '0'/'1' characters, most
 significant (leftmost) bit first, matching the bracket notation used in the
-rest of the package.  All types are immutable values; all operations are pure
-functions.
+rest of the package; whole-sequence window tests read windows as integers
+(window_values).  All types are immutable values; all operations are pure.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+import sys
+from array import array
+from itertools import compress, count
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "BitsError",
@@ -23,6 +26,9 @@ __all__ = [
     "Seq",
     "as_bits",
     "window",
+    "window_bits",
+    "window_values",
+    "first_in",
     "reverse",
     "complement",
     "conjugate",
@@ -209,6 +215,46 @@ def window(source: Seq, i: int, n: int) -> Window:
             f"window [{i}, {i + n}) does not fit in a sequence of length {len(source)}"
         )
     return source.bits[i : i + n]
+
+
+def window_bits(s: Seq, n: int) -> str:
+    """The bits whose n-bit slices are the n-windows of s: a cycle's period
+    extended cyclically by n-1 bits, or a finite sequence of at least n bits."""
+    if n < 1:
+        raise WindowRangeError(f"window order must be >= 1, got {n}")
+    if isinstance(s, GeneratingCycle):
+        return cyclic_slice(s, 0, s.period + n - 1)
+    if len(s) < n:
+        raise WindowRangeError(f"sequence of length {len(s)} has no windows of order {n}")
+    return s.bits
+
+
+def window_values(bits: str, n: int) -> Sequence[int]:
+    """Element p is int(bits[p:p+n], 2); no Python code runs per window.
+
+    With X = int(bits, 2), (X >> r) & M, M the n-bit mask repeated every B = 32
+    or 64 bits, holds the windows ending r, r+B, r+2B, ... bits from the right
+    end in its B-bit lanes, copied out via to_bytes and a strided slice.  Orders
+    above 64 fall back to a list."""
+    total = max(len(bits) - n + 1, 0)
+    if n > 64:
+        return [int(bits[p : p + n], 2) for p in range(total)]
+    width, code = (32, "I") if n <= 32 else (64, "Q")
+    size, lanes = width // 8, -(-total // width)
+    mask = int.from_bytes(((1 << n) - 1).to_bytes(size, "little") * lanes, "little")
+    x = int(bits, 2)
+    out = array(code, bytes(size * total))
+    for r in range(min(width, total)):
+        chunk = array(code, ((x >> r) & mask).to_bytes(size * lanes, "little"))
+        if sys.byteorder == "big":
+            chunk.byteswap()
+        out[total - 1 - r :: -width] = chunk[: (total - 1 - r) // width + 1]
+    return out
+
+
+def first_in(values: Iterable[int], keys: Collection[int]) -> Optional[int]:
+    """The first position p with values[p] in keys, or None; a C-speed scan."""
+    return next(compress(count(), map(keys.__contains__, values)), None)
 
 
 def reverse(w: Window) -> Window:

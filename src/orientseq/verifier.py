@@ -1,25 +1,31 @@
-"""Exhaustive window-property oracles.
+"""Exhaustive window-property checks.
 
-Every construction in this package is checked against these brute-force
-verifiers: the n-window property, orientability, disjointness of pairs in one
-or both reading directions, and primitivity.  Verification is always exact; a
-failure is reported as the lexicographically first offending position pair.
+Every construction in this package is checked against these verifiers: the
+n-window property, orientability, disjointness of pairs in one or both
+reading directions, and primitivity.  Verification is always exact.
+
+Each check reads the n-windows as integers (seqcore.window_values), never as
+one string per window, so it needs O(N) memory for N windows: a few bytes per
+window in an array, plus one set of the distinct values.  The property itself
+is a set test that runs at C speed.  Only when it fails does a second, exact
+pass find the lexicographically first offending position pair and its kind.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .seqcore import (
     FORWARD,
     REVERSE,
     SYMMETRIC,
-    FiniteSeq,
-    GeneratingCycle,
+    PreconditionError,
     Seq,
-    WindowRangeError,
     complement,
-    cyclic_slice,
+    first_in,
+    window_bits,
+    window_values,
 )
 
 __all__ = [
@@ -30,9 +36,11 @@ __all__ = [
     "verify_disjoint",
     "verify_o_disjoint",
     "verify_primitive",
+    "require_orientable",
 ]
 
-_KIND_RANK = {FORWARD: 0, REVERSE: 1, SYMMETRIC: 2}
+# Kinds in tie-break order: at equal (i, j), forward ranks before reverse.
+_KINDS = (FORWARD, REVERSE, SYMMETRIC)
 
 
 @dataclass(frozen=True)
@@ -49,45 +57,31 @@ class Counterexample:
 
 def all_windows(s: Seq, n: int) -> list[str]:
     """Every n-bit window of s: m cyclic windows, or l-n+1 aperiodic ones."""
-    if n < 1:
-        raise WindowRangeError(f"window order must be >= 1, got {n}")
-    if isinstance(s, GeneratingCycle):
-        m = s.period
-        ext = cyclic_slice(s, 0, m + n - 1)
-        return [ext[i : i + n] for i in range(m)]
-    if len(s) < n:
-        raise WindowRangeError(
-            f"sequence of length {len(s)} has no windows of order {n}"
-        )
-    b = s.bits
+    b = window_bits(s, n)
     return [b[i : i + n] for i in range(len(b) - n + 1)]
 
 
-def _first_positions(windows: list[str]) -> dict[str, int]:
-    first: dict[str, int] = {}
-    for j, w in enumerate(windows):
-        first.setdefault(w, j)
-    return first
+def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
+    """The n-windows of s as integers by position, optionally each read backwards."""
+    b = window_bits(s, n)
+    values = window_values(b[::-1] if reverse else b, n)
+    if reverse:
+        values.reverse()
+    return values
 
 
-def _forward_collision(windows: list[str]) -> Optional[tuple[int, int]]:
-    first: dict[str, int] = {}
-    best: Optional[tuple[int, int]] = None
-    for j, w in enumerate(windows):
-        i = first.setdefault(w, j)
-        if i != j:
-            pair = (i, j)
-            if best is None or pair < best:
-                best = pair
-    return best
+def _first_repeat(values: Sequence[int]) -> tuple[int, int]:
+    """(i, j): i is the first position whose value recurs (one must), j the next."""
+    i = first_in(values, {v for v, k in Counter(values).items() if k > 1})
+    return i, values.index(values[i], i + 1)
 
 
 def verify_nwindow(s: Seq, n: int) -> Optional[Counterexample]:
     """None if all n-windows of s are distinct, else the first repeat."""
-    pair = _forward_collision(all_windows(s, n))
-    if pair is None:
+    values = _values(s, n)
+    if len(set(values)) == len(values):
         return None
-    return Counterexample(pair[0], pair[1], FORWARD)
+    return Counterexample(*_first_repeat(values), FORWARD)
 
 
 def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
@@ -96,57 +90,55 @@ def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
     A reversed collision with i == j means the window is symmetric, which on
     its own already rules out orientability.
     """
-    windows = all_windows(s, n)
-    best: Optional[tuple[int, int, int]] = None
-    pair = _forward_collision(windows)
-    if pair is not None:
-        best = (pair[0], pair[1], _KIND_RANK[FORWARD])
-    first = _first_positions(windows)
-    for j, w in enumerate(windows):
-        i = first.get(w[::-1])
-        if i is None:
-            continue
-        kind = SYMMETRIC if i == j else REVERSE
-        cand = (i, j, _KIND_RANK[kind])
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+    fwd = _values(s, n)
+    rev = _values(s, n, reverse=True)
+    seen = set(fwd)
+    unique = len(seen) == len(fwd)
+    if unique and seen.isdisjoint(rev):
         return None
-    kind = [FORWARD, REVERSE, SYMMETRIC][best[2]]
-    return Counterexample(best[0], best[1], kind)
+    del seen
+    found = [] if unique else [(*_first_repeat(fwd), 0)]
+    i = first_in(fwd, set(rev))
+    if i is not None:
+        j = rev.index(fwd[i])
+        found.append((i, j, 2 if i == j else 1))
+    i, j, kind = min(found)
+    return Counterexample(i, j, _KINDS[kind])
+
+
+def _first_shared(reads: tuple, theirs: Sequence[int]) -> Optional[Counterexample]:
+    """Least (i, j, kind) with reads[kind][i] == theirs[j], or None."""
+    keys = set(theirs)
+    hits = [i for i in (first_in(values, keys) for values in reads) if i is not None]
+    if not hits:
+        return None
+    i = min(hits)
+    j, kind = min((theirs.index(v[i]), kind) for kind, v in enumerate(reads) if v[i] in keys)
+    return Counterexample(i, j, _KINDS[kind])
 
 
 def verify_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window."""
-    first_t = _first_positions(all_windows(t, n))
-    for i, w in enumerate(all_windows(s, n)):
-        j = first_t.get(w)
-        if j is not None:
-            return Counterexample(i, j, FORWARD)
-    return None
+    theirs = _values(t, n)
+    return _first_shared((_values(s, n),), theirs)
 
 
 def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window in either reading direction."""
-    first_t = _first_positions(all_windows(t, n))
-    best: Optional[tuple[int, int, int]] = None
-    for i, w in enumerate(all_windows(s, n)):
-        for key, kind in ((w, FORWARD), (w[::-1], REVERSE)):
-            j = first_t.get(key)
-            if j is not None:
-                cand = (i, j, _KIND_RANK[kind])
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return None
-    return Counterexample(best[0], best[1], [FORWARD, REVERSE, SYMMETRIC][best[2]])
+    theirs = _values(t, n)
+    return _first_shared((_values(s, n), _values(s, n, reverse=True)), theirs)
 
 
 def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:
     """None if s shares no n-window with its bitwise complement."""
-    comp: Seq
-    if isinstance(s, GeneratingCycle):
-        comp = GeneratingCycle(complement(s.bits))
-    else:
-        comp = FiniteSeq(complement(s.bits))
-    return verify_disjoint(s, comp, n)
+    return verify_disjoint(s, type(s)._trusted(complement(s.bits)), n)
+
+
+def require_orientable(s: Seq, n: int, what: str) -> None:
+    """Raise PreconditionError naming the first collision unless s is orientable."""
+    cx = verify_orientable(s, n)
+    if cx is not None:
+        raise PreconditionError(
+            f"{what} is not orientable at order {n}: windows at "
+            f"{cx.i} and {cx.j} collide ({cx.kind})"
+        )

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,10 +203,53 @@ class TestTables:
         assert payload["aperiodic_family"]["8"] == 92
         assert payload["aperiodic_bound"]["8"] == 2**7 - 2**3 + 7
 
+    def test_orders_below_the_periodic_starter(self, capsys):
+        code, out, _ = run(capsys, "tables", "--max-order", "4", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["periodic_family"] == {} and payload["period_bound"] == {}
+        assert payload["aperiodic_family"] == {"2": 2, "3": 4, "4": 8}
+
     def test_human_table(self, capsys):
         code, out, _ = run(capsys, "tables", "--max-order", "7")
         assert code == 0
         assert "order" in out and "149" not in out and "48" in out
+
+
+# Input and usage errors: each case's pinned exit code, and never a traceback.
+# {seq} is an orientable order-5 cycle file, {short} a 4-bit word headed order 8.
+CONTRACT = {
+    "verify-shorter-than-order": (["verify", "{short}"], 2),
+    "verify-order-zero": (["verify", "{seq}", "--order", "0"], 2),
+    "verify-order-negative": (["verify", "{seq}", "--order", "-3"], 2),
+    "locate-order-zero": (["locate", "--seq", "{seq}", "--order", "0", "--window", "0"], 2),
+    "construct-periodic-target-3": (["construct", "periodic", "--target-order", "3"], 2),
+    "construct-debruijn-order-0": (["construct", "debruijn", "--order", "0"], 2),
+    "locate-window-wrong-length": (["locate", "--seq", "{seq}", "--window", "0011"], 2),
+    "locate-window-non-binary": (["locate", "--seq", "{seq}", "--window", "01201"], 2),
+    "locate-window-empty": (["locate", "--seq", "{seq}", "--window", ""], 2),
+    "tables-max-order-4": (["tables", "--max-order", "4"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_cli_contract(tmp_path, case):
+    seq, short = tmp_path / "seq.txt", tmp_path / "short.txt"
+    write_sequence(seq, "001101", mode="periodic", order=5)
+    write_sequence(short, "0101", mode="aperiodic", order=8)
+    argv, expected = CONTRACT[case]
+    argv = [a.format(seq=seq, short=short) for a in argv]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orientseq.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == 2:
+        assert proc.stderr.startswith("error:")
 
 
 class TestUsage:

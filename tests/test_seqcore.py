@@ -17,6 +17,8 @@ from orientseq.seqcore import (
     least_rotation,
     reverse,
     window,
+    window_bits,
+    window_values,
 )
 
 from conftest import cycles, finite_seqs, windows_st
@@ -75,6 +77,30 @@ class TestWindow:
     @given(cycles(), st.integers(-20, 100), st.integers(1, 10))
     def test_window_wraps_modulo_period(self, c, i, n):
         assert window(c, i, n) == window(c, i % c.period, n)
+
+
+class TestWindowValues:
+    @given(st.text(alphabet="01", min_size=1, max_size=300), st.integers(1, 70))
+    def test_every_window_as_an_integer(self, bits, n):
+        # Lengths past 2 * 64 put several lanes in every shifted integer.
+        expected = [int(bits[p : p + n], 2) for p in range(len(bits) - n + 1)]
+        assert list(window_values(bits, n)) == expected
+
+    def test_lane_widths(self):
+        bits = "1" * 100
+        assert window_values(bits, 32).typecode == "I"
+        assert window_values(bits, 33).typecode == "Q"
+        assert list(window_values(bits, 64)) == [2**64 - 1] * 37
+        assert window_values(bits, 65) == [2**65 - 1] * 36
+
+    def test_window_bits(self):
+        assert window_bits(GeneratingCycle("001101"), 3) == "00110100"
+        assert window_bits(GeneratingCycle("01"), 5) == "010101"
+        assert window_bits(FiniteSeq("0011"), 4) == "0011"
+        with pytest.raises(WindowRangeError):
+            window_bits(FiniteSeq("0011"), 5)
+        with pytest.raises(WindowRangeError):
+            window_bits(GeneratingCycle("01"), 0)
 
 
 class TestTupleOps:
