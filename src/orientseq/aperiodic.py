@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from .lempel import d_inverse_aperiodic
 from .periodic import ConstructionTrace, TraceStep
-from .seqcore import (
-    FiniteSeq,
-    GeneratingCycle,
-    PreconditionError,
-    complement,
-    cyclic_slice,
-)
+from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value, window_bits
 from .verifier import require_orientable
 
 __all__ = [
@@ -58,9 +52,8 @@ def is_ideal(s: FiniteSeq, n: int) -> bool:
     """True iff s starts with n-1 zeros and ends with n-1 ones."""
     if n < 2:
         raise ValueError(f"idealness needs order >= 2, got {n}")
-    k = n - 1
-    b = s.bits
-    return len(b) >= 2 * k and b[:k] == "0" * k and b[-k:] == "1" * k
+    k, ones = n - 1, (1 << (n - 1)) - 1
+    return len(s) >= 2 * k and s.value >> (len(s) - k) == 0 and s.value & ones == ones
 
 
 def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
@@ -73,10 +66,10 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     """
     if not is_ideal(s, n):
         raise PreconditionError(f"input is not ideal at order {n}: {s.bits!r}")
-    t = d_inverse_aperiodic(s).first
-    u = complement(t.bits)[::-1]
-    drop = n if n % 2 == 0 else n - 1
-    return FiniteSeq._trusted(t.bits + u[drop:])
+    inv, m = d_inverse_aperiodic(s), len(s) + 1
+    keep = m - (n if n % 2 == 0 else n - 1)
+    u = reverse_value(inv.second.value, m) & ((1 << keep) - 1)
+    return FiniteSeq._trusted((inv.first.value << keep) | u, m + keep)
 
 
 def build_aos(
@@ -127,4 +120,4 @@ def aos_from_periodic(c: GeneratingCycle, n: int) -> FiniteSeq:
     """Unroll an orientable cycle into a finite word of length period + n - 1."""
     if n < 1:
         raise ValueError(f"need order >= 1, got {n}")
-    return FiniteSeq._trusted(cyclic_slice(c, 0, c.period + n - 1))
+    return FiniteSeq._trusted(*window_bits(c, n))

@@ -41,18 +41,19 @@ def _load_seq(path: str, mode: Optional[str], order: Optional[int]):
 
 def _report_construction(args, title: str, seq, order: int, trace=None) -> int:
     """Write the --out and --trace files, then print the sequence."""
+    cyclic = isinstance(seq, GeneratingCycle)
+    mode = "periodic" if cyclic else "aperiodic"
+    bits = seq.bits
     if getattr(args, "out", None):
-        seqio.write_sequence(args.out, seq, order=order)
+        seqio.write_sequence(args.out, bits, mode=mode, order=order)
     if getattr(args, "trace", None) and trace is not None:
         with open(args.trace, "w", encoding="ascii") as fh:
             json.dump(trace.as_dict(), fh, indent=2)
-    cyclic = isinstance(seq, GeneratingCycle)
     size_name, size = ("period", seq.period) if cyclic else ("length", len(seq))
-    payload = {"mode": "periodic" if cyclic else "aperiodic", "order": order, size_name: size}
-    payload["bits"] = seq.bits
+    payload = {"mode": mode, "order": order, size_name: size, "bits": bits}
     if trace is not None:
         payload["trace"] = trace.as_dict()
-    _emit(args, payload, f"{title} order {order} {size_name} {size}\n{seq.bits}")
+    _emit(args, payload, f"{title} order {order} {size_name} {size}\n{bits}")
     return 0
 
 
@@ -118,16 +119,12 @@ def _cmd_search(args) -> int:
     if args.resume:
         with open(args.resume, encoding="ascii") as fh:
             prev = json.load(fh)
+        if not isinstance(prev, dict):
+            raise ValueError(f"{args.resume} does not hold a search result object")
         if prev.get("witness"):
-            initial = (prev["value"], prev["witness"])
-    if args.mode == "periodic":
-        result = search.max_orientable_period(
-            args.order, node_budget=args.budget, initial_best=initial
-        )
-    else:
-        result = search.max_aos_length(
-            args.order, node_budget=args.budget, initial_best=initial
-        )
+            initial = (prev.get("value"), prev["witness"])
+    find = search.max_orientable_period if args.mode == "periodic" else search.max_aos_length
+    result = find(args.order, node_budget=args.budget, initial_best=initial)
     payload = {"mode": args.mode, "order": args.order, **result.as_dict()}
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -14,10 +14,9 @@ from .lempel import InverseKind, d_inverse_periodic
 from .seqcore import (
     GeneratingCycle,
     PreconditionError,
-    conjugate,
-    cyclic_slice,
+    cyclic_value,
     first_in,
-    window,
+    rotate_left,
     window_bits,
     window_values,
 )
@@ -35,10 +34,10 @@ def find_conjugate_positions(
     callers are responsible for the inputs being disjoint n-window cycles.
     Windows are compared as integers, where conjugation flips the top bit.
     """
-    theirs = window_values(window_bits(t, n), n)
+    theirs = window_values(*window_bits(t, n), n)
+    ours = window_values(*window_bits(s, n), n)
     top = 1 << (n - 1)
-    ours = window_values(window_bits(s, n), n)
-    i = first_in(ours, set(map(top.__xor__, theirs)))
+    i = first_in(map(top.__xor__, ours), set(theirs))
     return None if i is None else (i, theirs.index(ours[i] ^ top))
 
 
@@ -54,14 +53,14 @@ def join_at(
     ell, m = s.period, t.period
     i %= ell
     j %= m
-    if window(s, i, n) != conjugate(window(t, j, n)):
+    if cyclic_value(s, i, n) != cyclic_value(t, j, n) ^ (1 << (n - 1)):
         raise PreconditionError(
             f"windows at positions {i} and {j} are not conjugate at order {n}"
         )
-    joined = cyclic_slice(s, i + n, ell) + cyclic_slice(t, j + n, m)
+    joined = (cyclic_value(s, i + n, ell) << m) | cyclic_value(t, j + n, m)
     # Rotate so the cycle starts at s_0, matching the display above.
-    k = (ell - i - n) % (ell + m)
-    return GeneratingCycle(joined[k:] + joined[:k])
+    out = rotate_left(joined, ell + m, ell - i - n)
+    return GeneratingCycle._trusted(out, ell + m)._require_minimal()
 
 
 def debruijn_lempel(n: int) -> GeneratingCycle:

@@ -12,6 +12,8 @@ Phase conventions, chosen once so every operation is deterministic:
 * doubled single cycles: the output's first bit equals the input's first bit.
 
 Both are aligned so that output position 0 integrates from input position 0.
+Both maps work on packed integers: the forward map XORs a shifted copy, the
+inverse is a prefix XOR by doubling shifts, a complement XORs all ones.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .seqcore import FiniteSeq, GeneratingCycle, Seq, WindowRangeError, complement
+from .seqcore import FiniteSeq, GeneratingCycle, Seq, WindowRangeError, least_period, rotate_left
 
 __all__ = [
     "InverseKind",
@@ -49,38 +51,31 @@ class InverseImage:
         return (self.first, self.second)
 
 
-def _prefix_xor(bits: str) -> int:
-    """Integer whose bit at MSB position i is bits[0] ^ ... ^ bits[i].
+def _prefix_xor(x: int, n: int) -> int:
+    """The n-bit integer whose bit i (first bit leftmost) is x[0] ^ ... ^ x[i].
 
-    Uses doubling shifts so the cost is O(L/word * log L) even for sequences
+    Uses doubling shifts so the cost is O(n/word * log n) even for sequences
     of hundreds of millions of bits.
     """
-    x = int(bits, 2)
     shift = 1
-    n = len(bits)
     while shift < n:
         x ^= x >> shift
         shift <<= 1
     return x
 
 
-def _integrate(bits: str, t0: int) -> str:
-    """The word t of len(bits) bits with t[0] = t0 and t[i+1] = t[i] ^ bits[i]."""
-    n = len(bits)
-    t = _prefix_xor(bits) >> 1
-    if t0:
-        t ^= (1 << n) - 1
-    return format(t, f"0{n}b")
+def _integrate(x: int, n: int, t0: int) -> int:
+    """The n-bit word t with t[0] = t0 and t[i+1] = t[i] ^ x[i]."""
+    t = _prefix_xor(x, n) >> 1
+    return t ^ ((1 << n) - 1) if t0 else t
 
 
 def d_forward_periodic(c: GeneratingCycle) -> GeneratingCycle:
     """Adjacent XOR around the cycle, reduced to its minimal period."""
-    b = c.bits
-    if len(b) == 1:
-        return GeneratingCycle("0")
-    raw = format(int(b, 2) ^ int(b[1:] + b[0], 2), f"0{len(b)}b")
-    p = (raw + raw).find(raw, 1)
-    return GeneratingCycle._trusted(raw[:p])
+    x, m = c.value, c.period
+    raw = x ^ rotate_left(x, m, 1)
+    p = least_period(raw, m)
+    return GeneratingCycle._trusted(raw >> (m - p), p)
 
 
 def d_inverse_periodic(c: GeneratingCycle) -> InverseImage:
@@ -89,35 +84,38 @@ def d_inverse_periodic(c: GeneratingCycle) -> InverseImage:
     Even weight: a complementary pair with the same period as c.  Odd weight:
     a single cycle of doubled period whose weight equals the period of c.
     """
-    b = c.bits
+    x, m = c.value, c.period
+    ones = (1 << m) - 1
     # The outputs are always minimal periods: a shorter period in the
     # preimage would force a shorter period in c itself.
     if c.weight % 2 == 0:
-        first = _integrate(b, 0)
+        first = _integrate(x, m, 0)
         return InverseImage(
             InverseKind.COMPLEMENTARY_PAIR,
-            GeneratingCycle._trusted(first),
-            GeneratingCycle._trusted(complement(first)),
+            GeneratingCycle._trusted(first, m),
+            GeneratingCycle._trusted(first ^ ones, m),
         )
-    t = _integrate(b + b, int(b[0]))
-    # t is a word followed by its complement, so it has one 1 per bit of c.
-    return InverseImage(InverseKind.DOUBLED_SINGLE, GeneratingCycle._trusted(t, len(b)))
+    # Odd weight flips the second pass of the integral: a word, then its complement.
+    half = _integrate(x, m, x >> (m - 1))
+    return InverseImage(
+        InverseKind.DOUBLED_SINGLE, GeneratingCycle._trusted((half << m) | (half ^ ones), 2 * m)
+    )
 
 
 def d_forward_aperiodic(s: FiniteSeq) -> FiniteSeq:
     """Adjacent XOR along a finite word; output is one bit shorter."""
     if len(s) < 2:
         raise WindowRangeError("need at least 2 bits to take adjacent XORs")
-    x = int(s.bits, 2)
-    n = len(s) - 1
-    return FiniteSeq._trusted(format((x ^ (x >> 1)) & ((1 << n) - 1), f"0{n}b"))
+    x, n = s.value, len(s) - 1
+    return FiniteSeq._trusted((x ^ (x >> 1)) & ((1 << n) - 1), n)
 
 
 def d_inverse_aperiodic(s: FiniteSeq) -> InverseImage:
     """Preimage pair of a finite word; always complementary, one bit longer."""
-    first = "0" + format(_prefix_xor(s.bits), f"0{len(s)}b")
+    # The first word is a 0 followed by the prefix XORs of s.
+    first, n = _prefix_xor(s.value, len(s)), len(s) + 1
     return InverseImage(
         InverseKind.COMPLEMENTARY_PAIR,
-        FiniteSeq._trusted(first),
-        FiniteSeq._trusted(complement(first)),
+        FiniteSeq._trusted(first, n),
+        FiniteSeq._trusted(first ^ ((1 << n) - 1), n),
     )

@@ -12,18 +12,12 @@ classical upper bound on the period of any orientable cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .lempel import InverseKind, d_inverse_periodic
-from .seqcore import (
-    GeneratingCycle,
-    PreconditionError,
-    cyclic_occurrences,
-    cyclic_positions,
-    window,
-)
+from .seqcore import GeneratingCycle, PreconditionError, cyclic_value
 from .verifier import require_orientable
 
 __all__ = [
@@ -53,13 +47,7 @@ class TraceStep:
     insert_position: Optional[int] = None
 
     def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "period": self.period,
-            "weight": self.weight,
-            "inserted_bit": self.inserted_bit,
-            "insert_position": self.insert_position,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -69,7 +57,7 @@ class ConstructionTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {"steps": [s.as_dict() for s in self.steps]}
+        return asdict(self)
 
 
 def dai_bound(n: int) -> int:
@@ -89,32 +77,46 @@ def dai_bound(n: int) -> int:
     return math.floor(v)
 
 
+def _cyclic_runs(c: GeneratingCycle, k: int, bit: int) -> int:
+    """Bit m-1-r is set iff k copies of `bit` start at position r of c's period m."""
+    size = c.period + k - 1
+    x = cyclic_value(c, 0, size) ^ (0 if bit else (1 << size) - 1)
+    have = 1  # x marks the starts of runs of `have` copies; double until k
+    while have < k:
+        step = min(have, k - have)
+        x &= x >> step
+        have += step
+    return x
+
+
 def is_good(c: GeneratingCycle, n: int) -> bool:
     """True iff exactly one run of n-4 zeros occurs in a period of c."""
     if n < 5:
         raise ValueError(f"goodness needs order >= 5, got {n}")
-    return cyclic_occurrences(c, "0" * (n - 4)) == 1
+    return _cyclic_runs(c, n - 4, 0).bit_count() == 1
 
 
 def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[int]]:
     if n < 5:
         raise ValueError(f"extension needs order >= 5, got {n}")
-    run = "1" * (n - 4)
-    positions = cyclic_positions(c, run)
-    if len(positions) != 1:
+    runs = _cyclic_runs(c, n - 4, 1)
+    if runs.bit_count() != 1:
         raise PreconditionError(
-            f"expected exactly one occurrence of 1^{n - 4}, found {len(positions)}"
+            f"expected exactly one occurrence of 1^{n - 4}, found {runs.bit_count()}"
         )
     if c.weight % 2 == 1:
         return c, None
-    r = positions[0]
+    x, m = c.value, c.period
+    low = runs.bit_length()  # the run starts at r = m - low; low bits follow it
+    r = m - low
     # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
-    out = GeneratingCycle._trusted(c.bits[:r] + "1" + c.bits[r:], c.weight + 1)
+    grown = ((x >> low) << (low + 1)) | (1 << low) | (x & ((1 << low) - 1))
+    out = GeneratingCycle._trusted(grown, m + 1)
     # The four windows covering the grown run must all contain 1^{n-3} and be
     # pairwise distinct; anything else means the input was not orientable.
-    grown = "1" * (n - 3)
-    replaced = [window(out, (r - 3 + k) % len(out), n) for k in range(4)]
-    assert all(grown in w for w in replaced) and len(set(replaced)) == 4
+    near, run = cyclic_value(out, r - 3, n + 3), (1 << (n - 3)) - 1
+    replaced = {(near >> (3 - k)) & ((1 << n) - 1) for k in range(4)}
+    assert len(replaced) == 4 and (near >> 3) & run == run
     return out, r
 
 
@@ -139,10 +141,8 @@ def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceS
         raise PreconditionError(
             f"input weight {c.weight} is even; the recursion needs odd weight"
         )
-    doubled = inv.first
-    inserted = doubled.weight % 2 == 0
-    out, pos = _extend_odd(doubled, n + 1)
-    return out, TraceStep(n + 1, out.period, out.weight, inserted, pos)
+    out, pos = _extend_odd(inv.first, n + 1)
+    return out, TraceStep(n + 1, out.period, out.weight, pos is not None, pos)
 
 
 def build_orientable(

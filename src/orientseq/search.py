@@ -10,16 +10,19 @@ upper bound for the order.
 
 Budgets are node counts, not wall time, so outcomes are machine independent.
 A budget-limited run reports the best sequence found with exhaustive=False;
-its result can seed a later run as an initial lower bound.
+its result can seed a later run as an initial lower bound.  A seed whose
+size or bound is wrong raises ValueError; one whose witness is not orientable
+at the order is not used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
-from .seqcore import least_rotation
+from .seqcore import FiniteSeq, GeneratingCycle, least_rotation
+from .verifier import verify_orientable
 
 __all__ = ["SearchResult", "max_orientable_period", "max_aos_length"]
 
@@ -32,12 +35,7 @@ class SearchResult:
     nodes: int
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness,
-            "exhaustive": self.exhaustive,
-            "nodes": self.nodes,
-        }
+        return asdict(self)
 
 
 def _orbit_table(n: int) -> list[Optional[int]]:
@@ -84,7 +82,16 @@ def _branch_and_bound(
         ]
     base_len = 0 if closed else n - 1
 
-    best_len, best_bits = initial_best if initial_best is not None else (0, None)
+    best_len, best_bits = 0, None
+    if initial_best is not None:
+        value, witness = initial_best
+        seed = GeneratingCycle(witness) if closed else FiniteSeq(witness)
+        if len(seed) != value or not base_len < value <= cap:
+            raise ValueError(f"initial_best value {value!r} is not its witness's size"
+                             f" {len(seed)} in {base_len + 1}..{cap}, the bound at order {n}")
+        # A witness that is not orientable at order n proves no lower bound.
+        if verify_orientable(seed, n) is None:
+            best_len, best_bits = value, seed.bits
     nodes = 0
     for cur, walk, used, bound, prefix in roots:
         if best_len >= cap:

@@ -1,9 +1,11 @@
 """Binary sequence primitives: windows, reversal, complement, conjugate, weight.
 
-Sequences and windows are stored as strings of '0'/'1' characters, most
-significant (leftmost) bit first, matching the bracket notation used in the
-rest of the package; whole-sequence window tests read windows as integers
-(window_values).  All types are immutable values; all operations are pure.
+A sequence is stored packed, as one int holding its bits first (leftmost) bit
+most significant, plus its length; every layer works on that int with shifts,
+masks and XORs, and the '0'/'1' string (`.bits`) is built only for I/O.  Single
+windows are '0'/'1' strings, as in the bracket notation used throughout, and
+whole-sequence window tests read windows as integers (window_values).  All
+types are immutable values; all operations are pure.
 """
 from __future__ import annotations
 
@@ -28,13 +30,15 @@ __all__ = [
     "window",
     "window_bits",
     "window_values",
+    "cyclic_value",
+    "least_period",
+    "rotate_left",
+    "reverse_value",
     "first_in",
     "reverse",
     "complement",
     "conjugate",
     "is_symmetric",
-    "cyclic_slice",
-    "cyclic_positions",
     "cyclic_occurrences",
     "least_rotation",
 ]
@@ -49,6 +53,7 @@ REVERSE = "reverse"
 SYMMETRIC = "symmetric"
 
 _COMPLEMENT = str.maketrans("01", "10")
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class BitsError(ValueError):
@@ -83,7 +88,54 @@ def as_bits(bits: Union[str, Iterable[int]]) -> str:
     return s
 
 
-class GeneratingCycle:
+class _Packed:
+    """Validated bits packed into one integer, first bit most significant."""
+
+    __slots__ = ("_value", "_len")
+
+    def __init__(self, bits: Union[str, Iterable[int]]):
+        s = as_bits(bits)
+        self._value, self._len = int(s, 2), len(s)
+
+    @classmethod
+    def _trusted(cls, value: int, length: int):
+        # Fast path for bits the library produced itself; skips validation,
+        # which dominates at 10^8-bit periods.
+        obj = object.__new__(cls)
+        obj._value, obj._len = value, length
+        return obj
+
+    @property
+    def bits(self) -> str:
+        """The bits as a '0'/'1' string, built anew on every call (for I/O)."""
+        return format(self._value, f"0{self._len}b")
+
+    @property
+    def value(self) -> int:
+        """The bits as one integer: bit i is (value >> (len - 1 - i)) & 1."""
+        return self._value
+
+    @property
+    def weight(self) -> int:
+        """Number of ones."""
+        return self._value.bit_count()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> int:
+        """Bit i; cycles wrap modulo the period, finite sequences raise WindowRangeError."""
+        return int(window(self, i, 1))
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return same and (self._len, self._value) == (other._len, other._value)
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._len, self._value))
+
+
+class GeneratingCycle(_Packed):
     """One period of a periodic binary sequence.
 
     The stored bits are required to be a minimal period: a cycle such as
@@ -91,113 +143,84 @@ class GeneratingCycle:
     period.
     """
 
-    __slots__ = ("_bits", "_weight")
+    __slots__ = ()
 
     def __init__(self, bits: Union[str, Iterable[int]]):
-        s = as_bits(bits)
-        p = (s + s).find(s, 1)
-        if p != len(s):
+        super().__init__(bits)
+        self._require_minimal()
+
+    def _require_minimal(self) -> "GeneratingCycle":
+        p = least_period(self._value, self._len)
+        if p != self._len:
             raise NonMinimalPeriodError(
-                f"[{s}] is not a minimal period (repeats every {p} bits)"
+                f"[{self.bits}] is not a minimal period (repeats every {p} bits)"
             )
-        self._bits = s
-        self._weight: Optional[int] = None
-
-    @classmethod
-    def _trusted(cls, bits: str, weight: Optional[int] = None) -> "GeneratingCycle":
-        # Fast path for internal construction where minimality is already
-        # guaranteed; skips validation, which dominates at 10^8-bit periods.
-        # A weight the caller already knows saves recounting the bits.
-        obj = object.__new__(cls)
-        obj._bits = bits
-        obj._weight = weight
-        return obj
-
-    @property
-    def bits(self) -> str:
-        return self._bits
+        return self
 
     @property
     def period(self) -> int:
-        return len(self._bits)
-
-    @property
-    def weight(self) -> int:
-        """Number of ones in one period."""
-        if self._weight is None:
-            self._weight = self._bits.count("1")
-        return self._weight
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __getitem__(self, i: int) -> int:
-        return int(self._bits[i % len(self._bits)])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GeneratingCycle) and self._bits == other._bits
-
-    def __hash__(self) -> int:
-        return hash(("cycle", self._bits))
+        return self._len
 
     def __repr__(self) -> str:
-        return f"[{self._bits}]"
+        return f"[{self.bits}]"
 
 
-class FiniteSeq:
+class FiniteSeq(_Packed):
     """A finite (aperiodic) binary sequence of length >= 1."""
 
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: Union[str, Iterable[int]]):
-        self._bits = as_bits(bits)
-
-    @classmethod
-    def _trusted(cls, bits: str) -> "FiniteSeq":
-        # Fast path for bits the library produced itself; skips validation.
-        obj = object.__new__(cls)
-        obj._bits = bits
-        return obj
-
-    @property
-    def bits(self) -> str:
-        return self._bits
+    __slots__ = ()
 
     @property
     def length(self) -> int:
-        return len(self._bits)
-
-    @property
-    def weight(self) -> int:
-        return self._bits.count("1")
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < len(self._bits):
-            raise WindowRangeError(f"index {i} out of range for length {len(self._bits)}")
-        return int(self._bits[i])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteSeq) and self._bits == other._bits
-
-    def __hash__(self) -> int:
-        return hash(("finite", self._bits))
+        return self._len
 
     def __repr__(self) -> str:
-        return f"FiniteSeq({self._bits})"
+        return f"FiniteSeq({self.bits})"
 
 
 Seq = Union[GeneratingCycle, FiniteSeq]
 
 
-def cyclic_slice(c: GeneratingCycle, start: int, length: int) -> str:
-    """Bits of the periodic extension of `c` from `start`, wrapping as needed."""
-    m = c.period
+def rotate_left(x: int, m: int, k: int) -> int:
+    """The m-bit value x rotated left by k places."""
+    k %= m
+    return ((x << k) | (x >> (m - k))) & ((1 << m) - 1)
+
+
+def least_period(x: int, m: int) -> int:
+    """Least p dividing m such that rotating the m-bit value x by p leaves it
+    unchanged: one rotation test per prime factor of m when p == m."""
+    p, rest, q = m, m, 2
+    while rest > 1:
+        if rest % q:
+            q = q + 1 if q * q < rest else rest
+            continue
+        while rest % q == 0:
+            rest //= q
+        while p % q == 0 and rotate_left(x, m, p // q) == x:
+            p //= q
+    return p
+
+
+def reverse_value(x: int, m: int) -> int:
+    """The m-bit value x with its bit order reversed, via a byte-table lookup."""
+    pad = -m % 8
+    data = (x << pad).to_bytes((m + pad) // 8, "little")
+    return int.from_bytes(data.translate(_REVERSED_BYTES), "big")
+
+
+def cyclic_value(c: Seq, start: int, length: int) -> int:
+    """Bits start..start+length-1 of c's periodic extension, in O(start % len(c) + length)."""
+    x, m = c.value, len(c)
     start %= m
-    reps = (start + length + m - 1) // m
-    return (c.bits * reps)[start : start + length]
+    take = min(length, m - start)
+    out = x if take == m else (x >> (m - start - take)) & ((1 << take) - 1)
+    length -= take
+    while length:  # then whole periods from bit 0, the last one cut short
+        take = min(length, m)
+        out = (out << take) | (x >> (m - take))
+        length -= take
+    return out
 
 
 def window(source: Seq, i: int, n: int) -> Window:
@@ -208,41 +231,38 @@ def window(source: Seq, i: int, n: int) -> Window:
     """
     if n < 1:
         raise WindowRangeError(f"window order must be >= 1, got {n}")
-    if isinstance(source, GeneratingCycle):
-        return cyclic_slice(source, i, n)
-    if i < 0 or i + n > len(source):
+    if isinstance(source, FiniteSeq) and not 0 <= i <= len(source) - n:
         raise WindowRangeError(
             f"window [{i}, {i + n}) does not fit in a sequence of length {len(source)}"
         )
-    return source.bits[i : i + n]
+    return format(cyclic_value(source, i, n), f"0{n}b")
 
 
-def window_bits(s: Seq, n: int) -> str:
-    """The bits whose n-bit slices are the n-windows of s: a cycle's period
-    extended cyclically by n-1 bits, or a finite sequence of at least n bits."""
+def window_bits(s: Seq, n: int) -> tuple[int, int]:
+    """(x, length): packed bits whose n-bit slices are the n-windows of s, a cycle's
+    period extended cyclically by n-1 bits, or a finite sequence of >= n bits."""
     if n < 1:
         raise WindowRangeError(f"window order must be >= 1, got {n}")
     if isinstance(s, GeneratingCycle):
-        return cyclic_slice(s, 0, s.period + n - 1)
+        return cyclic_value(s, 0, s.period + n - 1), s.period + n - 1
     if len(s) < n:
         raise WindowRangeError(f"sequence of length {len(s)} has no windows of order {n}")
-    return s.bits
+    return s.value, len(s)
 
 
-def window_values(bits: str, n: int) -> Sequence[int]:
-    """Element p is int(bits[p:p+n], 2); no Python code runs per window.
-
-    With X = int(bits, 2), (X >> r) & M, M the n-bit mask repeated every B = 32
-    or 64 bits, holds the windows ending r, r+B, r+2B, ... bits from the right
-    end in its B-bit lanes, copied out via to_bytes and a strided slice.  Orders
-    above 64 fall back to a list."""
-    total = max(len(bits) - n + 1, 0)
+def window_values(x: int, length: int, n: int) -> Sequence[int]:
+    """Element p is the n-bit slice at p of the `length`-bit value x; no Python
+    code runs per window.  (x >> r) & M, M the n-bit mask repeated every B = 32
+    or 64 bits, holds the windows ending r, r+B, ... bits from the right end in
+    its B-bit lanes, copied out via to_bytes and a strided slice.  Orders above
+    64 fall back to a list."""
+    total = max(length - n + 1, 0)
     if n > 64:
-        return [int(bits[p : p + n], 2) for p in range(total)]
+        b = format(x, f"0{length}b")
+        return [int(b[p : p + n], 2) for p in range(total)]
     width, code = (32, "I") if n <= 32 else (64, "Q")
     size, lanes = width // 8, -(-total // width)
     mask = int.from_bytes(((1 << n) - 1).to_bytes(size, "little") * lanes, "little")
-    x = int(bits, 2)
     out = array(code, bytes(size * total))
     for r in range(min(width, total)):
         chunk = array(code, ((x >> r) & mask).to_bytes(size * lanes, "little"))
@@ -274,21 +294,9 @@ def is_symmetric(w: Window) -> bool:
     return w == w[::-1]
 
 
-def cyclic_positions(c: GeneratingCycle, t: Window) -> list[int]:
-    """Positions i in 0..m-1 where the window of len(t) bits at i equals t."""
-    m = c.period
-    ext = cyclic_slice(c, 0, m + len(t) - 1)
-    out = []
-    pos = ext.find(t)
-    while 0 <= pos < m:
-        out.append(pos)
-        pos = ext.find(t, pos + 1)
-    return out
-
-
 def cyclic_occurrences(c: GeneratingCycle, t: Window) -> int:
     """Number of cyclic occurrences of the word t in one period of c."""
-    return len(cyclic_positions(c, t))
+    return window_values(*window_bits(c, len(t)), len(t)).count(int(t, 2))
 
 
 def least_rotation(s: str) -> str:

@@ -71,14 +71,9 @@ def write_sequence(
     mode: Optional[str] = None,
     order: Optional[int] = None,
 ) -> None:
-    if isinstance(seq, GeneratingCycle):
-        bits = seq.bits
-        mode = mode or "periodic"
-    elif isinstance(seq, FiniteSeq):
-        bits = seq.bits
-        mode = mode or "aperiodic"
-    else:
-        bits = seq
+    bits = seq if isinstance(seq, str) else seq.bits  # built once, for output
+    if not isinstance(seq, str):
+        mode = mode or ("periodic" if isinstance(seq, GeneratingCycle) else "aperiodic")
     header = f"# mode={mode}" if mode else "#"
     if order is not None:
         header += f" order={order}"

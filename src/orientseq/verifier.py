@@ -4,9 +4,11 @@ Every construction in this package is checked against these verifiers: the
 n-window property, orientability, disjointness of pairs in one or both
 reading directions, and primitivity.  Verification is always exact.
 
-Each check reads the n-windows as integers (seqcore.window_values), never as
-one string per window, so it needs O(N) memory for N windows: a few bytes per
-window in an array, plus one set of the distinct values.  The property itself
+Each check reads the n-windows as integers (seqcore.window_values) straight
+from the packed sequence, never as one string per window; the reverse reading
+is the same kernel on the bit-reversed integer.  So a check needs O(N) memory
+for N windows: a few bytes per window in an array, plus one set of the
+distinct values.  The property itself
 is a set test that runs at C speed.  Only when it fails does a second, exact
 pass find the lexicographically first offending position pair and its kind.
 """
@@ -22,8 +24,8 @@ from .seqcore import (
     SYMMETRIC,
     PreconditionError,
     Seq,
-    complement,
     first_in,
+    reverse_value,
     window_bits,
     window_values,
 )
@@ -57,14 +59,15 @@ class Counterexample:
 
 def all_windows(s: Seq, n: int) -> list[str]:
     """Every n-bit window of s: m cyclic windows, or l-n+1 aperiodic ones."""
-    b = window_bits(s, n)
-    return [b[i : i + n] for i in range(len(b) - n + 1)]
+    x, length = window_bits(s, n)
+    b = format(x, f"0{length}b")
+    return [b[i : i + n] for i in range(length - n + 1)]
 
 
 def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
     """The n-windows of s as integers by position, optionally each read backwards."""
-    b = window_bits(s, n)
-    values = window_values(b[::-1] if reverse else b, n)
+    x, length = window_bits(s, n)
+    values = window_values(reverse_value(x, length) if reverse else x, length, n)
     if reverse:
         values.reverse()
     return values
@@ -131,7 +134,7 @@ def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
 
 def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:
     """None if s shares no n-window with its bitwise complement."""
-    return verify_disjoint(s, type(s)._trusted(complement(s.bits)), n)
+    return verify_disjoint(s, type(s)._trusted(s.value ^ ((1 << len(s)) - 1), len(s)), n)
 
 
 def require_orientable(s: Seq, n: int, what: str) -> None:

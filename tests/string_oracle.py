@@ -1,10 +1,17 @@
-"""String-keyed reference implementations of the window checks.
+"""String-layout reference implementations, kept as test oracles.
 
-These are the verifier, conjugate-pair scan and index builder as they stood
-before window tests moved to integer window values: every window is cut into
-its own string and hashed in a Python loop.  They are slow and memory-hungry,
-which is why the library no longer uses them, and independent of
-seqcore.window_values, which is why the tests compare against them.
+Two groups, both working on '0'/'1' strings only:
+
+* the window checks, conjugate-pair scan and index builder as they stood
+  before window tests moved to integer window values: every window is cut
+  into its own string and hashed in a Python loop;
+* the construction steps (inverse maps, odd extension, merge step, join) as
+  they stood before sequences were stored as packed integers, plus the
+  recursions built from them, returning bit strings.
+
+They are slow and memory-hungry, which is why the library no longer uses
+them, and independent of the packed layout and seqcore.window_values, which
+is why the tests compare against them.
 """
 from __future__ import annotations
 
@@ -17,31 +24,41 @@ from orientseq.seqcore import (
     SYMMETRIC,
     FiniteSeq,
     GeneratingCycle,
+    NonMinimalPeriodError,
     PreconditionError,
     Seq,
     WindowRangeError,
     complement,
     conjugate,
-    cyclic_slice,
 )
 from orientseq.verifier import Counterexample
 
 _KIND_RANK = {FORWARD: 0, REVERSE: 1, SYMMETRIC: 2}
 
 
-def all_windows(s: Seq, n: int) -> list[str]:
+def cyclic_slice(bits: str, start: int, length: int) -> str:
+    """Bits of the periodic extension of bits from start, wrapping as needed."""
+    m = len(bits)
+    start %= m
+    reps = (start + length + m - 1) // m
+    return (bits * reps)[start : start + length]
+
+
+def _windows(bits: str, n: int, cyclic: bool) -> list[str]:
     if n < 1:
         raise WindowRangeError(f"window order must be >= 1, got {n}")
-    if isinstance(s, GeneratingCycle):
-        m = s.period
-        ext = cyclic_slice(s, 0, m + n - 1)
-        return [ext[i : i + n] for i in range(m)]
-    if len(s) < n:
+    if cyclic:
+        ext = cyclic_slice(bits, 0, len(bits) + n - 1)
+        return [ext[i : i + n] for i in range(len(bits))]
+    if len(bits) < n:
         raise WindowRangeError(
-            f"sequence of length {len(s)} has no windows of order {n}"
+            f"sequence of length {len(bits)} has no windows of order {n}"
         )
-    b = s.bits
-    return [b[i : i + n] for i in range(len(b) - n + 1)]
+    return [bits[i : i + n] for i in range(len(bits) - n + 1)]
+
+
+def all_windows(s: Seq, n: int) -> list[str]:
+    return _windows(s.bits, n, isinstance(s, GeneratingCycle))
 
 
 def _first_positions(windows: list[str]) -> dict[str, int]:
@@ -124,17 +141,21 @@ def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:
     return verify_disjoint(s, comp, n)
 
 
-def find_conjugate_positions(
-    s: GeneratingCycle, t: GeneratingCycle, n: int
-) -> Optional[tuple[int, int]]:
+def _conjugate_positions(s: str, t: str, n: int) -> Optional[tuple[int, int]]:
     first_j: dict[str, int] = {}
-    for j, w in enumerate(all_windows(t, n)):
+    for j, w in enumerate(_windows(t, n, True)):
         first_j.setdefault(w, j)
-    for i, w in enumerate(all_windows(s, n)):
+    for i, w in enumerate(_windows(s, n, True)):
         j = first_j.get(conjugate(w))
         if j is not None:
             return (i, j)
     return None
+
+
+def find_conjugate_positions(
+    s: GeneratingCycle, t: GeneratingCycle, n: int
+) -> Optional[tuple[int, int]]:
+    return _conjugate_positions(s.bits, t.bits, n)
 
 
 def build_index(s: Seq, n: int) -> LocatorIndex:
@@ -154,3 +175,135 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     if isinstance(s, GeneratingCycle):
         return LocatorIndex(n, "periodic", s.period, entries)
     return LocatorIndex(n, "aperiodic", len(s), entries)
+
+
+# Construction steps on bit strings.
+
+
+def _prefix_xor(bits: str) -> int:
+    """Integer whose bit at MSB position i is bits[0] ^ ... ^ bits[i]."""
+    x = int(bits, 2)
+    shift = 1
+    n = len(bits)
+    while shift < n:
+        x ^= x >> shift
+        shift <<= 1
+    return x
+
+
+def _integrate(bits: str, t0: int) -> str:
+    """The word t of len(bits) bits with t[0] = t0 and t[i+1] = t[i] ^ bits[i]."""
+    n = len(bits)
+    t = _prefix_xor(bits) >> 1
+    if t0:
+        t ^= (1 << n) - 1
+    return format(t, f"0{n}b")
+
+
+def d_forward_periodic(b: str) -> str:
+    """Adjacent XOR around the cycle b, reduced to its minimal period."""
+    if len(b) == 1:
+        return "0"
+    raw = format(int(b, 2) ^ int(b[1:] + b[0], 2), f"0{len(b)}b")
+    return raw[: (raw + raw).find(raw, 1)]
+
+
+def d_inverse_periodic(b: str) -> tuple[str, ...]:
+    """A complementary pair (even weight) or one doubled cycle (odd weight)."""
+    if b.count("1") % 2 == 0:
+        first = _integrate(b, 0)
+        return first, complement(first)
+    return (_integrate(b + b, int(b[0])),)
+
+
+def d_inverse_aperiodic(b: str) -> tuple[str, str]:
+    first = "0" + format(_prefix_xor(b), f"0{len(b)}b")
+    return first, complement(first)
+
+
+def cyclic_positions(bits: str, t: str) -> list[int]:
+    m = len(bits)
+    ext = cyclic_slice(bits, 0, m + len(t) - 1)
+    out = []
+    pos = ext.find(t)
+    while 0 <= pos < m:
+        out.append(pos)
+        pos = ext.find(t, pos + 1)
+    return out
+
+
+def extend_odd(bits: str, n: int) -> tuple[str, Optional[int]]:
+    """periodic._extend_odd: (output bits, insert position or None)."""
+    if n < 5:
+        raise ValueError(f"extension needs order >= 5, got {n}")
+    positions = cyclic_positions(bits, "1" * (n - 4))
+    if len(positions) != 1:
+        raise PreconditionError(
+            f"expected exactly one occurrence of 1^{n - 4}, found {len(positions)}"
+        )
+    if bits.count("1") % 2 == 1:
+        return bits, None
+    r = positions[0]
+    out = bits[:r] + "1" + bits[r:]
+    grown = "1" * (n - 3)
+    replaced = [cyclic_slice(out, (r - 3 + k) % len(out), n) for k in range(4)]
+    assert all(grown in w for w in replaced) and len(set(replaced)) == 4
+    return out, r
+
+
+def merge_step(b: str, n: int) -> str:
+    if n < 2:
+        raise ValueError(f"idealness needs order >= 2, got {n}")
+    k = n - 1
+    if not (len(b) >= 2 * k and b[:k] == "0" * k and b[-k:] == "1" * k):
+        raise PreconditionError(f"input is not ideal at order {n}: {b!r}")
+    t = d_inverse_aperiodic(b)[0]
+    u = complement(t)[::-1]
+    drop = n if n % 2 == 0 else n - 1
+    return t + u[drop:]
+
+
+def join_at(s: str, t: str, i: int, j: int, n: int) -> str:
+    ell, m = len(s), len(t)
+    i %= ell
+    j %= m
+    if cyclic_slice(s, i, n) != conjugate(cyclic_slice(t, j, n)):
+        raise PreconditionError(
+            f"windows at positions {i} and {j} are not conjugate at order {n}"
+        )
+    joined = cyclic_slice(s, i + n, ell) + cyclic_slice(t, j + n, m)
+    k = (ell - i - n) % (ell + m)
+    out = joined[k:] + joined[:k]
+    p = (out + out).find(out, 1)
+    if p != len(out):
+        raise NonMinimalPeriodError(
+            f"[{out}] is not a minimal period (repeats every {p} bits)"
+        )
+    return out
+
+
+def build_orientable(bits: str, n0: int, n: int) -> str:
+    """The periodic family from a good, odd-weight starter, unvalidated."""
+    for k in range(n0, n):
+        (doubled,) = d_inverse_periodic(bits)
+        bits = extend_odd(doubled, k + 1)[0]
+    return bits
+
+
+def build_aos(n: int) -> str:
+    bits = "01"
+    for k in range(2, n):
+        bits = merge_step(bits, k)
+    return bits
+
+
+def debruijn_lempel(n: int) -> str:
+    c = "01"
+    for k in range(1, n):
+        inv = d_inverse_periodic(c)
+        if len(inv) == 1:
+            c = inv[0]
+            continue
+        i, j = _conjugate_positions(inv[0], inv[1], k + 1)
+        c = join_at(inv[0], inv[1], i, j, k + 1)
+    return c

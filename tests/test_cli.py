@@ -229,6 +229,15 @@ CONTRACT = {
     "locate-window-non-binary": (["locate", "--seq", "{seq}", "--window", "01201"], 2),
     "locate-window-empty": (["locate", "--seq", "{seq}", "--window", ""], 2),
     "tables-max-order-4": (["tables", "--max-order", "4"], 0),
+    "search-resume-without-value": (["search", "--order", "5", "--resume", "{no_value}"], 2),
+    "search-resume-list": (["search", "--order", "5", "--resume", "{a_list}"], 2),
+    "search-resume-over-bound": (["search", "--order", "5", "--resume", "{over_bound}"], 2),
+}
+# Resume files: a witness with no value, a JSON list, and a value past dai_bound(5) = 6.
+RESUME = {
+    "no_value": {"witness": "0101"},
+    "a_list": [1, 2],
+    "over_bound": {"value": 999, "witness": "0"},
 }
 
 
@@ -237,8 +246,11 @@ def test_cli_contract(tmp_path, case):
     seq, short = tmp_path / "seq.txt", tmp_path / "short.txt"
     write_sequence(seq, "001101", mode="periodic", order=5)
     write_sequence(short, "0101", mode="aperiodic", order=8)
+    resume = {name: tmp_path / f"{name}.json" for name in RESUME}
+    for name, path in resume.items():
+        path.write_text(json.dumps(RESUME[name]))
     argv, expected = CONTRACT[case]
-    argv = [a.format(seq=seq, short=short) for a in argv]
+    argv = [a.format(seq=seq, short=short, **resume) for a in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

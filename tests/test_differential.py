@@ -1,10 +1,15 @@
-"""Integer-window checks against the string-keyed oracle, answer for answer.
+"""The packed layout and integer-window checks against the string oracle.
 
 Every verify_*, find_conjugate_positions and build_index must return exactly
 what tests/string_oracle.py returns: the same Counterexample (i, j and kind),
 the same pair, the same index, or an exception of the same type and message.
 Window orders run past 64, where window_values falls back to a list, and past
 the period, where cyclic windows wrap more than once.
+
+The construction steps on packed integers (inverse maps, odd extension, merge
+step, join) must give the same bits, or the same exception, as the
+string-layout steps they replaced, and the recursions built from them must
+give bit-identical family members.
 """
 from __future__ import annotations
 
@@ -15,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import string_oracle as oracle
-from orientseq import join, locator, verifier
-from orientseq.aperiodic import build_aos
-from orientseq.periodic import DEFAULT_STARTER, build_orientable
+from orientseq import join, lempel, locator, verifier
+from orientseq.aperiodic import build_aos, is_ideal, merge_step
+from orientseq.periodic import DEFAULT_STARTER, _extend_odd, build_orientable
 from orientseq.seqcore import (
     FiniteSeq,
     GeneratingCycle,
+    NonMinimalPeriodError,
     PreconditionError,
     WindowRangeError,
     complement,
@@ -47,7 +53,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of the exception it raised."""
     try:
         return fn(*args)
-    except (WindowRangeError, PreconditionError) as exc:
+    except (WindowRangeError, ValueError, AssertionError) as exc:
         return type(exc), str(exc)
 
 
@@ -136,3 +142,120 @@ class TestBuildIndex:
         bits = flip(source.bits, 0)
         mutant = as_cycle(bits) if kind == "periodic" else FiniteSeq(bits)
         assert outcome(locator.build_index, mutant, n) == outcome(oracle.build_index, mutant, n)
+
+
+@st.composite
+def one_run_cycles(draw):
+    """(c, n): a cycle with exactly one cyclic run of n-4 ones, of either weight parity."""
+    n = draw(st.integers(5, 12))
+    runs = draw(st.lists(st.integers(0, n - 5), max_size=20))
+    return GeneratingCycle("1" * (n - 4) + "0" + "".join("1" * k + "0" for k in runs)), n
+
+
+def bits_of(result):
+    """Packed results as the bit strings the oracle returns."""
+    if isinstance(result, tuple) and isinstance(result[0], GeneratingCycle):
+        return result[0].bits, result[1]
+    return result.bits if isinstance(result, (GeneratingCycle, FiniteSeq)) else result
+
+
+class TestPackedSteps:
+    @given(cycles(max_size=100))
+    def test_inverse_periodic(self, c):
+        inv = lempel.d_inverse_periodic(c)
+        assert tuple(t.bits for t in inv.sequences()) == oracle.d_inverse_periodic(c.bits)
+        assert all(t.weight == t.bits.count("1") for t in inv.sequences())
+
+    @given(cycles(max_size=100))
+    def test_forward_periodic(self, c):
+        assert lempel.d_forward_periodic(c).bits == oracle.d_forward_periodic(c.bits)
+
+    @given(words)
+    def test_inverse_aperiodic(self, s):
+        inv = lempel.d_inverse_aperiodic(s)
+        assert (inv.first.bits, inv.second.bits) == oracle.d_inverse_aperiodic(s.bits)
+
+    @given(st.one_of(one_run_cycles(), st.tuples(cycles(max_size=60), st.integers(3, 12))))
+    def test_extend_odd(self, case):
+        c, n = case
+        assert bits_of(outcome(_extend_odd, c, n)) == outcome(oracle.extend_odd, c.bits, n)
+
+    @given(st.integers(2, 12), pieces, st.booleans())
+    def test_merge_step(self, n, middle, ideal):
+        bits = "0" * (n - 1) + middle + "1" * (n - 1) if ideal else middle + "01"
+        assert bits_of(outcome(merge_step, FiniteSeq(bits), n)) == outcome(
+            oracle.merge_step, bits, n
+        )
+
+    @given(cycles(max_size=40), cycles(max_size=40), st.integers(1, 8), st.data())
+    def test_join_at(self, s, t, n, data):
+        i, j = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
+        # A conjugate pair, where one exists, exercises the splice itself.
+        sites = [(i, j), oracle.find_conjugate_positions(s, t, n) or (i, j)]
+        for a, b in sites:
+            assert bits_of(outcome(join.join_at, s, t, a, b, n)) == outcome(
+                oracle.join_at, s.bits, t.bits, a, b, n
+            )
+
+    def test_join_rejects_non_conjugate_and_non_minimal_sites(self):
+        s, t = GeneratingCycle("0001"), GeneratingCycle("1110")
+        with pytest.raises(PreconditionError, match="not conjugate"):
+            join.join_at(s, t, 0, 0, 3)
+        # [0] spliced into [011] at conjugate 1-windows gives [0101].
+        with pytest.raises(NonMinimalPeriodError, match="repeats every 2 bits"):
+            join.join_at(GeneratingCycle("0"), GeneratingCycle("011"), 0, 1, 1)
+
+
+class TestFamiliesBitIdentical:
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_periodic(self, n):
+        assert family("periodic", n).bits == oracle.build_orientable(DEFAULT_STARTER.bits, 6, n)
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_aperiodic(self, n):
+        assert family("aperiodic", n).bits == oracle.build_aos(n)
+
+    def test_debruijn(self):
+        for n in range(1, 17):
+            assert join.debruijn_lempel(n).bits == oracle.debruijn_lempel(n)
+
+    @pytest.mark.slow
+    def test_order_24(self):
+        assert family("periodic", 24).bits == oracle.build_orientable(DEFAULT_STARTER.bits, 6, 24)
+        assert family("aperiodic", 24).bits == oracle.build_aos(24)
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    def test_built_equals_parsed(self, kind):
+        built = family(kind, 12)
+        parsed = type(built)(built.bits)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert parsed.bits == built.bits and len(parsed) == len(built.bits)
+        assert built.weight == built.bits.count("1")
+        assert [built[i] for i in range(20)] == [int(b) for b in built.bits[:20]]
+
+    @given(st.text(alphabet="01", min_size=1, max_size=80))
+    def test_bits_round_trip(self, bits):
+        word = FiniteSeq(bits)
+        assert word.bits == bits and FiniteSeq(word.bits) == word
+        assert word != as_cycle(bits) and FiniteSeq(bits + "0") != word
+
+    def test_leading_zeros_are_part_of_the_value(self):
+        assert FiniteSeq("001") != FiniteSeq("01")
+        assert GeneratingCycle("001").bits == "001"
+
+    @pytest.mark.parametrize("bits", ["0101", "0000", "0001" * 4, "011" * 6, "0010" * 9])
+    def test_non_minimal_period_still_rejected(self, bits):
+        least = (bits + bits).find(bits, 1)
+        with pytest.raises(NonMinimalPeriodError, match=f"repeats every {least} bits"):
+            GeneratingCycle(bits)
+
+    def test_is_ideal_on_every_short_word(self):
+        for length in range(1, 9):
+            for value in range(1 << length):
+                bits = format(value, f"0{length}b")
+                for n in range(2, 6):
+                    k = n - 1
+                    ideal = len(bits) >= 2 * k and bits[:k] == "0" * k and bits[-k:] == "1" * k
+                    assert is_ideal(FiniteSeq(bits), n) == ideal

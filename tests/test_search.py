@@ -131,6 +131,21 @@ class TestPeriodicSearch:
         with pytest.raises(ValueError):
             max_orientable_period(4)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [(999, "0"), (7, "0010111"), (5, "001101"), (None, "001101"), (4, "0101"), (2, [1, 2])],
+        ids=["size-and-bound", "over-bound", "wrong-size", "no-value", "non-minimal", "non-binary"],
+    )
+    def test_rejects_malformed_seeds(self, seed):
+        with pytest.raises(ValueError):
+            max_orientable_period(5, initial_best=seed)
+
+    def test_seed_that_does_not_verify_is_not_used(self):
+        # [000111] has period 6 = dai_bound(5) and sorts first, but is not orientable.
+        r = max_orientable_period(5, initial_best=(6, "000111"))
+        assert (r.value, r.exhaustive) == (6, True)
+        assert verify_orientable(GeneratingCycle(r.witness), 5) is None
+
 
 class TestAperiodicSearch:
     @pytest.mark.parametrize("n,value", [(2, 2), (3, 4), (4, 8), (5, 14)])
