@@ -144,11 +144,10 @@ def _cmd_locate(args) -> int:
     if len(as_bits(args.window)) != order:
         raise ValueError(f"window has {len(args.window)} bits, expected {order}")
     try:
-        idx = locator.build_index(seq, order)
+        hit = locator.find(seq, order, args.window)
     except PreconditionError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
-    hit = locator.locate(idx, args.window)
     if hit is None:
         _emit(args, {"found": False, "window": args.window}, "not found")
         return 1

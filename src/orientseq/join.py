@@ -23,6 +23,9 @@ from .seqcore import (
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
 
+# Windows of s looked up one by one before t's windows are tabulated.
+_PROBES = 64
+
 
 def find_conjugate_positions(
     s: GeneratingCycle, t: GeneratingCycle, n: int
@@ -33,12 +36,23 @@ def find_conjugate_positions(
     result is deterministic.  Returns None when no conjugate pair exists;
     callers are responsible for the inputs being disjoint n-window cycles.
     Windows are compared as integers, where conjugation flips the top bit.
+
+    The pair sits near the start of s in every doubling step, so the first
+    _PROBES windows of s are each looked up by one str.find in t's window
+    string, where every offset is a window start.  Past that, one set of t's
+    windows answers every later position, which keeps the worst case linear.
     """
-    theirs = window_values(*window_bits(t, n), n)
-    ours = window_values(*window_bits(s, n), n)
     top = 1 << (n - 1)
-    i = first_in(map(top.__xor__, ours), set(theirs))
-    return None if i is None else (i, theirs.index(ours[i] ^ top))
+    x, length = window_bits(t, n)
+    theirs = format(x, f"0{length}b")
+    for i in range(min(_PROBES, s.period)):
+        j = theirs.find(format(cyclic_value(s, i, n) ^ top, f"0{n}b"))
+        if j >= 0:
+            return i, j
+    values = window_values(x, length, n)
+    ours = window_values(*window_bits(s, n), n)
+    i = first_in(map(top.__xor__, ours), set(values))
+    return None if i is None else (i, values.index(ours[i] ^ top))
 
 
 def join_at(

@@ -1,19 +1,25 @@
 """Position and orientation lookup over an orientable sequence.
 
 Once a sequence is orientable at order n, every n-bit window read off it in
-either direction is unique, so a plain table maps any window a reader sees to
-the position where it occurs and the direction of travel.  Building the index
-refuses non-orientable sources.
+either direction is unique, so any window a reader sees names the position
+where it occurs and the direction of travel.  There are two ways to look up:
+
+* many lookups: build_index tabulates all 2N windows once, then each locate
+  is one dict probe;
+* one lookup: find scans the sequence's window string with at most two
+  str.find calls, forward and then reversed, and builds no table.
+
+Both refuse non-orientable sources and give the same answers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .seqcore import FORWARD, REVERSE, GeneratingCycle, PreconditionError, Seq, Window
+from .seqcore import FORWARD, REVERSE, GeneratingCycle, PreconditionError, Seq, Window, window_bits
 from .verifier import all_windows, require_orientable
 
-__all__ = ["LocatorIndex", "build_index", "locate"]
+__all__ = ["LocatorIndex", "build_index", "locate", "find"]
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,26 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
 
 def locate(idx: LocatorIndex, t: Window) -> Optional[tuple[int, str]]:
     """(position, orientation) of the window t, or None if absent."""
-    if len(t) != idx.order:
-        raise PreconditionError(
-            f"window has {len(t)} bits but the index was built at order {idx.order}"
-        )
+    _require_order(t, idx.order)
     return idx.entries.get(t)
+
+
+def find(s: Seq, n: int, t: Window) -> Optional[tuple[int, str]]:
+    """locate(build_index(s, n), t) without the table: one scan per direction."""
+    x, length = window_bits(s, n)
+    require_orientable(s, n, "source")
+    _require_order(t, n)
+    # Every offset of the window string is a window start, so a hit is a position.
+    bits = format(x, f"0{length}b")
+    for w, orientation in ((t, FORWARD), (t[::-1], REVERSE)):
+        i = bits.find(w)
+        if i >= 0:
+            return i, orientation
+    return None
+
+
+def _require_order(t: Window, n: int) -> None:
+    if len(t) != n:
+        raise PreconditionError(
+            f"window has {len(t)} bits but the index was built at order {n}"
+        )

@@ -11,18 +11,23 @@ upper bound for the order.
 Budgets are node counts, not wall time, so outcomes are machine independent.
 A budget-limited run reports the best sequence found with exhaustive=False;
 its result can seed a later run as an initial lower bound.  A seed whose
-size or bound is wrong raises ValueError; one whose witness is not orientable
-at the order is not used.
+size or bound is wrong, or whose witness is not orientable at the order,
+raises ValueError.
+
+The tables behind the search hold one entry per n-bit window and one orbit
+bitmask of up to 2^n bits per window, about 4^n / 20 bytes in all; an order
+whose tables would not fit in physical memory raises ValueError up front.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
-from .seqcore import FiniteSeq, GeneratingCycle, least_rotation
-from .verifier import verify_orientable
+from .seqcore import FiniteSeq, GeneratingCycle, least_rotation, reverse_value
+from .verifier import require_orientable
 
 __all__ = ["SearchResult", "max_orientable_period", "max_aos_length"]
 
@@ -38,12 +43,30 @@ class SearchResult:
         return asdict(self)
 
 
+def _require_tables_fit(n: int) -> None:
+    """Raise ValueError if the order-n tables would not fit in physical memory.
+
+    Per window: a list slot and an int in each of two tables (~64 bytes), plus
+    the orbit's bitmask of min(u, reverse(u)) bits, ~2^n / 3 bits on average.
+    """
+    need = (1 << n) * 64 + (1 << 2 * n) // 20
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not report its memory
+    if need > have:
+        raise ValueError(
+            f"search tables at order {n} need about {need / 2**30:,.1f} GiB,"
+            f" more than the {have / 2**30:,.1f} GiB of physical memory"
+        )
+
+
 def _orbit_table(n: int) -> list[Optional[int]]:
     """orbit[u] is the id of {u, reverse(u)}, or None when u is symmetric."""
     size = 1 << n
     table: list[Optional[int]] = [None] * size
     for u in range(size):
-        r = int(format(u, f"0{n}b")[::-1], 2)
+        r = reverse_value(u, n)
         table[u] = None if r == u else min(u, r)
     return table
 
@@ -65,6 +88,7 @@ def _branch_and_bound(
     from a root can reach is a constant `bound` checked against the best
     result at every node.
     """
+    _require_tables_fit(n)
     vmask = (1 << (n - 1)) - 1
     orbit = _orbit_table(n)
     ids = sorted({o for o in orbit if o is not None})
@@ -90,8 +114,8 @@ def _branch_and_bound(
             raise ValueError(f"initial_best value {value!r} is not its witness's size"
                              f" {len(seed)} in {base_len + 1}..{cap}, the bound at order {n}")
         # A witness that is not orientable at order n proves no lower bound.
-        if verify_orientable(seed, n) is None:
-            best_len, best_bits = value, seed.bits
+        require_orientable(seed, n, "initial_best witness")
+        best_len, best_bits = value, seed.bits
     nodes = 0
     for cur, walk, used, bound, prefix in roots:
         if best_len >= cap:

@@ -232,12 +232,18 @@ CONTRACT = {
     "search-resume-without-value": (["search", "--order", "5", "--resume", "{no_value}"], 2),
     "search-resume-list": (["search", "--order", "5", "--resume", "{a_list}"], 2),
     "search-resume-over-bound": (["search", "--order", "5", "--resume", "{over_bound}"], 2),
+    "search-resume-not-orientable": (
+        ["search", "--order", "5", "--resume", "{not_orientable}"], 2
+    ),
+    "search-order-40": (["search", "--order", "40"], 2),
 }
-# Resume files: a witness with no value, a JSON list, and a value past dai_bound(5) = 6.
+# Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
+# and a witness of the right size that is not orientable at order 5.
 RESUME = {
     "no_value": {"witness": "0101"},
     "a_list": [1, 2],
     "over_bound": {"value": 999, "witness": "0"},
+    "not_orientable": {"value": 6, "witness": "000111"},
 }
 
 

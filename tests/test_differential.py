@@ -3,6 +3,7 @@
 Every verify_*, find_conjugate_positions and build_index must return exactly
 what tests/string_oracle.py returns: the same Counterexample (i, j and kind),
 the same pair, the same index, or an exception of the same type and message.
+The one-shot locator.find must answer as a lookup in build_index's table does.
 Window orders run past 64, where window_values falls back to a list, and past
 the period, where cyclic windows wrap more than once.
 
@@ -24,6 +25,8 @@ from orientseq import join, lempel, locator, verifier
 from orientseq.aperiodic import build_aos, is_ideal, merge_step
 from orientseq.periodic import DEFAULT_STARTER, _extend_odd, build_orientable
 from orientseq.seqcore import (
+    FORWARD,
+    REVERSE,
     FiniteSeq,
     GeneratingCycle,
     NonMinimalPeriodError,
@@ -129,6 +132,25 @@ class TestConjugatePositions:
         t = as_cycle(flip(s.bits, data.draw(st.integers(0, s.period - 1))))
         assert join.find_conjugate_positions(s, t, n) == oracle.find_conjugate_positions(s, t, n)
 
+    @pytest.mark.parametrize("n", [5, 8, 33, 70])
+    def test_first_pair_past_the_probe_limit(self, n):
+        # s = 0^(P+n) 1: windows 0^n up to position P, whose conjugate 1 0^(n-1)
+        # t = [1 0^(n-2) 1] lacks; the first pair is 0^(n-1) 1 at P+1 with t at 0.
+        s = GeneratingCycle("0" * (join._PROBES + n) + "1")
+        t = GeneratingCycle("1" + "0" * (n - 2) + "1")
+        pos = join.find_conjugate_positions(s, t, n)
+        assert pos == oracle.find_conjugate_positions(s, t, n) == (join._PROBES + 1, 0)
+
+    @pytest.mark.parametrize("n", [5, 8, 33, 70])
+    def test_no_pair_past_the_probe_limit(self, n):
+        # Every window of s has at most one 1, so every conjugate starts with 1
+        # and has at most two; from n = 5 on none alternates as [01]'s windows do.
+        s = GeneratingCycle("0" * (join._PROBES + n) + "1")
+        t = GeneratingCycle("01")
+        assert s.period > join._PROBES
+        assert join.find_conjugate_positions(s, t, n) is None
+        assert oracle.find_conjugate_positions(s, t, n) is None
+
 
 class TestBuildIndex:
     @given(sequences, st.integers(1, 12))
@@ -142,6 +164,43 @@ class TestBuildIndex:
         bits = flip(source.bits, 0)
         mutant = as_cycle(bits) if kind == "periodic" else FiniteSeq(bits)
         assert outcome(locator.build_index, mutant, n) == outcome(oracle.build_index, mutant, n)
+
+
+def locate_by_index(s, n, t):
+    return locator.locate(locator.build_index(s, n), t)
+
+
+class TestFind:
+    """locator.find, the one-shot scan, against a lookup in the full index."""
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_every_window_both_directions(self, kind, n):
+        source = family(kind, n)
+        idx = locator.build_index(source, n)
+        for i, w in enumerate(verifier.all_windows(source, n)):
+            assert locator.find(source, n, w) == locator.locate(idx, w) == (i, FORWARD)
+            assert locator.find(source, n, w[::-1]) == locator.locate(idx, w[::-1]) == (i, REVERSE)
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_absent_windows(self, kind, n):
+        source = family(kind, n)
+        idx = locator.build_index(source, n)
+        absent = [w for w in map(f"{{:0{n}b}}".format, range(1 << n)) if w not in idx.entries]
+        assert absent
+        assert all(locator.find(source, n, w) is None for w in absent)
+
+    @given(sequences, st.integers(1, 12), st.data())
+    def test_matches_index_lookup(self, s, n, data):
+        # Windows of s itself, so hits are likely, and words of any length.
+        ws = verifier.all_windows(s, n) if len(s) >= n else []
+        t = data.draw(
+            st.one_of(st.text(alphabet="01", max_size=14), *([st.sampled_from(ws)] if ws else []))
+        )
+        if data.draw(st.booleans()):
+            t = t[::-1]
+        assert outcome(locator.find, s, n, t) == outcome(locate_by_index, s, n, t)
 
 
 @st.composite

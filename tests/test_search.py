@@ -120,7 +120,7 @@ class TestPeriodicSearch:
         assert r.value <= 16
 
     def test_initial_best_seeds_lower_bound(self):
-        seeded = max_orientable_period(6, initial_best=(16, "0000101001110111"))
+        seeded = max_orientable_period(6, initial_best=(16, "0001010110010111"))
         assert seeded.value == 16
         assert seeded.exhaustive
         cold = max_orientable_period(6, node_budget=10**7)
@@ -142,9 +142,8 @@ class TestPeriodicSearch:
 
     def test_seed_that_does_not_verify_is_not_used(self):
         # [000111] has period 6 = dai_bound(5) and sorts first, but is not orientable.
-        r = max_orientable_period(5, initial_best=(6, "000111"))
-        assert (r.value, r.exhaustive) == (6, True)
-        assert verify_orientable(GeneratingCycle(r.witness), 5) is None
+        with pytest.raises(ValueError, match="initial_best witness is not orientable at order 5"):
+            max_orientable_period(5, initial_best=(6, "000111"))
 
 
 class TestAperiodicSearch:
@@ -184,6 +183,13 @@ class TestAperiodicSearch:
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
             max_aos_length(1)
+
+
+@pytest.mark.parametrize("search", [max_orientable_period, max_aos_length])
+def test_orders_whose_tables_cannot_fit_are_refused_up_front(search):
+    # 4^40 / 20 bytes of orbit bitmasks: refused before anything is allocated.
+    with pytest.raises(ValueError, match="search tables at order 40 need about"):
+        search(40)
 
 
 class TestResultPayload:
