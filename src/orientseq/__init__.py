@@ -25,7 +25,7 @@ from .lempel import (
     d_inverse_aperiodic,
     d_inverse_periodic,
 )
-from .locator import LocatorIndex, build_index, locate
+from .locator import LocatorIndex, build_index, find, locate
 from .periodic import (
     ConstructionTrace,
     TraceStep,

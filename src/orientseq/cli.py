@@ -161,36 +161,32 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    max_order = args.max_order
-    periods = {} if max_order < periodic.DEFAULT_STARTER_ORDER else {
-        step.order: step.period
-        for step in periodic.build_orientable(
-            periodic.DEFAULT_STARTER, periodic.DEFAULT_STARTER_ORDER, max_order
-        )[1].steps
-    }
-    lengths = {
-        step.order: step.period for step in aperiodic.build_aos(max_order)[1].steps
-    }
+    """Bounds and family sizes by order; the sizes come from the closed forms
+    the builders are tested against, so no sequence is built."""
+    top, a0 = args.max_order + 1, aperiodic.DEFAULT_STARTER_ORDER
+    if top <= a0:
+        raise PreconditionError(f"target order {args.max_order} below starter order {a0}")
+    m0, n0 = len(periodic.DEFAULT_STARTER), periodic.DEFAULT_STARTER_ORDER
+    ell0 = len(aperiodic.DEFAULT_STARTER)
     payload = {
-        "period_bound": {n: periodic.dai_bound(n) for n in range(5, max_order + 1)},
-        "periodic_family": periods,
-        "aperiodic_family": lengths,
-        "aperiodic_bound": {
-            n: aperiodic.burns_bound(n) for n in range(2, max_order + 1)
+        "period_bound": {n: periodic.dai_bound(n) for n in range(5, top)},
+        "periodic_family": {
+            n: periodic.predicted_period(m0, (n - n0) // 2, (n - n0) % 2) for n in range(n0, top)
         },
+        "aperiodic_family": {
+            n: aperiodic.predicted_length(ell0, a0, n - a0) for n in range(a0, top)
+        },
+        "aperiodic_bound": {n: aperiodic.burns_bound(n) for n in range(2, top)},
         "literature_aperiodic": aperiodic.BURNS_TABLE,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
+    columns = list(payload.values())[:4]
     print("order  period-bound  periodic-family  aperiodic-family  aperiodic-bound")
-    for n in range(2, max_order + 1):
-        bound = periodic.dai_bound(n) if n >= 5 else "-"
-        per = periods.get(n, "-")
-        print(
-            f"{n:>5}  {bound:>12}  {per:>15}  {lengths.get(n, '-'):>16}"
-            f"  {aperiodic.burns_bound(n):>15}"
-        )
+    for n in range(2, top):
+        bound, per, length, aos_bound = (col.get(n, "-") for col in columns)
+        print(f"{n:>5}  {bound:>12}  {per:>15}  {length:>16}  {aos_bound:>15}")
     return 0
 
 

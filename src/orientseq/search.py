@@ -14,9 +14,9 @@ its result can seed a later run as an initial lower bound.  A seed whose
 size or bound is wrong, or whose witness is not orientable at the order,
 raises ValueError.
 
-The tables behind the search hold one entry per n-bit window and one orbit
-bitmask of up to 2^n bits per window, about 4^n / 20 bytes in all; an order
-whose tables would not fit in physical memory raises ValueError up front.
+The tables behind the search hold one orbit id and one claimed flag per n-bit
+window; an order whose tables would not fit in physical memory raises
+ValueError up front.
 """
 from __future__ import annotations
 
@@ -43,13 +43,14 @@ class SearchResult:
         return asdict(self)
 
 
-def _require_tables_fit(n: int) -> None:
-    """Raise ValueError if the order-n tables would not fit in physical memory.
+# Table bytes per window: tracemalloc peaks at 39 at orders 14-19 in both modes,
+# ~44 resident after allocator rounding; 64 leaves headroom.
+BYTES_PER_WINDOW = 64
 
-    Per window: a list slot and an int in each of two tables (~64 bytes), plus
-    the orbit's bitmask of min(u, reverse(u)) bits, ~2^n / 3 bits on average.
-    """
-    need = (1 << n) * 64 + (1 << 2 * n) // 20
+
+def _require_tables_fit(n: int) -> None:
+    """Raise ValueError if the order-n tables would not fit in physical memory."""
+    need = (1 << n) * BYTES_PER_WINDOW
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -61,14 +62,16 @@ def _require_tables_fit(n: int) -> None:
         )
 
 
-def _orbit_table(n: int) -> list[Optional[int]]:
-    """orbit[u] is the id of {u, reverse(u)}, or None when u is symmetric."""
+def _orbit_table(n: int) -> tuple[list[int], bytearray]:
+    """Orbit ids min(u, reverse(u)), and claimed flags set for symmetric ids."""
     size = 1 << n
-    table: list[Optional[int]] = [None] * size
+    orbit = [0] * size
+    taken = bytearray(size)
     for u in range(size):
         r = reverse_value(u, n)
-        table[u] = None if r == u else min(u, r)
-    return table
+        orbit[u] = min(u, r)
+        taken[u] = r == u
+    return orbit, taken
 
 
 def _branch_and_bound(
@@ -81,29 +84,25 @@ def _branch_and_bound(
     """Depth-first search over walks on the shift graph, one root at a time.
 
     A closed walk starts with its anchor edge, the least orbit it uses, and
-    counts each time it returns to the anchor's start vertex; every orbit up
-    to the anchor's is barred.  An open walk starts at a vertex and counts at
-    every edge.  Either way the first bit is 0 (complement symmetry), edges are
-    tried bit 0 first, and each edge claims one orbit, so the most a walk
-    from a root can reach is a constant `bound` checked against the best
-    result at every node.
+    counts each time it returns to the anchor's start vertex; anchors come in
+    increasing order and each stays claimed for every later root.  An open
+    walk starts at a vertex and counts at every edge.  Either way the first
+    bit is 0 (complement symmetry), edges are tried bit 0 first, and each edge
+    claims one orbit, so the most a walk from a root can reach is a constant
+    `bound` checked against the best result at every node.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     _require_tables_fit(n)
     vmask = (1 << (n - 1)) - 1
-    orbit = _orbit_table(n)
-    ids = sorted({o for o in orbit if o is not None})
-    claim = [0 if o is None else 1 << o for o in orbit]
+    orbit, taken = _orbit_table(n)
+    orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones
     if closed:
-        roots = [
-            (a & vmask, [a], (2 << a) - 1, len(ids) - k, "")
-            for k, a in enumerate(ids)
-            if a < 1 << (n - 1)
-        ]
+        anchors = (a for a in range(1 << (n - 1)) if reverse_value(a, n) > a)
+        roots = ((a & vmask, [a], orbits - k, "") for k, a in enumerate(anchors))
     else:
-        roots = [
-            (v, [], 0, n - 1 + len(ids), format(v, f"0{n - 1}b"))
-            for v in range(1 << (n - 2))
-        ]
+        prefixes = (format(v, f"0{n - 1}b") for v in range(1 << (n - 2)))
+        roots = ((v, [], n - 1 + orbits, p) for v, p in enumerate(prefixes))
     base_len = 0 if closed else n - 1
 
     best_len, best_bits = 0, None
@@ -117,9 +116,11 @@ def _branch_and_bound(
         require_orientable(seed, n, "initial_best witness")
         best_len, best_bits = value, seed.bits
     nodes = 0
-    for cur, walk, used, bound, prefix in roots:
+    for cur, walk, bound, prefix in roots:
         if best_len >= cap:
             break
+        if closed:
+            taken[walk[0]] = 1  # bars the anchor's orbit from later roots too
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             return SearchResult(best_len, best_bits, False, nodes)
@@ -129,9 +130,9 @@ def _branch_and_bound(
         floor = len(walk)
         t = cur << 1  # the next edge to try
         while True:
-            o = claim[t]
-            if o and not used & o:
-                used |= o
+            o = orbit[t]
+            if not taken[o]:
+                taken[o] = 1
                 walk.append(t)
                 cur = t & vmask
                 nodes += 1
@@ -152,7 +153,7 @@ def _branch_and_bound(
             # Back up to the deepest edge whose bit-1 sibling is untried.
             while len(walk) > floor:
                 t = walk.pop()
-                used ^= claim[t]
+                taken[orbit[t]] = 0
                 if not t & 1:
                     t |= 1
                     break

@@ -21,15 +21,18 @@ __all__ = ["SequenceFile", "parse_sequence", "read_sequence", "write_sequence"]
 
 @dataclass(frozen=True)
 class SequenceFile:
-    bits: str
+    bits: str  # validated once, here; the conversions trust it
     mode: Optional[str] = None  # "periodic" | "aperiodic"
     order: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", as_bits(self.bits))
+
     def to_cycle(self) -> GeneratingCycle:
-        return GeneratingCycle(self.bits)
+        return GeneratingCycle._trusted(int(self.bits, 2), len(self.bits))._require_minimal()
 
     def to_finite(self) -> FiniteSeq:
-        return FiniteSeq(self.bits)
+        return FiniteSeq._trusted(int(self.bits, 2), len(self.bits))
 
 
 def parse_sequence(text: str) -> SequenceFile:
@@ -56,7 +59,7 @@ def parse_sequence(text: str) -> SequenceFile:
         raise BitsError(
             f"expected exactly one line of bits, found {len(bits_lines)}"
         )
-    return SequenceFile(bits=as_bits(bits_lines[0]), mode=mode, order=order)
+    return SequenceFile(bits=bits_lines[0], mode=mode, order=order)
 
 
 def read_sequence(path: Union[str, os.PathLike]) -> SequenceFile:

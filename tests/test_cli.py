@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from orientseq.aperiodic import build_aos
 from orientseq.cli import main
+from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
 from orientseq.seqio import read_sequence, write_sequence
 
 
@@ -215,6 +217,24 @@ class TestTables:
         assert code == 0
         assert "order" in out and "149" not in out and "48" in out
 
+    def test_family_sizes_match_the_builders(self, capsys):
+        # The table reads the closed forms; the builders' traces must agree.
+        code, out, _ = run(capsys, "tables", "--max-order", "16", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        _, per_trace = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
+        _, aos_trace = build_aos(16)
+        assert payload["periodic_family"] == {str(s.order): s.period for s in per_trace.steps}
+        assert payload["aperiodic_family"] == {str(s.order): s.period for s in aos_trace.steps}
+
+    def test_orders_below_the_aperiodic_starter(self, capsys):
+        code, _, err = run(capsys, "tables", "--max-order", "1")
+        assert code == 2 and err == "error: target order 1 below starter order 2\n"
+
+    def test_orders_too_large_to_build(self, capsys):
+        code, out, _ = run(capsys, "tables", "--max-order", "60")
+        assert code == 0 and out.splitlines()[-1].startswith("   60")
+
 
 # Input and usage errors: each case's pinned exit code, and never a traceback.
 # {seq} is an orientable order-5 cycle file, {short} a 4-bit word headed order 8.
@@ -236,6 +256,7 @@ CONTRACT = {
         ["search", "--order", "5", "--resume", "{not_orientable}"], 2
     ),
     "search-order-40": (["search", "--order", "40"], 2),
+    "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
 # and a witness of the right size that is not orientable at order 5.

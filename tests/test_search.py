@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 
 import pytest
 
-from orientseq.search import max_aos_length, max_orientable_period
+from orientseq.search import BYTES_PER_WINDOW, max_aos_length, max_orientable_period
 from orientseq.seqcore import FiniteSeq, GeneratingCycle, least_rotation
 from orientseq.verifier import verify_orientable
 
@@ -187,9 +188,40 @@ class TestAperiodicSearch:
 
 @pytest.mark.parametrize("search", [max_orientable_period, max_aos_length])
 def test_orders_whose_tables_cannot_fit_are_refused_up_front(search):
-    # 4^40 / 20 bytes of orbit bitmasks: refused before anything is allocated.
+    # 2^40 windows of tables: refused before anything is allocated.
     with pytest.raises(ValueError, match="search tables at order 40 need about"):
         search(40)
+
+
+@pytest.mark.parametrize(
+    "search,seq_type",
+    [(max_orientable_period, GeneratingCycle), (max_aos_length, FiniteSeq)],
+    ids=["periodic", "aos"],
+)
+def test_order_nineteen_fits(search, seq_type):
+    # The tables grow as 2^n, so order 19 takes tens of megabytes.
+    r = search(19, node_budget=1000)
+    assert (r.nodes, r.exhaustive) == (1001, False)
+    if r.witness is not None:
+        assert len(r.witness) == r.value
+        assert verify_orientable(seq_type(r.witness), 19) is None
+
+
+@pytest.mark.parametrize("search", [max_orientable_period, max_aos_length])
+def test_table_memory_is_within_the_guard(search):
+    tracemalloc.start()
+    try:
+        search(14, node_budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 14) * BYTES_PER_WINDOW
+
+
+@pytest.mark.parametrize("search", [max_orientable_period, max_aos_length])
+def test_negative_budget_is_refused(search):
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        search(5, node_budget=-3)
 
 
 class TestResultPayload:

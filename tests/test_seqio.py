@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from orientseq.seqcore import BitsError, FiniteSeq, GeneratingCycle
-from orientseq.seqio import parse_sequence, read_sequence, write_sequence
+from orientseq.seqcore import BitsError, FiniteSeq, GeneratingCycle, NonMinimalPeriodError
+from orientseq.seqio import SequenceFile, parse_sequence, read_sequence, write_sequence
 
 
 class TestParse:
@@ -37,6 +37,16 @@ class TestParse:
         f = parse_sequence("001101\n")
         assert f.to_cycle() == GeneratingCycle("001101")
         assert f.to_finite() == FiniteSeq("001101")
+
+    def test_hand_built_file_is_validated(self):
+        with pytest.raises(BitsError):
+            SequenceFile(bits="01x0")
+        assert SequenceFile(bits=[0, 1, 1]).bits == "011"
+
+    def test_non_minimal_periodic_file(self):
+        text = r"^\[0101\] is not a minimal period \(repeats every 2 bits\)$"
+        with pytest.raises(NonMinimalPeriodError, match=text):
+            parse_sequence("0101\n").to_cycle()
 
 
 class TestRoundTrip:
