@@ -12,6 +12,7 @@ from __future__ import annotations
 from .lempel import d_inverse_aperiodic
 from .periodic import ConstructionTrace, TraceStep
 from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value, window_bits
+from .seqcore import require_memory
 from .verifier import require_orientable
 
 __all__ = [
@@ -82,7 +83,9 @@ def build_aos(
 
     The starter is always fully validated (ideal and orientable at its
     order).  The trace records one step per order; inserted_bit marks the
-    odd-order merges, which add one extra window (the alternating one).
+    odd-order merges, which add one extra window (the alternating one).  A
+    target whose length would not fit in physical memory raises ValueError
+    before any step.
     """
     n0 = starter_order
     if n_target < n0:
@@ -90,6 +93,8 @@ def build_aos(
     if not is_ideal(starter, n0):
         raise PreconditionError(f"starter is not ideal at order {n0}")
     require_orientable(starter, n0, "starter")
+    length = predicted_length(len(starter), n0, n_target - n0)
+    require_memory(f"the sequence and its copies at order {n_target}", length)
     s = starter
     trace = ConstructionTrace([TraceStep(n0, len(s), s.weight, False, None)])
     for n in range(n0, n_target):

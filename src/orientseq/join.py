@@ -16,6 +16,7 @@ from .seqcore import (
     PreconditionError,
     cyclic_value,
     first_in,
+    require_memory,
     rotate_left,
     window_bits,
     window_values,
@@ -78,9 +79,13 @@ def join_at(
 
 
 def debruijn_lempel(n: int) -> GeneratingCycle:
-    """De Bruijn cycle of order n built by the doubling recursion from [01]."""
+    """De Bruijn cycle of order n built by the doubling recursion from [01].
+
+    An order whose 2^n bits would not fit in physical memory raises ValueError.
+    """
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
+    require_memory(f"the sequence and its copies at order {n}", 1 << n)
     c = GeneratingCycle("01")
     for k in range(1, n):
         inv = d_inverse_periodic(c)

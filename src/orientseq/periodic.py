@@ -11,13 +11,11 @@ classical upper bound on the period of any orientable cycle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .lempel import InverseKind, d_inverse_periodic
-from .seqcore import GeneratingCycle, PreconditionError, cyclic_value
+from .seqcore import GeneratingCycle, PreconditionError, cyclic_value, require_memory
 from .verifier import require_orientable
 
 __all__ = [
@@ -60,21 +58,17 @@ class ConstructionTrace:
         return asdict(self)
 
 
+# 18 times Dai's bound is 18*2^(n-1) - a*h + b*n + c, h = 2^((n-1)//2), with
+# (a, b, c) by n % 4; e.g. n = 0 mod 4 gives 2^(n-1) - 41/9*h + n/3 + 16/9.
+_DAI_TERMS = ((82, 6, 32), (62, 6, 38), (82, 3, 40), (62, 3, 43))
+
+
 def dai_bound(n: int) -> int:
     """Upper bound on the period of an orientable cycle of order n (n >= 5)."""
     if n < 5:
         raise ValueError(f"no periodic orientable sequence exists for order {n} < 5")
-    two = Fraction(2)
-    r = n % 4
-    if r == 0:
-        v = two ** (n - 1) - Fraction(41, 9) * two ** (n // 2 - 1) + Fraction(n, 3) + Fraction(16, 9)
-    elif r == 1:
-        v = two ** (n - 1) - Fraction(31, 9) * two ** ((n - 1) // 2) + Fraction(n, 3) + Fraction(19, 9)
-    elif r == 2:
-        v = two ** (n - 1) - Fraction(41, 9) * two ** (n // 2 - 1) + Fraction(n, 6) + Fraction(20, 9)
-    else:
-        v = two ** (n - 1) - Fraction(31, 9) * two ** ((n - 1) // 2) + Fraction(n, 6) + Fraction(43, 18)
-    return math.floor(v)
+    a, b, c = _DAI_TERMS[n % 4]
+    return (18 * (1 << (n - 1)) - a * (1 << ((n - 1) // 2)) + b * n + c) // 18
 
 
 def _cyclic_runs(c: GeneratingCycle, k: int, bit: int) -> int:
@@ -111,13 +105,8 @@ def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[i
     r = m - low
     # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
     grown = ((x >> low) << (low + 1)) | (1 << low) | (x & ((1 << low) - 1))
-    out = GeneratingCycle._trusted(grown, m + 1)
-    # The four windows covering the grown run must all contain 1^{n-3} and be
-    # pairwise distinct; anything else means the input was not orientable.
-    near, run = cyclic_value(out, r - 3, n + 3), (1 << (n - 3)) - 1
-    replaced = {(near >> (3 - k)) & ((1 << n) - 1) for k in range(4)}
-    assert len(replaced) == 4 and (near >> 3) & run == run
-    return out, r
+    # The four windows over the grown run are distinct: each has 1^{n-3} at its own offset.
+    return GeneratingCycle._trusted(grown, m + 1), r
 
 
 def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
@@ -153,7 +142,8 @@ def build_orientable(
     """Iterate the recursion from a validated starter up to n_target.
 
     The starter must be orientable at order n0, good, and of odd weight; the
-    first failing property is reported.
+    first failing property is reported.  A target whose period would not fit
+    in physical memory raises ValueError before any step.
     """
     if n_target < n0:
         raise PreconditionError(f"target order {n_target} below starter order {n0}")
@@ -162,6 +152,8 @@ def build_orientable(
         raise PreconditionError(f"starter is not good at order {n0}")
     if starter.weight % 2 == 0:
         raise PreconditionError(f"starter weight {starter.weight} is even")
+    period = predicted_period(starter.period, *divmod(n_target - n0, 2))
+    require_memory(f"the sequence and its copies at order {n_target}", period)
     trace = ConstructionTrace(
         [TraceStep(n0, starter.period, starter.weight, False, None)]
     )

@@ -14,19 +14,19 @@ its result can seed a later run as an initial lower bound.  A seed whose
 size or bound is wrong, or whose witness is not orientable at the order,
 raises ValueError.
 
-The tables behind the search hold one orbit id and one claimed flag per n-bit
-window; an order whose tables would not fit in physical memory raises
-ValueError up front.
+The tables behind the search hold one reversal, one orbit id and one claimed
+flag per n-bit window; an order whose tables would not fit in physical memory
+raises ValueError up front.
 """
 from __future__ import annotations
 
-import os
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
-from .seqcore import FiniteSeq, GeneratingCycle, least_rotation, reverse_value
+from .seqcore import FiniteSeq, GeneratingCycle, least_rotation, require_memory
 from .verifier import require_orientable
 
 __all__ = ["SearchResult", "max_orientable_period", "max_aos_length"]
@@ -43,35 +43,21 @@ class SearchResult:
         return asdict(self)
 
 
-# Table bytes per window: tracemalloc peaks at 39 at orders 14-19 in both modes,
-# ~44 resident after allocator rounding; 64 leaves headroom.
+# Table bytes per window: tracemalloc peaks at 47 at order 14 in both modes (an
+# orbit id, its list slot, a reversal and a flag); 64 leaves headroom.
 BYTES_PER_WINDOW = 64
 
 
-def _require_tables_fit(n: int) -> None:
-    """Raise ValueError if the order-n tables would not fit in physical memory."""
-    need = (1 << n) * BYTES_PER_WINDOW
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return  # the platform does not report its memory
-    if need > have:
-        raise ValueError(
-            f"search tables at order {n} need about {need / 2**30:,.1f} GiB,"
-            f" more than the {have / 2**30:,.1f} GiB of physical memory"
-        )
-
-
-def _orbit_table(n: int) -> tuple[list[int], bytearray]:
-    """Orbit ids min(u, reverse(u)), and claimed flags set for symmetric ids."""
-    size = 1 << n
-    orbit = [0] * size
-    taken = bytearray(size)
-    for u in range(size):
-        r = reverse_value(u, n)
-        orbit[u] = min(u, r)
-        taken[u] = r == u
-    return orbit, taken
+def _orbit_table(n: int) -> tuple[array, list[int], bytearray]:
+    """Reversals, orbit ids min(u, reverse(u)), and claimed flags set for symmetric ids."""
+    rev = array("Q", [0])  # reversals of the k-bit windows, k = 0..n
+    for _ in range(n):
+        # Over k+1 bits, u < 2^k reverses to 2*rev[u] and u + 2^k to 2*rev[u] + 1.
+        rev = array("Q", map((2).__mul__, rev))
+        rev += array("Q", map((1).__or__, rev))
+    windows = range(1 << n)
+    orbit = [u if u < r else r for u, r in zip(windows, rev)]
+    return rev, orbit, bytearray(map(int.__eq__, windows, rev))
 
 
 def _branch_and_bound(
@@ -93,12 +79,12 @@ def _branch_and_bound(
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
-    _require_tables_fit(n)
+    require_memory(f"search tables at order {n}", 1 << n, BYTES_PER_WINDOW)
     vmask = (1 << (n - 1)) - 1
-    orbit, taken = _orbit_table(n)
+    rev, orbit, taken = _orbit_table(n)
     orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones
     if closed:
-        anchors = (a for a in range(1 << (n - 1)) if reverse_value(a, n) > a)
+        anchors = (a for a in range(1 << (n - 1)) if rev[a] > a)
         roots = ((a & vmask, [a], orbits - k, "") for k, a in enumerate(anchors))
     else:
         prefixes = (format(v, f"0{n - 1}b") for v in range(1 << (n - 2)))
@@ -175,8 +161,6 @@ def max_orientable_period(
     skipped since the reversed cycle has the same period, and complemented
     ones by fixing the anchor's first bit to 0.
     """
-    if n < 5:
-        raise ValueError(f"no periodic orientable sequence exists for order {n} < 5")
     return _branch_and_bound(n, True, dai_bound(n), node_budget, initial_best)
 
 

@@ -16,6 +16,11 @@ from orientseq.seqcore import FiniteSeq, GeneratingCycle, PreconditionError
 from orientseq.verifier import all_windows, verify_orientable
 
 
+def test_targets_too_large_for_memory_are_refused_up_front():
+    with pytest.raises(ValueError, match="at order 64 need about"):
+        build_aos(64)
+
+
 class TestIdeal:
     def test_examples(self):
         assert is_ideal(FiniteSeq("01"), 2)

@@ -257,6 +257,11 @@ CONTRACT = {
     ),
     "search-order-40": (["search", "--order", "40"], 2),
     "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
+    # Sizes past any memory, and one past the float range, refused before any work.
+    "search-order-1100": (["search", "--order", "1100"], 2),
+    "construct-periodic-order-64": (["construct", "periodic", "--target-order", "64"], 2),
+    "construct-aperiodic-order-64": (["construct", "aperiodic", "--target-order", "64"], 2),
+    "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
 # and a witness of the right size that is not orientable at order 5.
@@ -289,6 +294,24 @@ def test_cli_contract(tmp_path, case):
     assert "Traceback" not in proc.stderr
     if expected == 2:
         assert proc.stderr.startswith("error:")
+
+
+# Every command's exact exit code, stdout, stderr and written files, run in
+# order in one directory (later commands read earlier outputs); inputs and
+# expectations are in cli_transcript.json.
+TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
+
+
+def test_transcript(capsys, tmp_path, monkeypatch):
+    recorded = json.loads(TRANSCRIPT.read_text(encoding="ascii"))
+    monkeypatch.chdir(tmp_path)
+    for name, text in recorded["inputs"].items():
+        Path(name).write_text(text, encoding="ascii")
+    for cmd in recorded["commands"]:
+        code, out, err = run(capsys, *cmd["argv"])
+        written = {name: Path(name).read_text(encoding="ascii") for name in cmd["files"]}
+        got = {"argv": cmd["argv"], "code": code, "out": out, "err": err, "files": written}
+        assert got == cmd
 
 
 class TestUsage:

@@ -8,6 +8,11 @@ from orientseq.seqcore import GeneratingCycle, PreconditionError, conjugate, win
 from orientseq.verifier import all_windows, verify_disjoint, verify_nwindow
 
 
+def test_orders_too_large_for_memory_are_refused_up_front():
+    with pytest.raises(ValueError, match="at order 64 need about"):
+        debruijn_lempel(64)
+
+
 def naive_conjugate_scan(s, t, n):
     for i in range(s.period):
         for j in range(t.period):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from orientseq.periodic import (
@@ -28,6 +31,18 @@ class TestDaiBound:
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
             dai_bound(4)
+
+    def test_matches_the_rational_form(self):
+        def rational(n):
+            two, r = Fraction(2), n % 4
+            if r in (0, 2):
+                v = two ** (n - 1) - Fraction(41, 9) * two ** (n // 2 - 1)
+            else:
+                v = two ** (n - 1) - Fraction(31, 9) * two ** ((n - 1) // 2)
+            v += Fraction(n, 3 if r < 2 else 6) + Fraction((32, 38, 40, 43)[r], 18)
+            return math.floor(v)
+
+        assert all(dai_bound(n) == rational(n) for n in range(5, 1000))
 
 
 class TestGoodness:
@@ -64,6 +79,11 @@ class TestExtendOdd:
         # [01] has no 1-run of length 2 at order 6
         with pytest.raises(PreconditionError):
             extend_odd(GeneratingCycle("01"), 6)
+
+
+def test_targets_too_large_for_memory_are_refused_up_front():
+    with pytest.raises(ValueError, match="at order 64 need about"):
+        build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 64)
 
 
 class TestRecursion:

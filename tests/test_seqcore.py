@@ -15,6 +15,7 @@ from orientseq.seqcore import (
     cyclic_occurrences,
     is_symmetric,
     least_rotation,
+    require_memory,
     reverse,
     window,
     window_bits,
@@ -148,3 +149,14 @@ class TestLeastRotation:
     def test_matches_min_over_rotations(self, s):
         expected = min(s[i:] + s[:i] for i in range(len(s)))
         assert least_rotation(s) == expected
+
+
+class TestRequireMemory:
+    def test_small_needs_pass(self):
+        require_memory("a table", 1 << 20)
+
+    @pytest.mark.parametrize("need", [1 << 70, 1 << 5000], ids=["2^70", "2^5000"])
+    def test_needs_past_physical_memory_are_refused(self, need):
+        # 2^5000 bytes is past the float range: still a ValueError, not an overflow.
+        with pytest.raises(ValueError, match="^a table need about .* GiB, more than the"):
+            require_memory("a table", need, 1)
