@@ -44,9 +44,6 @@ class TraceStep:
     inserted_bit: bool
     insert_position: Optional[int] = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConstructionTrace:
@@ -152,11 +149,10 @@ def build_orientable(
         raise PreconditionError(f"starter is not good at order {n0}")
     if starter.weight % 2 == 0:
         raise PreconditionError(f"starter weight {starter.weight} is even")
-    period = predicted_period(starter.period, *divmod(n_target - n0, 2))
+    steps = n_target - n0  # the period is >= 2^steps: from 1000 steps on, refuse unevaluated
+    period = predicted_period(starter.period, *divmod(steps, 2)) if steps < 1000 else 1 << 1000
     require_memory(f"the sequence and its copies at order {n_target}", period)
-    trace = ConstructionTrace(
-        [TraceStep(n0, starter.period, starter.weight, False, None)]
-    )
+    trace = ConstructionTrace([TraceStep(n0, starter.period, starter.weight, False, None)])
     c = starter
     for n in range(n0, n_target):
         c, step = next_orientable(c, n)
@@ -165,18 +161,13 @@ def build_orientable(
 
 
 def predicted_period(m_start: int, j: int, offset: int) -> int:
-    """Closed-form period after 2j+offset recursion steps from period m_start.
+    """Closed-form period after s = 2j+offset recursion steps from period m_start.
 
-    offset selects the even (0) or odd (1) step of the two-order cycle; the
-    applicable formula is determined by the parity of m_start.
+    A step sends m to 2m + 1 - m % 2, so the excess over m_start*2^s doubles and
+    gains 1 at each even period: floor(2^t/3), whose step is f(t+1) = 2f(t) + t % 2,
+    at t = s from an odd m_start and t = s + 1 from an even one.
     """
     if j < 0 or offset not in (0, 1):
         raise ValueError("need j >= 0 and offset in {0, 1}")
-    q = 4**j
-    if m_start % 2 == 1:
-        if offset == 0:
-            return q * m_start + (q - 1) // 3
-        return 2 * q * m_start + (2 * q - 2) // 3
-    if offset == 0:
-        return q * m_start + (2 * q - 2) // 3
-    return 2 * q * m_start + (4 * q - 1) // 3
+    s = 2 * j + offset
+    return (m_start << s) + ((2 - m_start % 2) << s) // 3

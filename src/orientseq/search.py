@@ -26,7 +26,7 @@ from typing import Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
-from .seqcore import FiniteSeq, GeneratingCycle, least_rotation, require_memory
+from .seqcore import FiniteSeq, GeneratingCycle, require_memory
 from .verifier import require_orientable
 
 __all__ = ["SearchResult", "max_orientable_period", "max_aos_length"]
@@ -127,7 +127,10 @@ def _branch_and_bound(
                 length = base_len + len(walk)
                 if length >= best_len and (home is None or cur == home):
                     bits = "".join("1" if e & 1 else "0" for e in walk)
-                    cand = least_rotation(bits) if closed else prefix + bits
+                    if closed:  # rotate to the least window; edge k ends at bit k
+                        k = (walk.index(min(walk)) - n + 1) % len(walk)
+                        bits = bits[k:] + bits[:k]
+                    cand = prefix + bits
                     if length > best_len or best_bits is None or cand < best_bits:
                         best_len, best_bits = length, cand
                 if bound > best_len:
@@ -175,6 +178,4 @@ def max_aos_length(
     Open walks are enumerated from every start vertex (each path has a unique
     one) whose first bit is 0, by complement symmetry.
     """
-    if n < 2:
-        raise ValueError(f"aperiodic search needs order >= 2, got {n}")
     return _branch_and_bound(n, False, burns_bound(n), node_budget, initial_best)

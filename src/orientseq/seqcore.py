@@ -13,7 +13,7 @@ import os
 import sys
 from array import array
 from itertools import compress, count
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "BitsError",
@@ -41,7 +41,6 @@ __all__ = [
     "conjugate",
     "is_symmetric",
     "cyclic_occurrences",
-    "least_rotation",
     "require_memory",
 ]
 
@@ -80,7 +79,7 @@ def as_bits(bits: Union[str, Iterable[int]]) -> str:
         s = bits
     else:
         try:
-            s = "".join("01"[b] for b in bits)
+            s = "".join("01"[b if b in (0, 1) else 2] for b in bits)  # "01"[2] raises
         except (TypeError, IndexError):
             raise BitsError(f"bits must be 0/1 values, got {bits!r}") from None
     if not s:
@@ -124,6 +123,10 @@ class _Packed:
 
     def __len__(self) -> int:
         return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        """The bits of one period (a cycle) or of the whole sequence (a word)."""
+        return map(int, self.bits)
 
     def __getitem__(self, i: int) -> int:
         """Bit i; cycles wrap modulo the period, finite sequences raise WindowRangeError."""
@@ -299,26 +302,6 @@ def is_symmetric(w: Window) -> bool:
 def cyclic_occurrences(c: GeneratingCycle, t: Window) -> int:
     """Number of cyclic occurrences of the word t in one period of c."""
     return window_values(*window_bits(c, len(t)), len(t)).count(int(t, 2))
-
-
-def least_rotation(s: str) -> str:
-    """Lexicographically least rotation of s (two-pointer minimal-rotation scan)."""
-    d = s + s
-    k = 0
-    i, j = 0, 1
-    while j + k < len(d) and k < len(s):
-        a, b = d[i + k], d[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i = max(i + k + 1, j)
-        else:
-            j = max(j + k + 1, i)
-        if i == j:
-            j += 1
-        k = 0
-    return d[i : i + len(s)]
 
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from orientseq.aperiodic import (
@@ -19,6 +21,14 @@ from orientseq.verifier import all_windows, verify_orientable
 def test_targets_too_large_for_memory_are_refused_up_front():
     with pytest.raises(ValueError, match="at order 64 need about"):
         build_aos(64)
+
+
+def test_absurd_targets_are_refused_without_the_closed_form():
+    # 2^(10^9) bits: the step count alone is enough to refuse.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at order 1000000000 need about inf GiB"):
+        build_aos(10**9)
+    assert time.perf_counter() - start < 0.5
 
 
 class TestIdeal:
@@ -103,6 +113,14 @@ class TestPredictedLength:
         ell5 = trace.steps[3].period
         for m, step in enumerate(trace.steps[3:]):
             assert step.period == predicted_length(ell5, 5, m)
+
+    @pytest.mark.parametrize("ell,n", [(2, 2), (4, 3), (8, 4), (14, 5), (5, 3), (9, 6), (40, 11)])
+    def test_matches_the_step_recursion(self, ell, n):
+        # At order o a merge sends l to 2l - o + 2 + o % 2, from orders of both parities.
+        length = ell
+        for m in range(41):
+            assert predicted_length(ell, n, m) == length
+            length = 2 * length - (n + m) + 2 + (n + m) % 2
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):

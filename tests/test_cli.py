@@ -116,6 +116,16 @@ class TestVerify:
         assert code == 2 and "error" in err
 
 
+def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "p16.seq"
+    assert run(capsys, "construct", "periodic", "--target-order", "16", "--out", str(path))[0] == 0
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+    for argv in (["verify", str(path)], ["locate", "--seq", str(path), "--window", "0" * 16]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the windows at order 16 need about ")
+
+
 class TestBound:
     def test_periodic(self, capsys):
         code, out, _ = run(capsys, "bound", "--order", "7", "--json")

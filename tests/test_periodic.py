@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,14 @@ def test_targets_too_large_for_memory_are_refused_up_front():
         build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 64)
 
 
+def test_absurd_targets_are_refused_without_the_closed_form():
+    # 2^(10^9) bits: the step count alone is enough to refuse.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at order 1000000000 need about inf GiB"):
+        build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 10**9)
+    assert time.perf_counter() - start < 0.5
+
+
 class TestRecursion:
     def test_reference_family(self):
         cycle, trace = build_orientable(DEFAULT_STARTER, 6, 10)
@@ -143,6 +152,14 @@ class TestPredictedPeriod:
         )
         for k, step in enumerate(trace.steps):
             assert step.period == predicted_period(18, k // 2, k % 2)
+
+    @pytest.mark.parametrize("m_start", [1, 2, 9, 18, 37, 74, 149, 1000])
+    def test_matches_the_step_recursion(self, m_start):
+        # m -> 2m, plus 1 when m is even, from starts of both parities.
+        m = m_start
+        for s in range(41):
+            assert predicted_period(m_start, s // 2, s % 2) == m
+            m = 2 * m + 1 - m % 2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

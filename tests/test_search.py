@@ -6,8 +6,12 @@ from itertools import product
 import pytest
 
 from orientseq.search import BYTES_PER_WINDOW, max_aos_length, max_orientable_period
-from orientseq.seqcore import FiniteSeq, GeneratingCycle, least_rotation
+from orientseq.seqcore import FiniteSeq, GeneratingCycle
 from orientseq.verifier import verify_orientable
+
+
+def least_rotation(s):
+    return min(s[i:] + s[:i] for i in range(len(s)))
 
 
 def brute_force_max_period(n):
@@ -47,6 +51,10 @@ PINNED = [
     pytest.param(max_orientable_period, 5, None, 6, "001011", True, 52, id="periodic-5"),
     pytest.param(
         max_orientable_period, 6, None, 16, "0001010110010111", True, 1685, id="periodic-6"
+    ),
+    pytest.param(
+        max_orientable_period, 7, None, 36, "000010010101100010110111001011110011", True, 648336,
+        id="periodic-7",
     ),
     pytest.param(max_aos_length, 4, None, 8, "00010111", True, 23, id="aos-4"),
     pytest.param(max_aos_length, 5, None, 14, "00001101001111", True, 120, id="aos-5"),

@@ -14,7 +14,6 @@ from orientseq.seqcore import (
     conjugate,
     cyclic_occurrences,
     is_symmetric,
-    least_rotation,
     require_memory,
     reverse,
     window,
@@ -36,12 +35,24 @@ class TestConstruction:
         with pytest.raises(NonMinimalPeriodError):
             GeneratingCycle(bad)
 
-    @pytest.mark.parametrize("bad", ["", "012", "0 1", [0, 2]])
+    @pytest.mark.parametrize("bad", ["", "012", "0 1", [0, 2], [0, -1]])
     def test_rejects_non_binary_input(self, bad):
         with pytest.raises(BitsError):
             GeneratingCycle(bad)
         with pytest.raises(BitsError):
             FiniteSeq(bad)
+
+    def test_iteration_reads_one_period(self):
+        # Indexing a cycle wraps, so iteration must not fall back to it.
+        assert list(GeneratingCycle("011")) == [0, 1, 1]
+        assert 1 in GeneratingCycle("011") and 2 not in GeneratingCycle("011")
+        assert 0 not in GeneratingCycle("1")
+        assert list(FiniteSeq("0010")) == [0, 0, 1, 0]
+        assert 1 in FiniteSeq("0010") and 2 not in FiniteSeq("0010")
+
+    @given(st.one_of(cycles(), finite_seqs))
+    def test_iteration_matches_indexing(self, s):
+        assert list(s) == [s[i] for i in range(len(s))]
 
     def test_finite_seq_allows_repeats(self):
         assert FiniteSeq("0101").bits == "0101"
@@ -142,13 +153,6 @@ class TestWeightAndOccurrences:
     def test_occurrences_of_all_windows_sum_to_period(self, c, n):
         seen = {window(c, i, n) for i in range(c.period)}
         assert sum(cyclic_occurrences(c, w) for w in seen) == c.period
-
-
-class TestLeastRotation:
-    @given(st.text(alphabet="01", min_size=1, max_size=16))
-    def test_matches_min_over_rotations(self, s):
-        expected = min(s[i:] + s[:i] for i in range(len(s)))
-        assert least_rotation(s) == expected
 
 
 class TestRequireMemory:

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orientseq.aperiodic import build_aos
+from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
 from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError, complement
 from orientseq.verifier import (
+    BYTES_PER_WINDOW,
     Counterexample,
     all_windows,
     verify_disjoint,
@@ -123,3 +129,34 @@ class TestPairProperties:
         fast = verify_primitive(c, n)
         ref = verify_disjoint(c, comp, n)
         assert (fast is None) == (ref is None)
+
+
+class TestMemoryGuard:
+    def test_checks_past_physical_memory_are_refused(self, monkeypatch):
+        small, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 14)
+        large, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
+        # 1 MiB holds the 2,389 windows at order 14, at BYTES_PER_WINDOW each, not the 9,557 at 16.
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+        assert verify_orientable(small, 14) is None
+        with pytest.raises(ValueError, match="^the windows at order 16 need about .* GiB"):
+            verify_orientable(large, 16)
+        with pytest.raises(ValueError, match="^the windows at order 16 need about"):
+            verify_nwindow(large, 16)
+
+    @pytest.mark.parametrize("family", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("flip", [False, True], ids=["member", "mutant"])
+    def test_check_memory_is_within_the_guard(self, family, flip):
+        if family == "periodic":
+            s, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 18)
+        else:
+            s, _ = build_aos(18)
+        if flip:
+            s = type(s)._trusted(s.value ^ (1 << len(s) // 2), len(s))
+        windows = len(all_windows(s, 18))
+        tracemalloc.start()
+        try:
+            verify_orientable(s, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= windows * BYTES_PER_WINDOW
