@@ -44,11 +44,6 @@ from .seqcore import (
     NonMinimalPeriodError,
     PreconditionError,
     WindowRangeError,
-    complement,
-    conjugate,
-    cyclic_occurrences,
-    reverse,
-    window,
 )
 from .verifier import (
     Counterexample,

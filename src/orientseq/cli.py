@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import aperiodic, locator, periodic, search, seqio
@@ -57,7 +58,7 @@ def _cmd_construct(args) -> int:
         seqio.write_sequence(args.out, bits, mode=mode, order=order)
     payload = {"mode": mode, "order": order, size_name: len(seq), "bits": bits}
     if trace is not None:
-        payload["trace"] = trace.as_dict()
+        payload["trace"] = asdict(trace)
         if args.trace:
             with open(args.trace, "w", encoding="ascii") as fh:
                 json.dump(payload["trace"], fh, indent=2)
@@ -74,7 +75,7 @@ def _cmd_verify(args) -> int:
         payload["size"] = len(seq)
         _emit(args, payload, f"ok: {args.property} at order {order} ({mode}, size {len(seq)})")
         return 0
-    payload["counterexample"] = cx.as_dict()
+    payload["counterexample"] = asdict(cx)
     _emit(args, payload, f"FAIL: windows at positions {cx.i} and {cx.j} collide ({cx.kind})")
     return 1
 
@@ -98,7 +99,7 @@ def _cmd_search(args) -> int:
             initial = (prev.get("value"), prev["witness"])
     find = search.max_orientable_period if args.mode == "periodic" else search.max_aos_length
     result = find(args.order, node_budget=args.budget, initial_best=initial)
-    payload = {"mode": args.mode, "order": args.order, **result.as_dict()}
+    payload = {"mode": args.mode, "order": args.order, **asdict(result)}
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2)
@@ -129,6 +130,11 @@ def _cmd_locate(args) -> int:
 def _cmd_tables(args) -> int:
     """Bounds and family sizes by order; the sizes come from the closed forms
     the builders are tested against, so no sequence is built."""
+    # Sizes print within the interpreter's int-to-str digit limit (Python's default where
+    # it is off or absent): past order 6 a size at order n is below 2^(n-1) < 10^digits.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if args.max_order > (most := (10**digits).bit_length()):
+        raise ValueError(f"tables end at order {most} ({digits}-digit sizes), got {args.max_order}")
     top, a0 = args.max_order + 1, aperiodic.DEFAULT_STARTER_ORDER
     if top <= a0:
         raise PreconditionError(f"target order {args.max_order} below starter order {a0}")

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .seqcore import FORWARD, REVERSE, GeneratingCycle, PreconditionError, Seq, Window, window_bits
-from .verifier import all_windows, require_orientable
+from .seqcore import FORWARD, REVERSE, PreconditionError, Seq, window_bits
+from .verifier import require_orientable
 
 __all__ = ["LocatorIndex", "build_index", "locate", "find"]
 
@@ -32,9 +32,7 @@ class LocatorIndex:
     """
 
     order: int
-    mode: str  # "periodic" | "aperiodic"
-    source_size: int  # period or length of the indexed sequence
-    entries: dict[Window, tuple[int, str]]
+    entries: dict[str, tuple[int, str]]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -42,8 +40,9 @@ class LocatorIndex:
 
 def build_index(s: Seq, n: int) -> LocatorIndex:
     """Index every window of s, in both directions, at order n."""
-    windows = all_windows(s, n)
-    entries: dict[Window, tuple[int, str]] = {}
+    bits = _window_string(s, n)
+    windows = [bits[i : i + n] for i in range(len(bits) - n + 1)]
+    entries: dict[str, tuple[int, str]] = {}
     for i, w in enumerate(windows):
         entries[w] = (i, FORWARD)
     for i, w in enumerate(windows):
@@ -51,24 +50,21 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     # 2N distinct keys iff s is orientable; the verifier only words the refusal.
     if len(entries) != 2 * len(windows):
         require_orientable(s, n, "source")
-    if isinstance(s, GeneratingCycle):
-        return LocatorIndex(n, "periodic", s.period, entries)
-    return LocatorIndex(n, "aperiodic", len(s), entries)
+    return LocatorIndex(n, entries)
 
 
-def locate(idx: LocatorIndex, t: Window) -> Optional[tuple[int, str]]:
+def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
     """(position, orientation) of the window t, or None if absent."""
     _require_order(t, idx.order)
     return idx.entries.get(t)
 
 
-def find(s: Seq, n: int, t: Window) -> Optional[tuple[int, str]]:
+def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
     """locate(build_index(s, n), t) without the table: one scan per direction."""
-    x, length = window_bits(s, n)
     require_orientable(s, n, "source")
     _require_order(t, n)
     # Every offset of the window string is a window start, so a hit is a position.
-    bits = format(x, f"0{length}b")
+    bits = _window_string(s, n)
     for w, orientation in ((t, FORWARD), (t[::-1], REVERSE)):
         i = bits.find(w)
         if i >= 0:
@@ -76,7 +72,13 @@ def find(s: Seq, n: int, t: Window) -> Optional[tuple[int, str]]:
     return None
 
 
-def _require_order(t: Window, n: int) -> None:
+def _window_string(s: Seq, n: int) -> str:
+    """s's bits, a cycle's extended by n-1: its n-windows are the n-bit slices."""
+    x, length = window_bits(s, n)
+    return format(x, f"0{length}b")
+
+
+def _require_order(t: str, n: int) -> None:
     if len(t) != n:
         raise PreconditionError(
             f"window has {len(t)} bits but the index was built at order {n}"

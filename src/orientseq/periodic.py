@@ -11,7 +11,7 @@ classical upper bound on the period of any orientable cycle.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .lempel import InverseKind, d_inverse_periodic
@@ -50,9 +50,6 @@ class ConstructionTrace:
     """Per-order record of a recursive construction run."""
 
     steps: list[TraceStep] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # 18 times Dai's bound is 18*2^(n-1) - a*h + b*n + c, h = 2^((n-1)//2), with

@@ -21,7 +21,7 @@ raises ValueError up front.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .aperiodic import burns_bound
@@ -38,9 +38,6 @@ class SearchResult:
     witness: Optional[str]
     exhaustive: bool
     nodes: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # Table bytes per window: tracemalloc peaks at 47 at order 14 in both modes (an

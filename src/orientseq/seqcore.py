@@ -1,11 +1,11 @@
-"""Binary sequence primitives: windows, reversal, complement, conjugate, weight.
+"""Binary sequence primitives: packed bits, windows as integers, reversal, weight.
 
 A sequence is stored packed, as one int holding its bits first (leftmost) bit
 most significant, plus its length; every layer works on that int with shifts,
-masks and XORs, and the '0'/'1' string (`.bits`) is built only for I/O.  Single
-windows are '0'/'1' strings, as in the bracket notation used throughout, and
-whole-sequence window tests read windows as integers (window_values).  All
-types are immutable values; all operations are pure.
+masks and XORs, and the '0'/'1' string (`.bits`) is built only for I/O.  A
+window is read as an integer too: one at a time (cyclic_value) or every window
+of a sequence at once (window_values).  All types are immutable values; all
+operations are pure.
 """
 from __future__ import annotations
 
@@ -23,12 +23,10 @@ __all__ = [
     "FORWARD",
     "REVERSE",
     "SYMMETRIC",
-    "Window",
     "GeneratingCycle",
     "FiniteSeq",
     "Seq",
     "as_bits",
-    "window",
     "window_bits",
     "window_values",
     "cyclic_value",
@@ -36,16 +34,8 @@ __all__ = [
     "rotate_left",
     "reverse_value",
     "first_in",
-    "reverse",
-    "complement",
-    "conjugate",
-    "is_symmetric",
-    "cyclic_occurrences",
     "require_memory",
 ]
-
-# A fixed-length binary word, e.g. "0110".
-Window = str
 
 # Reading directions, shared by counterexample kinds and lookup results;
 # SYMMETRIC marks a window equal to its own reversal.
@@ -53,7 +43,6 @@ FORWARD = "forward"
 REVERSE = "reverse"
 SYMMETRIC = "symmetric"
 
-_COMPLEMENT = str.maketrans("01", "10")
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -130,7 +119,10 @@ class _Packed:
 
     def __getitem__(self, i: int) -> int:
         """Bit i; cycles wrap modulo the period, finite sequences raise WindowRangeError."""
-        return int(window(self, i, 1))
+        if isinstance(self, FiniteSeq) and not 0 <= i < self._len:
+            msg = f"window [{i}, {i + 1}) does not fit in a sequence of length {self._len}"
+            raise WindowRangeError(msg)
+        return (self._value >> (self._len - 1 - i % self._len)) & 1
 
     def __eq__(self, other: object) -> bool:
         same = type(other) is type(self)
@@ -228,21 +220,6 @@ def cyclic_value(c: Seq, start: int, length: int) -> int:
     return out
 
 
-def window(source: Seq, i: int, n: int) -> Window:
-    """The n-bit window appearing at position i.
-
-    For cycles the index wraps modulo the period and n may exceed it; for
-    finite sequences the window must lie fully inside the sequence.
-    """
-    if n < 1:
-        raise WindowRangeError(f"window order must be >= 1, got {n}")
-    if isinstance(source, FiniteSeq) and not 0 <= i <= len(source) - n:
-        raise WindowRangeError(
-            f"window [{i}, {i + n}) does not fit in a sequence of length {len(source)}"
-        )
-    return format(cyclic_value(source, i, n), f"0{n}b")
-
-
 def window_bits(s: Seq, n: int) -> tuple[int, int]:
     """(x, length): packed bits whose n-bit slices are the n-windows of s, a cycle's
     period extended cyclically by n-1 bits, or a finite sequence of >= n bits."""
@@ -280,28 +257,6 @@ def window_values(x: int, length: int, n: int) -> Sequence[int]:
 def first_in(values: Iterable[int], keys: Collection[int]) -> Optional[int]:
     """The first position p with values[p] in keys, or None; a C-speed scan."""
     return next(compress(count(), map(keys.__contains__, values)), None)
-
-
-def reverse(w: Window) -> Window:
-    return w[::-1]
-
-
-def complement(w: Window) -> Window:
-    return w.translate(_COMPLEMENT)
-
-
-def conjugate(w: Window) -> Window:
-    """Flip the first bit."""
-    return ("1" if w[0] == "0" else "0") + w[1:]
-
-
-def is_symmetric(w: Window) -> bool:
-    return w == w[::-1]
-
-
-def cyclic_occurrences(c: GeneratingCycle, t: Window) -> int:
-    """Number of cyclic occurrences of the word t in one period of c."""
-    return window_values(*window_bits(c, len(t)), len(t)).count(int(t, 2))
 
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the

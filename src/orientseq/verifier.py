@@ -34,7 +34,6 @@ from .seqcore import (
 
 __all__ = [
     "Counterexample",
-    "all_windows",
     "verify_nwindow",
     "verify_orientable",
     "verify_disjoint",
@@ -55,26 +54,19 @@ class Counterexample:
     j: int
     kind: str = FORWARD
 
-    def as_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "kind": self.kind}
 
-
-def all_windows(s: Seq, n: int) -> list[str]:
-    """Every n-bit window of s: m cyclic windows, or l-n+1 aperiodic ones."""
-    x, length = window_bits(s, n)
-    b = format(x, f"0{length}b")
-    return [b[i : i + n] for i in range(length - n + 1)]
-
-
-# Peak bytes per window of a check: tracemalloc peaks at 64-106 in verify_orientable
-# at orders 18-22, members and one-bit mutants of both families; 128 leaves headroom.
-BYTES_PER_WINDOW = 128
+# Peak bytes per window of a check (tracemalloc, verify_orientable): 64-106 at orders
+# 18-22 on family members and one-bit mutants, up to 129 at order 64 on random words of
+# 40,000-325,000 bits; 144 leaves headroom.  Above 64 the windows are lists of ints, 4
+# bytes more per 30 bits in each reading: peaks 141.5 + 8 * ceil(n / 30) at 65-1000.
+BYTES_PER_WINDOW = 144
 
 
 def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
     """The n-windows of s as integers by position, optionally each read backwards."""
     x, length = window_bits(s, n)
-    require_memory(f"the windows at order {n}", length - n + 1, BYTES_PER_WINDOW)
+    size = BYTES_PER_WINDOW + (16 + 8 * -(-n // 30) if n > 64 else 0)
+    require_memory(f"the windows at order {n}", length - n + 1, size)
     values = window_values(reverse_value(x, length) if reverse else x, length, n)
     if reverse:
         values.reverse()

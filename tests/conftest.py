@@ -8,7 +8,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from orientseq import FiniteSeq, GeneratingCycle
-from orientseq.verifier import all_windows
+from string_oracle import all_windows
 
 bit_strings = st.text(alphabet="01", min_size=1, max_size=40)
 windows_st = st.text(alphabet="01", min_size=1, max_size=12)

@@ -11,7 +11,9 @@ Two groups, both working on '0'/'1' strings only:
 
 They are slow and memory-hungry, which is why the library no longer uses
 them, and independent of the packed layout and seqcore.window_values, which
-is why the tests compare against them.
+is why the tests compare against them.  The string helpers the tests use as
+tools (all_windows, cyclic_slice, complement, conjugate) live here too, since
+the library reads windows as integers.
 """
 from __future__ import annotations
 
@@ -28,12 +30,21 @@ from orientseq.seqcore import (
     PreconditionError,
     Seq,
     WindowRangeError,
-    complement,
-    conjugate,
 )
 from orientseq.verifier import Counterexample
 
 _KIND_RANK = {FORWARD: 0, REVERSE: 1, SYMMETRIC: 2}
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def complement(w: str) -> str:
+    """Every bit flipped."""
+    return w.translate(_COMPLEMENT)
+
+
+def conjugate(w: str) -> str:
+    """The first bit flipped."""
+    return ("1" if w[0] == "0" else "0") + w[1:]
 
 
 def cyclic_slice(bits: str, start: int, length: int) -> str:
@@ -172,9 +183,7 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     for i, w in enumerate(windows):
         entries[w[::-1]] = (i, REVERSE)
     assert len(entries) == 2 * len(windows)
-    if isinstance(s, GeneratingCycle):
-        return LocatorIndex(n, "periodic", s.period, entries)
-    return LocatorIndex(n, "aperiodic", len(s), entries)
+    return LocatorIndex(n, entries)
 
 
 # Construction steps on bit strings.

@@ -10,7 +10,7 @@ import pytest
 
 from orientseq.aperiodic import build_aos
 from orientseq.cli import main
-from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
+from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable, dai_bound
 from orientseq.seqio import read_sequence, write_sequence
 
 
@@ -245,6 +245,23 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--max-order", "60")
         assert code == 0 and out.splitlines()[-1].startswith("   60")
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_orders_past_the_digit_limit(self, capsys):
+        # At the least limit, 640 digits, order 2127's sizes print and 2128's do not.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "tables", "--max-order", "2127")
+            assert code == 0 and out.splitlines()[-1].startswith(" 2127")
+            code, out, err = run(capsys, "tables", "--max-order", "2128")
+            assert len(str(dai_bound(2127))) == 640
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                str(dai_bound(2128))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert err == "error: tables end at order 2127 (640-digit sizes), got 2128\n"
+
 
 # Input and usage errors: each case's pinned exit code, and never a traceback.
 # {seq} is an orientable order-5 cycle file, {short} a 4-bit word headed order 8.
@@ -259,6 +276,8 @@ CONTRACT = {
     "locate-window-non-binary": (["locate", "--seq", "{seq}", "--window", "01201"], 2),
     "locate-window-empty": (["locate", "--seq", "{seq}", "--window", ""], 2),
     "tables-max-order-4": (["tables", "--max-order", "4"], 0),
+    # Sizes past the interpreter's int-to-str digit limit, refused before any row.
+    "tables-max-order-15000": (["tables", "--max-order", "15000"], 2),
     "search-resume-without-value": (["search", "--order", "5", "--resume", "{no_value}"], 2),
     "search-resume-list": (["search", "--order", "5", "--resume", "{a_list}"], 2),
     "search-resume-over-bound": (["search", "--order", "5", "--resume", "{over_bound}"], 2),

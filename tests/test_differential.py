@@ -32,7 +32,6 @@ from orientseq.seqcore import (
     NonMinimalPeriodError,
     PreconditionError,
     WindowRangeError,
-    complement,
 )
 
 from conftest import cycles
@@ -102,7 +101,7 @@ class TestVerifiers:
         mutant = as_cycle(bits) if kind == "periodic" else FiniteSeq(bits)
         for name in SINGLE:
             assert_matches_oracle(name, mutant, n)
-        for other in (source, type(source)(complement(source.bits))):
+        for other in (source, type(source)(oracle.complement(source.bits))):
             for name in PAIR:
                 assert_matches_oracle(name, mutant, other, n)
 
@@ -178,7 +177,7 @@ class TestFind:
     def test_every_window_both_directions(self, kind, n):
         source = family(kind, n)
         idx = locator.build_index(source, n)
-        for i, w in enumerate(verifier.all_windows(source, n)):
+        for i, w in enumerate(oracle.all_windows(source, n)):
             assert locator.find(source, n, w) == locator.locate(idx, w) == (i, FORWARD)
             assert locator.find(source, n, w[::-1]) == locator.locate(idx, w[::-1]) == (i, REVERSE)
 
@@ -194,7 +193,7 @@ class TestFind:
     @given(sequences, st.integers(1, 12), st.data())
     def test_matches_index_lookup(self, s, n, data):
         # Windows of s itself, so hits are likely, and words of any length.
-        ws = verifier.all_windows(s, n) if len(s) >= n else []
+        ws = oracle.all_windows(s, n) if len(s) >= n else []
         t = data.draw(
             st.one_of(st.text(alphabet="01", max_size=14), *([st.sampled_from(ws)] if ws else []))
         )

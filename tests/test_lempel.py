@@ -11,7 +11,7 @@ from orientseq.lempel import (
     d_inverse_aperiodic,
     d_inverse_periodic,
 )
-from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError, complement
+from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError
 from orientseq.verifier import (
     verify_disjoint,
     verify_o_disjoint,
@@ -20,6 +20,7 @@ from orientseq.verifier import (
 )
 
 from conftest import cycles, finite_seqs
+from string_oracle import complement
 
 
 class TestForwardPeriodic:

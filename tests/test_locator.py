@@ -5,19 +5,18 @@ import pytest
 from orientseq.aperiodic import build_aos
 from orientseq.locator import build_index, locate
 from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError
-from orientseq.verifier import all_windows
+
+from string_oracle import all_windows
 
 
 class TestBuildIndex:
     def test_periodic_entry_count(self):
         idx = build_index(GeneratingCycle("001101"), 5)
-        assert len(idx) == 12
-        assert idx.mode == "periodic" and idx.source_size == 6
+        assert len(idx) == 12 and idx.order == 5
 
     def test_aperiodic_entry_count(self):
         idx = build_index(FiniteSeq("00010111"), 4)
-        assert len(idx) == 10
-        assert idx.mode == "aperiodic" and idx.source_size == 8
+        assert len(idx) == 10 and idx.order == 4
 
     def test_rejects_non_orientable_source(self):
         with pytest.raises(PreconditionError, match="not orientable"):

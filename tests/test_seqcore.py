@@ -10,13 +10,9 @@ from orientseq.seqcore import (
     GeneratingCycle,
     NonMinimalPeriodError,
     WindowRangeError,
-    complement,
-    conjugate,
-    cyclic_occurrences,
-    is_symmetric,
+    cyclic_value,
     require_memory,
-    reverse,
-    window,
+    reverse_value,
     window_bits,
     window_values,
 )
@@ -63,32 +59,42 @@ class TestConstruction:
         assert c[7] == c[1]
         s = FiniteSeq("011")
         assert s[2] == 1
-        with pytest.raises(WindowRangeError):
+        with pytest.raises(WindowRangeError, match=r"^window \[3, 4\) does not fit .* length 3$"):
             s[3]
+        with pytest.raises(WindowRangeError, match=r"^window \[-1, 0\) does not fit"):
+            s[-1]
+
+    @given(cycles(), st.integers(-20, 100))
+    def test_indexing_wraps_modulo_period(self, c, i):
+        assert c[i] == c[i % c.period]
 
 
 class TestWindow:
+    """One window read as an integer: cyclic_value, and window_bits for words."""
+
     def test_cyclic_wrap(self):
-        assert window(GeneratingCycle("001101"), 4, 3) == "010"
+        assert cyclic_value(GeneratingCycle("001101"), 4, 3) == 0b010
 
     def test_aperiodic_prefix(self):
-        assert window(FiniteSeq("00010111"), 0, 4) == "0001"
+        x, length = window_bits(FiniteSeq("00010111"), 4)
+        assert x >> (length - 4) == 0b0001
 
     def test_order_exceeding_period(self):
-        assert window(GeneratingCycle("1"), 0, 3) == "111"
+        assert cyclic_value(GeneratingCycle("1"), 0, 3) == 0b111
+        assert cyclic_value(GeneratingCycle("011"), 2, 8) == 0b10110110
 
     def test_finite_range_errors(self):
         s = FiniteSeq("0011")
         with pytest.raises(WindowRangeError):
-            window(s, 2, 3)
+            window_bits(s, 5)
         with pytest.raises(WindowRangeError):
-            window(s, -1, 2)
+            window_bits(s, 0)
         with pytest.raises(WindowRangeError):
-            window(s, 0, 0)
+            s[4]
 
     @given(cycles(), st.integers(-20, 100), st.integers(1, 10))
     def test_window_wraps_modulo_period(self, c, i, n):
-        assert window(c, i, n) == window(c, i % c.period, n)
+        assert cyclic_value(c, i, n) == cyclic_value(c, i % c.period, n)
 
 
 class TestWindowValues:
@@ -116,22 +122,24 @@ class TestWindowValues:
 
 
 class TestTupleOps:
+    """Reversal of an n-tuple held as an n-bit integer."""
+
     def test_examples(self):
-        assert reverse("011") == "110"
-        assert complement("011") == "100"
-        assert conjugate("011") == "111"
-        assert conjugate("111") == "011"
-        assert is_symmetric("010") and not is_symmetric("011")
+        assert reverse_value(0b011, 3) == 0b110
+        assert reverse_value(0b010, 3) == 0b010  # a symmetric window
+        assert reverse_value(1, 9) == 1 << 8  # past one byte of the table
+        assert reverse_value(0, 1) == 0 and reverse_value(1, 1) == 1
 
     @given(windows_st)
     def test_involutions(self, w):
-        assert reverse(reverse(w)) == w
-        assert complement(complement(w)) == w
-        assert conjugate(conjugate(w)) == w
+        x, m = int(w, 2), len(w)
+        assert reverse_value(x, m) == int(w[::-1], 2)
+        assert reverse_value(reverse_value(x, m), m) == x
 
     @given(windows_st)
     def test_reverse_commutes_with_complement(self, w):
-        assert reverse(complement(w)) == complement(reverse(w))
+        x, mask = int(w, 2), (1 << len(w)) - 1
+        assert reverse_value(x ^ mask, len(w)) == reverse_value(x, len(w)) ^ mask
 
 
 class TestWeightAndOccurrences:
@@ -141,18 +149,24 @@ class TestWeightAndOccurrences:
         assert GeneratingCycle("0").weight == 0
 
     def test_occurrence_examples(self):
-        assert cyclic_occurrences(GeneratingCycle("001010111"), "00") == 1
-        assert cyclic_occurrences(GeneratingCycle("001101"), "01") == 2
-        assert cyclic_occurrences(GeneratingCycle("0"), "1") == 0
+        assert cyclic_windows(GeneratingCycle("001010111"), 2).count(0b00) == 1
+        assert cyclic_windows(GeneratingCycle("001101"), 2).count(0b01) == 2
+        assert cyclic_windows(GeneratingCycle("0"), 1).count(0b1) == 0
 
     def test_wrapping_occurrences(self):
         # the only 00 in [01010] straddles the period boundary
-        assert cyclic_occurrences(GeneratingCycle("01010"), "00") == 1
+        assert cyclic_windows(GeneratingCycle("01010"), 2).count(0b00) == 1
 
     @given(cycles(), st.integers(1, 6))
     def test_occurrences_of_all_windows_sum_to_period(self, c, n):
-        seen = {window(c, i, n) for i in range(c.period)}
-        assert sum(cyclic_occurrences(c, w) for w in seen) == c.period
+        values = cyclic_windows(c, n)
+        assert values == [cyclic_value(c, i, n) for i in range(c.period)]
+        assert sum(values.count(v) for v in set(values)) == c.period
+
+
+def cyclic_windows(c, n):
+    """The n-windows of c, one per position of its period, as integers."""
+    return list(window_values(*window_bits(c, n), n))
 
 
 class TestRequireMemory:

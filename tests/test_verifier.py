@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import os
+import random
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orientseq import verifier
 from orientseq.aperiodic import build_aos
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
-from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError, complement
+from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError
 from orientseq.verifier import (
     BYTES_PER_WINDOW,
     Counterexample,
-    all_windows,
+    _values,
     verify_disjoint,
     verify_nwindow,
     verify_o_disjoint,
@@ -22,24 +25,27 @@ from orientseq.verifier import (
 )
 
 from conftest import cycles, finite_seqs, naive_nwindow, naive_orientable
+from string_oracle import all_windows, complement
 
 
 class TestAllWindows:
+    """The reader behind every check: each n-window as an integer, by position."""
+
     def test_cyclic_count_equals_period(self):
-        assert all_windows(GeneratingCycle("001101"), 5) == [
-            "00110", "01101", "11010", "10100", "01001", "10011",
+        c = GeneratingCycle("001101")
+        assert list(_values(c, 5)) == [0b00110, 0b01101, 0b11010, 0b10100, 0b01001, 0b10011]
+        assert list(_values(c, 5, reverse=True)) == [
+            0b01100, 0b10110, 0b01011, 0b00101, 0b10010, 0b11001,
         ]
 
     def test_aperiodic_count(self):
-        assert all_windows(FiniteSeq("00010111"), 3) == [
-            "000", "001", "010", "101", "011", "111",
-        ]
+        assert list(_values(FiniteSeq("00010111"), 3)) == [0, 0b001, 0b010, 0b101, 0b011, 0b111]
 
     def test_too_short(self):
         with pytest.raises(WindowRangeError):
-            all_windows(FiniteSeq("01"), 3)
+            _values(FiniteSeq("01"), 3)
         with pytest.raises(WindowRangeError):
-            all_windows(FiniteSeq("01"), 0)
+            _values(FiniteSeq("01"), 0)
 
 
 class TestNWindow:
@@ -51,7 +57,7 @@ class TestNWindow:
         # [00110]: the 2-windows are 00,01,11,10,00 so positions 0 and 4 repeat
         cx = verify_nwindow(GeneratingCycle("00110"), 2)
         assert (cx.i, cx.j, cx.kind) == (0, 4, "forward")
-        assert cx.as_dict() == {"i": 0, "j": 4, "kind": "forward"}
+        assert asdict(cx) == {"i": 0, "j": 4, "kind": "forward"}
 
     @given(cycles(max_size=16), st.integers(1, 6))
     def test_matches_naive_oracle_cyclic(self, c, n):
@@ -160,3 +166,18 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= windows * BYTES_PER_WINDOW
+
+    @pytest.mark.parametrize("n", [65, 200, 1000])
+    def test_charge_past_order_64_grows_with_the_order(self, n, monkeypatch):
+        # Above order 64 the windows are lists of ints, which grow with n.
+        s = FiniteSeq(format(random.Random(n).getrandbits(60_000), "060000b"))
+        charged = []
+        monkeypatch.setattr(verifier, "require_memory", lambda *a: charged.append(a[1] * a[2]))
+        tracemalloc.start()
+        try:
+            verify_orientable(s, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= min(charged)
+        assert min(charged) > (len(s) - n + 1) * BYTES_PER_WINDOW
