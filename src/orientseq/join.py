@@ -52,7 +52,7 @@ def find_conjugate_positions(
             return i, j
     values = window_values(x, length, n)
     ours = window_values(*window_bits(s, n), n)
-    i = first_in(map(top.__xor__, ours), set(values))
+    i = first_in(map(top.__xor__, ours), set(values).__contains__)
     return None if i is None else (i, values.index(ours[i] ^ top))
 
 

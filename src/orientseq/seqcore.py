@@ -13,7 +13,7 @@ import os
 import sys
 from array import array
 from itertools import compress, count
-from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "BitsError",
@@ -167,10 +167,6 @@ class FiniteSeq(_Packed):
 
     __slots__ = ()
 
-    @property
-    def length(self) -> int:
-        return self._len
-
     def __repr__(self) -> str:
         return f"FiniteSeq({self.bits})"
 
@@ -254,9 +250,10 @@ def window_values(x: int, length: int, n: int) -> Sequence[int]:
     return out
 
 
-def first_in(values: Iterable[int], keys: Collection[int]) -> Optional[int]:
-    """The first position p with values[p] in keys, or None; a C-speed scan."""
-    return next(compress(count(), map(keys.__contains__, values)), None)
+def first_in(values: Iterable[int], has: Callable[[int], object]) -> Optional[int]:
+    """The first position p with has(values[p]) true, or None; a C-speed scan
+    where has is a C method such as set.__contains__ or bytearray.__getitem__."""
+    return next(compress(count(), map(has, values)), None)
 
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the

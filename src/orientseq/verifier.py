@@ -6,18 +6,19 @@ their starters with these verifiers; the tests check the families built.
 
 Each check reads the n-windows as integers (seqcore.window_values) straight
 from the packed sequence, never as one string per window; the reverse reading
-is the same kernel on the bit-reversed integer.  So a check needs O(N) memory
-for N windows: a few bytes per window in an array, plus one set of the
-distinct values, and one that would not fit in physical memory raises
-ValueError first.  The property itself is a set test that runs at C speed.
-Only when it fails does a second, exact pass find the lexicographically first
-offending position pair and its kind.
+is the same kernel on the bit-reversed integer.  The windows go into one table:
+a bytearray of 2^n marks where that costs at most _DENSE bytes per window,
+which holds for every family member, else a set of the distinct values.  Both
+are counted and probed at C speed, so a check needs O(N) memory for N windows,
+and one that would not fit in physical memory raises ValueError first.  Only
+when a check fails does a second, exact pass, on tables of the same kind, find
+the lexicographically first offending position pair and its kind.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .seqcore import (
     FORWARD,
@@ -55,11 +56,18 @@ class Counterexample:
     kind: str = FORWARD
 
 
-# Peak bytes per window of a check (tracemalloc, verify_orientable): 64-106 at orders
-# 18-22 on family members and one-bit mutants, up to 129 at order 64 on random words of
-# 40,000-325,000 bits; 144 leaves headroom.  Above 64 the windows are lists of ints, 4
-# bytes more per 30 bits in each reading: peaks 141.5 + 8 * ceil(n / 30) at 65-1000.
+# Bytes per window charged to a check, a bound on its peak (tracemalloc,
+# verify_orientable).  With tables of marks: 13-23 on family members and one-bit
+# mutants at orders 16-22.  With sets, from ~50,000 windows up: 64-106 on the same
+# inputs, up to 129 at order 64 on random words of 40,000-325,000 bits; above 64 the
+# windows are lists of ints, 4 bytes more per 30 bits in each reading, and the peaks
+# are 141.5 + 8 * ceil(n / 30) at 65-1000.  Below ~50,000 windows a set grows 4x at a
+# time and may pass the charge (184 at order 64 on a 20,000-bit word), at a few MB.
 BYTES_PER_WINDOW = 144
+
+# Most bytes per window that a table of 2^n marks may take; every family member
+# has 2^n / N <= 7.2.
+_DENSE = 8
 
 
 def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
@@ -73,18 +81,37 @@ def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
     return values
 
 
-def _first_repeat(values: Sequence[int]) -> tuple[int, int]:
+def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int], object], int]:
+    """(has, count): has(v) is true iff v occurs in the n-bit values at least
+    `times` times (1 or 2), and count is the number of such v.  A bytearray of 2^n
+    marks where that is at most _DENSE bytes per value, else a set."""
+    if 1 << n > _DENSE * len(values):
+        keys = set(values) if times == 1 else {v for v, k in Counter(values).items() if k > 1}
+        return keys.__contains__, len(keys)
+    marks = bytearray(1 << n)
+    if times == 1:
+        for v in values:
+            marks[v] = 1
+    else:
+        once = bytearray(1 << n)
+        for v in values:
+            marks[v] = once[v]
+            once[v] = 1
+    return marks.__getitem__, len(marks) - marks.count(0)
+
+
+def _first_repeat(values: Sequence[int], n: int) -> tuple[int, int]:
     """(i, j): i is the first position whose value recurs (one must), j the next."""
-    i = first_in(values, {v for v, k in Counter(values).items() if k > 1})
+    i = first_in(values, _table(values, n, 2)[0])
     return i, values.index(values[i], i + 1)
 
 
 def verify_nwindow(s: Seq, n: int) -> Optional[Counterexample]:
     """None if all n-windows of s are distinct, else the first repeat."""
     values = _values(s, n)
-    if len(set(values)) == len(values):
+    if _table(values, n)[1] == len(values):
         return None
-    return Counterexample(*_first_repeat(values), FORWARD)
+    return Counterexample(*_first_repeat(values, n), FORWARD)
 
 
 def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
@@ -95,13 +122,13 @@ def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
     """
     fwd = _values(s, n)
     rev = _values(s, n, reverse=True)
-    seen = set(fwd)
-    unique = len(seen) == len(fwd)
-    if unique and seen.isdisjoint(rev):
+    seen, distinct = _table(fwd, n)
+    unique = distinct == len(fwd)
+    if unique and not any(map(seen, rev)):
         return None
     del seen
-    found = [] if unique else [(*_first_repeat(fwd), 0)]
-    i = first_in(fwd, set(rev))
+    found = [] if unique else [(*_first_repeat(fwd, n), 0)]
+    i = first_in(fwd, _table(rev, n)[0])
     if i is not None:
         j = rev.index(fwd[i])
         found.append((i, j, 2 if i == j else 1))
@@ -109,27 +136,27 @@ def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
     return Counterexample(i, j, _KINDS[kind])
 
 
-def _first_shared(reads: tuple, theirs: Sequence[int]) -> Optional[Counterexample]:
+def _first_shared(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Counterexample]:
     """Least (i, j, kind) with reads[kind][i] == theirs[j], or None."""
-    keys = set(theirs)
-    hits = [i for i in (first_in(values, keys) for values in reads) if i is not None]
+    has = _table(theirs, n)[0]
+    hits = [i for i in (first_in(values, has) for values in reads) if i is not None]
     if not hits:
         return None
     i = min(hits)
-    j, kind = min((theirs.index(v[i]), kind) for kind, v in enumerate(reads) if v[i] in keys)
+    j, kind = min((theirs.index(v[i]), kind) for kind, v in enumerate(reads) if has(v[i]))
     return Counterexample(i, j, _KINDS[kind])
 
 
 def verify_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window."""
     theirs = _values(t, n)
-    return _first_shared((_values(s, n),), theirs)
+    return _first_shared((_values(s, n),), theirs, n)
 
 
 def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window in either reading direction."""
     theirs = _values(t, n)
-    return _first_shared((_values(s, n), _values(s, n, reverse=True)), theirs)
+    return _first_shared((_values(s, n), _values(s, n, reverse=True)), theirs, n)
 
 
 def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import os
 import random
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientseq import verifier
@@ -26,6 +28,7 @@ from orientseq.verifier import (
 
 from conftest import cycles, finite_seqs, naive_nwindow, naive_orientable
 from string_oracle import all_windows, complement
+from test_differential import as_cycle, family as member, flip as flip_bit
 
 
 class TestAllWindows:
@@ -181,3 +184,74 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak <= min(charged)
         assert min(charged) > (len(s) - n + 1) * BYTES_PER_WINDOW
+
+
+CHECKS = ("verify_nwindow", "verify_orientable", "verify_primitive")
+PAIR_CHECKS = ("verify_disjoint", "verify_o_disjoint")
+
+pieces = st.text(alphabet="01", max_size=40)
+# Palindromes give symmetric windows; repeated and mirrored pieces give forward
+# and reversed collisions at every order up to the piece length.
+table_bits = st.one_of(
+    st.text(alphabet="01", min_size=1, max_size=120),
+    st.builds(lambda a: a + a[::-1], pieces),
+    st.builds(lambda a, b: a + b + a, pieces, pieces),
+    st.builds(lambda a, b: a + b + a[::-1], pieces, pieces),
+).filter(bool)
+table_seqs = st.one_of(st.builds(FiniteSeq, table_bits), st.builds(as_cycle, table_bits))
+
+
+def assert_tables_agree(name, *args):
+    """name(*args) gives the same result, or an exception of the same type and
+    message, with every window table forced to 2^n marks and forced to a set."""
+    outcomes = []
+    for dense in (math.inf, 0):
+        with mock.patch.object(verifier, "_DENSE", dense):
+            try:
+                outcomes.append(getattr(verifier, name)(*args))
+            except (WindowRangeError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], name
+
+
+class TestWindowTables:
+    """A table of 2^n marks and a set of window values give the same answers."""
+
+    @given(table_seqs, table_seqs, st.integers(1, 20))
+    def test_marks_and_set_agree(self, s, t, n):
+        for name in CHECKS:
+            assert_tables_agree(name, s, n)
+        for name in PAIR_CHECKS:
+            assert_tables_agree(name, s, t, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["periodic", "aperiodic"]), st.integers(2, 16), st.data())
+    def test_marks_and_set_agree_on_family_mutants(self, kind, n, data):
+        if kind == "periodic":
+            n = max(n, DEFAULT_STARTER_ORDER)
+        source = member(kind, n)
+        bits = flip_bit(source.bits, data.draw(st.integers(0, len(source) - 1), label="flipped bit"))
+        mutant = as_cycle(bits) if kind == "periodic" else FiniteSeq(bits)
+        for name in CHECKS:
+            assert_tables_agree(name, mutant, n)
+        for other in (source, type(source)(complement(source.bits))):
+            for name in PAIR_CHECKS:
+                assert_tables_agree(name, mutant, other, n)
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("mutant", [False, True], ids=["member", "mutant"])
+    def test_marks_peak_at_order_20(self, kind, mutant):
+        # Two 4-byte windows arrays and at most two tables of 2^n <= 8 N marks;
+        # a set of the windows alone takes 32 bytes or more per window.
+        s = member(kind, 20)
+        if mutant:
+            s = type(s)._trusted(s.value ^ (1 << len(s) // 2), len(s))
+        windows = len(s) if kind == "periodic" else len(s) - 19
+        tracemalloc.start()
+        try:
+            cx = verify_orientable(s, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cx is not None) == mutant
+        assert peak <= 32 * windows
