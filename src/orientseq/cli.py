@@ -80,7 +80,16 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _require_printable(order: int, what: str) -> None:
+    """Refuse an order whose sizes, below 2^(n-1) past order 6, would pass the int-to-str
+    digit limit (Python's default where it is off or absent)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if order > (most := (10**digits).bit_length()):
+        raise ValueError(f"{what} end at order {most} ({digits}-digit sizes), got {order}")
+
+
 def _cmd_bound(args) -> int:
+    _require_printable(args.order, "bounds")
     which = "aperiodic length" if args.aperiodic else "periodic period"
     value = (aperiodic.burns_bound if args.aperiodic else periodic.dai_bound)(args.order)
     payload = {"order": args.order, "aperiodic": args.aperiodic, "bound": value}
@@ -130,11 +139,7 @@ def _cmd_locate(args) -> int:
 def _cmd_tables(args) -> int:
     """Bounds and family sizes by order; the sizes come from the closed forms
     the builders are tested against, so no sequence is built."""
-    # Sizes print within the interpreter's int-to-str digit limit (Python's default where
-    # it is off or absent): past order 6 a size at order n is below 2^(n-1) < 10^digits.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if args.max_order > (most := (10**digits).bit_length()):
-        raise ValueError(f"tables end at order {most} ({digits}-digit sizes), got {args.max_order}")
+    _require_printable(args.max_order, "tables")
     top, a0 = args.max_order + 1, aperiodic.DEFAULT_STARTER_ORDER
     if top <= a0:
         raise PreconditionError(f"target order {args.max_order} below starter order {a0}")

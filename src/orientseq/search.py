@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
@@ -60,7 +60,7 @@ def _orbit_table(n: int) -> tuple[array, list[int], bytearray]:
 def _branch_and_bound(
     n: int,
     closed: bool,
-    cap: int,
+    upper_bound: Callable[[int], int],
     node_budget: Optional[int],
     initial_best: Optional[tuple[int, str]],
 ) -> SearchResult:
@@ -74,9 +74,11 @@ def _branch_and_bound(
     claims one orbit, so the most a walk from a root can reach is a constant
     `bound` checked against the best result at every node.
     """
+    # The tables and upper_bound(n) grow as 2^n: from order 1000 on, refuse unevaluated.
+    cap = upper_bound(n) if n < 1000 else 1 << 1000
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
-    require_memory(f"search tables at order {n}", 1 << n, BYTES_PER_WINDOW)
+    require_memory(f"search tables at order {n}", 1 << min(n, 1000), BYTES_PER_WINDOW)
     vmask = (1 << (n - 1)) - 1
     rev, orbit, taken = _orbit_table(n)
     orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones
@@ -161,7 +163,7 @@ def max_orientable_period(
     skipped since the reversed cycle has the same period, and complemented
     ones by fixing the anchor's first bit to 0.
     """
-    return _branch_and_bound(n, True, dai_bound(n), node_budget, initial_best)
+    return _branch_and_bound(n, True, dai_bound, node_budget, initial_best)
 
 
 def max_aos_length(
@@ -175,4 +177,4 @@ def max_aos_length(
     Open walks are enumerated from every start vertex (each path has a unique
     one) whose first bit is 0, by complement symmetry.
     """
-    return _branch_and_bound(n, False, burns_bound(n), node_budget, initial_best)
+    return _branch_and_bound(n, False, burns_bound, node_budget, initial_best)

@@ -209,11 +209,10 @@ def cyclic_value(c: Seq, start: int, length: int) -> int:
     take = min(length, m - start)
     out = x if take == m else (x >> (m - start - take)) & ((1 << take) - 1)
     length -= take
-    while length:  # then whole periods from bit 0, the last one cut short
-        take = min(length, m)
-        out = (out << take) | (x >> (m - take))
-        length -= take
-    return out
+    periods, k = x, 1  # then whole periods from bit 0, doubled until k of them cover
+    while k * m < length:  # the rest, the last one cut short
+        periods, k = (periods << k * m) | periods, 2 * k
+    return (out << length) | (periods >> (k * m - length))
 
 
 def window_bits(s: Seq, n: int) -> tuple[int, int]:

@@ -4,15 +4,16 @@ The n-window property, orientability, disjointness of pairs in one or both
 reading directions, and primitivity, all checked exactly.  The builders check
 their starters with these verifiers; the tests check the families built.
 
-Each check reads the n-windows as integers (seqcore.window_values) straight
-from the packed sequence, never as one string per window; the reverse reading
-is the same kernel on the bit-reversed integer.  The windows go into one table:
-a bytearray of 2^n marks where that costs at most _DENSE bytes per window,
-which holds for every family member, else a set of the distinct values.  Both
-are counted and probed at C speed, so a check needs O(N) memory for N windows,
-and one that would not fit in physical memory raises ValueError first.  Only
-when a check fails does a second, exact pass, on tables of the same kind, find
-the lexicographically first offending position pair and its kind.
+All five are one question, answered by _first_collision: does an n-window of
+one or two readings of s, forward and reversed, occur in the forward reading
+of t (of s itself, for the single-sequence checks)?  Windows are integers read
+straight from the packed bits (seqcore.window_values; the reverse reading is
+the same kernel on the bit-reversed integer).  Only the forward reading is
+tabulated, in 2^n marks where that costs at most _DENSE bytes per window (every
+family member), else in a set; the other readings are probed at C speed.  A
+check needs O(N) memory for N windows, and one that would not fit in physical
+memory raises ValueError before any window is read.  Only a failing check
+scans again, for the lexicographically first offending pair and its kind.
 """
 from __future__ import annotations
 
@@ -20,18 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .seqcore import (
-    FORWARD,
-    REVERSE,
-    SYMMETRIC,
-    PreconditionError,
-    Seq,
-    first_in,
-    require_memory,
-    reverse_value,
-    window_bits,
-    window_values,
-)
+from .seqcore import FORWARD, REVERSE, SYMMETRIC, GeneratingCycle, PreconditionError, Seq
+from .seqcore import first_in, require_memory, reverse_value, window_bits, window_values
 
 __all__ = [
     "Counterexample",
@@ -56,13 +47,15 @@ class Counterexample:
     kind: str = FORWARD
 
 
-# Bytes per window charged to a check, a bound on its peak (tracemalloc,
-# verify_orientable).  With tables of marks: 13-23 on family members and one-bit
-# mutants at orders 16-22.  With sets, from ~50,000 windows up: 64-106 on the same
-# inputs, up to 129 at order 64 on random words of 40,000-325,000 bits; above 64 the
-# windows are lists of ints, 4 bytes more per 30 bits in each reading, and the peaks
-# are 141.5 + 8 * ceil(n / 30) at 65-1000.  Below ~50,000 windows a set grows 4x at a
-# time and may pass the charge (184 at order 64 on a 20,000-bit word), at a few MB.
+# Bytes per window charged to a check whose table is a set, a bound on its peak
+# (tracemalloc, verify_orientable) from ~50,000 windows up: 64-106 on family
+# members and one-bit mutants at orders 16-22, up to 129 at order 64 on random words
+# of 40,000-325,000 bits; above 64 the windows are lists of ints, 4 bytes more per 30
+# bits in each reading, and the peaks are 141.5 + 8 * ceil(n / 30) at 65-1000.  Below
+# ~50,000 windows a set grows 4x at a time and may pass the charge (184 at order 64 on
+# a 20,000-bit word), at a few MB.  A table of 2^n marks is charged 32: two window
+# arrays of 4 bytes (8 past order 32) and at most two tables of 2^n <= 8 N marks;
+# family members and one-bit mutants peak at 13-23.
 BYTES_PER_WINDOW = 144
 
 # Most bytes per window that a table of 2^n marks may take; every family member
@@ -70,11 +63,19 @@ BYTES_PER_WINDOW = 144
 _DENSE = 8
 
 
+def _dense(n: int, count: int) -> bool:
+    """Whether count n-bit windows go in 2^n marks; no order past 64 fits."""
+    return n <= 64 and 1 << n <= _DENSE * count
+
+
 def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
-    """The n-windows of s as integers by position, optionally each read backwards."""
+    """The n-windows of s as integers by position, optionally each read backwards;
+    the check is charged first, before a cycle is extended."""
+    count = len(s) if isinstance(s, GeneratingCycle) else len(s) - n + 1
+    if n >= 1:  # below, window_bits raises WindowRangeError
+        size = BYTES_PER_WINDOW + (16 + 8 * -(-n // 30) if n > 64 else 0)
+        require_memory(f"the windows at order {n}", count, 32 if _dense(n, count) else size)
     x, length = window_bits(s, n)
-    size = BYTES_PER_WINDOW + (16 + 8 * -(-n // 30) if n > 64 else 0)
-    require_memory(f"the windows at order {n}", length - n + 1, size)
     values = window_values(reverse_value(x, length) if reverse else x, length, n)
     if reverse:
         values.reverse()
@@ -83,9 +84,8 @@ def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
 
 def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int], object], int]:
     """(has, count): has(v) is true iff v occurs in the n-bit values at least
-    `times` times (1 or 2), and count is the number of such v.  A bytearray of 2^n
-    marks where that is at most _DENSE bytes per value, else a set."""
-    if 1 << n > _DENSE * len(values):
+    `times` times (1 or 2), and count is the number of such v."""
+    if not _dense(n, len(values)):
         keys = set(values) if times == 1 else {v for v, k in Counter(values).items() if k > 1}
         return keys.__contains__, len(keys)
     marks = bytearray(1 << n)
@@ -100,63 +100,56 @@ def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int
     return marks.__getitem__, len(marks) - marks.count(0)
 
 
-def _first_repeat(values: Sequence[int], n: int) -> tuple[int, int]:
-    """(i, j): i is the first position whose value recurs (one must), j the next."""
-    i = first_in(values, _table(values, n, 2)[0])
-    return i, values.index(values[i], i + 1)
+def _first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Counterexample]:
+    """The least (i, j, kind) with reads[kind][i] == theirs[j], or None.
 
-
-def verify_nwindow(s: Seq, n: int) -> Optional[Counterexample]:
-    """None if all n-windows of s are distinct, else the first repeat."""
-    values = _values(s, n)
-    if _table(values, n)[1] == len(values):
-        return None
-    return Counterexample(*_first_repeat(values, n), FORWARD)
-
-
-def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
-    """None if no n-window of s repeats in either reading direction.
-
-    A reversed collision with i == j means the window is symmetric, which on
-    its own already rules out orientability.
+    If reads[0] is theirs, s is checked against itself: a forward pair needs
+    j != i (j is the next repeat), and a reverse pair with i == j is symmetric;
+    rev[i] == fwd[j] iff fwd[i] == rev[j], so the reverse reading probes the
+    table of the forward one.
     """
-    fwd = _values(s, n)
-    rev = _values(s, n, reverse=True)
-    seen, distinct = _table(fwd, n)
-    unique = distinct == len(fwd)
-    if unique and not any(map(seen, rev)):
+    has, distinct = _table(theirs, n)
+    itself = reads[0] is theirs
+    found = []
+    for kind in reversed(range(len(reads))):  # a self-check's forward reading last
+        values, repeat = reads[kind], itself and not kind
+        if not (distinct < len(theirs) if repeat else any(map(has, values))):
+            continue
+        if repeat:
+            del has  # freed before the table of repeats is built
+            has = _table(theirs, n, 2)[0]
+        i = first_in(values, has)
+        j = theirs.index(values[i], i + 1 if repeat else 0)
+        found.append((i, j, 2 if itself and kind and i == j else kind))
+    if not found:
         return None
-    del seen
-    found = [] if unique else [(*_first_repeat(fwd, n), 0)]
-    i = first_in(fwd, _table(rev, n)[0])
-    if i is not None:
-        j = rev.index(fwd[i])
-        found.append((i, j, 2 if i == j else 1))
     i, j, kind = min(found)
     return Counterexample(i, j, _KINDS[kind])
 
 
-def _first_shared(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Counterexample]:
-    """Least (i, j, kind) with reads[kind][i] == theirs[j], or None."""
-    has = _table(theirs, n)[0]
-    hits = [i for i in (first_in(values, has) for values in reads) if i is not None]
-    if not hits:
-        return None
-    i = min(hits)
-    j, kind = min((theirs.index(v[i]), kind) for kind, v in enumerate(reads) if has(v[i]))
-    return Counterexample(i, j, _KINDS[kind])
+def verify_nwindow(s: Seq, n: int) -> Optional[Counterexample]:
+    """None if all n-windows of s are distinct, else the first repeat."""
+    fwd = _values(s, n)
+    return _first_collision((fwd,), fwd, n)
+
+
+def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
+    """None if no n-window of s repeats in either reading direction; a window
+    equal to its own reversal (i == j, symmetric) already rules it out."""
+    fwd = _values(s, n)
+    return _first_collision((fwd, _values(s, n, reverse=True)), fwd, n)
 
 
 def verify_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window."""
     theirs = _values(t, n)
-    return _first_shared((_values(s, n),), theirs, n)
+    return _first_collision((_values(s, n),), theirs, n)
 
 
 def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window in either reading direction."""
     theirs = _values(t, n)
-    return _first_shared((_values(s, n), _values(s, n, reverse=True)), theirs, n)
+    return _first_collision((_values(s, n), _values(s, n, reverse=True)), theirs, n)
 
 
 def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:

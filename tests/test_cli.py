@@ -119,7 +119,8 @@ class TestVerify:
 def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeypatch):
     path = tmp_path / "p16.seq"
     assert run(capsys, "construct", "periodic", "--target-order", "16", "--out", str(path))[0] == 0
-    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB.
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
     for argv in (["verify", str(path)], ["locate", "--seq", str(path), "--window", "0" * 16]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -140,6 +141,33 @@ class TestBound:
     def test_invalid_order(self, capsys):
         code, _, err = run(capsys, "bound", "--order", "3")
         assert code == 2 and "error" in err
+
+
+class TestAbsurdOrders:
+    """Orders whose sizes could not be printed or tables not held are refused at once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--order", "100000000000"],
+            ["bound", "--order", "100000000000", "--aperiodic"],
+            ["search", "--order", "100000000000"],
+            ["search", "--order", "100000000000", "--mode", "aperiodic"],
+        ],
+        ids=["bound", "bound-aperiodic", "search", "search-aperiodic"],
+    )
+    def test_refused_before_any_work(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bound_past_the_digit_limit(self, capsys):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        most = (10**digits).bit_length()  # 14,285 at Python's default 4,300 digits
+        code, out, err = run(capsys, "bound", "--order", "20000")
+        assert (code, out) == (2, "")
+        assert err == f"error: bounds end at order {most} ({digits}-digit sizes), got 20000\n"
+        assert run(capsys, "bound", "--order", str(most))[0] == 0
 
 
 class TestSearch:

@@ -18,6 +18,7 @@ from orientseq.seqcore import (
 )
 
 from conftest import cycles, finite_seqs, windows_st
+from string_oracle import cyclic_slice
 
 
 class TestConstruction:
@@ -95,6 +96,18 @@ class TestWindow:
     @given(cycles(), st.integers(-20, 100), st.integers(1, 10))
     def test_window_wraps_modulo_period(self, c, i, n):
         assert cyclic_value(c, i, n) == cyclic_value(c, i % c.period, n)
+
+    @given(cycles(max_size=12), st.integers(0, 40), st.booleans(), st.data())
+    def test_long_extensions_match_the_string_oracle(self, c, periods, partial, data):
+        # Past its first piece, cyclic_value extends by doubling blocks of whole periods.
+        m = c.period
+        start = data.draw(st.integers(0, m - 1), label="start")
+        rest = data.draw(st.integers(1, m - 1), label="partial") if partial and m > 1 else 0
+        length = (m - start) + periods * m + rest
+        assert cyclic_value(c, start, length) == int(cyclic_slice(c.bits, start, length), 2)
+        n = periods * m + rest + 1  # the n-1 bits extending the period
+        ext = cyclic_slice(c.bits, 0, m + n - 1)
+        assert window_bits(c, n) == (int(ext, 2), len(ext))
 
 
 class TestWindowValues:

@@ -144,8 +144,9 @@ class TestMemoryGuard:
     def test_checks_past_physical_memory_are_refused(self, monkeypatch):
         small, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 14)
         large, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
-        # 1 MiB holds the 2,389 windows at order 14, at BYTES_PER_WINDOW each, not the 9,557 at 16.
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+        # 256 KiB holds the 2,389 windows at order 14, at 32 bytes each in a table of
+        # marks, not the 9,557 at 16.
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
         assert verify_orientable(small, 14) is None
         with pytest.raises(ValueError, match="^the windows at order 16 need about .* GiB"):
             verify_orientable(large, 16)
@@ -169,6 +170,26 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= windows * BYTES_PER_WINDOW
+
+    def test_charge_follows_the_table(self, monkeypatch):
+        # Family members are checked in tables of marks, a sparse word in a set.
+        members = [member(kind, 16) for kind in ("periodic", "aperiodic")]
+        charged = []
+        monkeypatch.setattr(verifier, "require_memory", lambda *a: charged.append(a[2]))
+        for s in members:
+            assert verify_orientable(s, 16) is None
+        assert len(charged) == 4 and max(charged) <= 32
+        charged.clear()
+        s = FiniteSeq(format(random.Random(40).getrandbits(60_000), "060000b"))
+        assert verify_orientable(s, 40) is None
+        assert charged == [BYTES_PER_WINDOW] * 2
+
+    def test_short_cycles_at_huge_orders(self):
+        # The charge comes before the cyclic extension is built.
+        s = GeneratingCycle("001010111")
+        assert verify_orientable(s, 10**6) is None
+        with pytest.raises(ValueError, match="^the windows at order 1000000000000 need about"):
+            verify_orientable(s, 10**12)
 
     @pytest.mark.parametrize("n", [65, 200, 1000])
     def test_charge_past_order_64_grows_with_the_order(self, n, monkeypatch):
