@@ -19,7 +19,6 @@ from .aperiodic import (
 from .join import debruijn_lempel, find_conjugate_positions, join_at
 from .lempel import (
     InverseImage,
-    InverseKind,
     d_forward_aperiodic,
     d_forward_periodic,
     d_inverse_aperiodic,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .lempel import d_inverse_aperiodic
 from .periodic import ConstructionTrace, TraceStep
 from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value, window_bits
-from .seqcore import require_memory
+from .seqcore import capped_size, require_memory
 from .verifier import require_orientable
 
 __all__ = [
@@ -93,8 +93,8 @@ def build_aos(
     if not is_ideal(starter, n0):
         raise PreconditionError(f"starter is not ideal at order {n0}")
     require_orientable(starter, n0, "starter")
-    steps = n_target - n0  # the length is >= 2^steps: from 1000 steps on, refuse unevaluated
-    length = predicted_length(len(starter), n0, steps) if steps < 1000 else 1 << 1000
+    steps = n_target - n0  # the length is >= 2^steps
+    length = capped_size(steps, lambda: predicted_length(len(starter), n0, steps))
     require_memory(f"the sequence and its copies at order {n_target}", length)
     s = starter
     trace = ConstructionTrace([TraceStep(n0, len(s), s.weight, False, None)])

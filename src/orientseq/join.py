@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lempel import InverseKind, d_inverse_periodic
-from .seqcore import (
-    GeneratingCycle,
-    PreconditionError,
-    cyclic_value,
-    first_in,
-    require_memory,
-    rotate_left,
-    window_bits,
-    window_values,
-)
+from .lempel import d_inverse_periodic
+from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, first_in
+from .seqcore import require_memory, rotate_left, window_bits, window_values
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
 
@@ -85,11 +77,11 @@ def debruijn_lempel(n: int) -> GeneratingCycle:
     """
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
-    require_memory(f"the sequence and its copies at order {n}", 1 << n)
+    require_memory(f"the sequence and its copies at order {n}", capped_size(n, lambda: 1 << n))
     c = GeneratingCycle("01")
     for k in range(1, n):
         inv = d_inverse_periodic(c)
-        if inv.kind is InverseKind.DOUBLED_SINGLE:
+        if inv.second is None:
             c = inv.first
             continue
         pos = find_conjugate_positions(inv.first, inv.second, k + 1)

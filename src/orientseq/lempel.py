@@ -9,7 +9,8 @@ a complementary pair, one bit longer.
 Phase conventions, chosen once so every operation is deterministic:
 
 * complementary pairs: ``first`` starts with a 0, ``second`` is its complement;
-* doubled single cycles: the output's first bit equals the input's first bit.
+* doubled single cycles: ``second`` is None, and the output's first bit
+  equals the input's first bit.
 
 Both are aligned so that output position 0 integrates from input position 0.
 Both maps work on packed integers: the forward map XORs a shifted copy, the
@@ -18,13 +19,11 @@ inverse is a prefix XOR by doubling shifts, a complement XORs all ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .seqcore import FiniteSeq, GeneratingCycle, Seq, WindowRangeError, least_period, rotate_left
 
 __all__ = [
-    "InverseKind",
     "InverseImage",
     "d_forward_periodic",
     "d_inverse_periodic",
@@ -32,23 +31,15 @@ __all__ = [
     "d_inverse_aperiodic",
 ]
 
-class InverseKind(Enum):
-    COMPLEMENTARY_PAIR = "complementary_pair"
-    DOUBLED_SINGLE = "doubled_single"
-
-
 @dataclass(frozen=True)
 class InverseImage:
     """The preimage of a sequence under the adjacent-XOR map."""
 
-    kind: InverseKind
     first: Seq
     second: Optional[Seq] = None
 
     def sequences(self) -> tuple[Seq, ...]:
-        if self.second is None:
-            return (self.first,)
-        return (self.first, self.second)
+        return (self.first,) if self.second is None else (self.first, self.second)
 
 
 def _prefix_xor(x: int, n: int) -> int:
@@ -91,15 +82,11 @@ def d_inverse_periodic(c: GeneratingCycle) -> InverseImage:
     if c.weight % 2 == 0:
         first = _integrate(x, m, 0)
         return InverseImage(
-            InverseKind.COMPLEMENTARY_PAIR,
-            GeneratingCycle._trusted(first, m),
-            GeneratingCycle._trusted(first ^ ones, m),
+            GeneratingCycle._trusted(first, m), GeneratingCycle._trusted(first ^ ones, m)
         )
     # Odd weight flips the second pass of the integral: a word, then its complement.
     half = _integrate(x, m, x >> (m - 1))
-    return InverseImage(
-        InverseKind.DOUBLED_SINGLE, GeneratingCycle._trusted((half << m) | (half ^ ones), 2 * m)
-    )
+    return InverseImage(GeneratingCycle._trusted((half << m) | (half ^ ones), 2 * m))
 
 
 def d_forward_aperiodic(s: FiniteSeq) -> FiniteSeq:
@@ -114,8 +101,4 @@ def d_inverse_aperiodic(s: FiniteSeq) -> InverseImage:
     """Preimage pair of a finite word; always complementary, one bit longer."""
     # The first word is a 0 followed by the prefix XORs of s.
     first, n = _prefix_xor(s.value, len(s)), len(s) + 1
-    return InverseImage(
-        InverseKind.COMPLEMENTARY_PAIR,
-        FiniteSeq._trusted(first, n),
-        FiniteSeq._trusted(first ^ ((1 << n) - 1), n),
-    )
+    return InverseImage(FiniteSeq._trusted(first, n), FiniteSeq._trusted(first ^ ((1 << n) - 1), n))

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .lempel import InverseKind, d_inverse_periodic
-from .seqcore import GeneratingCycle, PreconditionError, cyclic_value, require_memory
+from .lempel import d_inverse_periodic
+from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, require_memory
 from .verifier import require_orientable
 
 __all__ = [
@@ -120,7 +120,7 @@ def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceS
     is then a single doubled cycle, which is extended to odd weight.
     """
     inv = d_inverse_periodic(c)
-    if inv.kind is not InverseKind.DOUBLED_SINGLE:
+    if inv.second is not None:
         raise PreconditionError(
             f"input weight {c.weight} is even; the recursion needs odd weight"
         )
@@ -146,8 +146,8 @@ def build_orientable(
         raise PreconditionError(f"starter is not good at order {n0}")
     if starter.weight % 2 == 0:
         raise PreconditionError(f"starter weight {starter.weight} is even")
-    steps = n_target - n0  # the period is >= 2^steps: from 1000 steps on, refuse unevaluated
-    period = predicted_period(starter.period, *divmod(steps, 2)) if steps < 1000 else 1 << 1000
+    steps = n_target - n0  # the period is >= 2^steps
+    period = capped_size(steps, lambda: predicted_period(starter.period, *divmod(steps, 2)))
     require_memory(f"the sequence and its copies at order {n_target}", period)
     trace = ConstructionTrace([TraceStep(n0, starter.period, starter.weight, False, None)])
     c = starter

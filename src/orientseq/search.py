@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
-from .seqcore import FiniteSeq, GeneratingCycle, require_memory
+from .seqcore import FiniteSeq, GeneratingCycle, capped_size, require_memory
 from .verifier import require_orientable
 
 __all__ = ["SearchResult", "max_orientable_period", "max_aos_length"]
@@ -74,11 +74,12 @@ def _branch_and_bound(
     claims one orbit, so the most a walk from a root can reach is a constant
     `bound` checked against the best result at every node.
     """
-    # The tables and upper_bound(n) grow as 2^n: from order 1000 on, refuse unevaluated.
-    cap = upper_bound(n) if n < 1000 else 1 << 1000
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
-    require_memory(f"search tables at order {n}", 1 << min(n, 1000), BYTES_PER_WINDOW)
+    # One table entry per n-bit window; upper_bound(n), as large, waits for the guard.
+    windows = capped_size(n, lambda: 1 << max(n, 0))
+    require_memory(f"search tables at order {n}", windows, BYTES_PER_WINDOW)
+    cap = upper_bound(n)
     vmask = (1 << (n - 1)) - 1
     rev, orbit, taken = _orbit_table(n)
     orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones

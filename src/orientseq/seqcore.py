@@ -34,6 +34,7 @@ __all__ = [
     "rotate_left",
     "reverse_value",
     "first_in",
+    "capped_size",
     "require_memory",
 ]
 
@@ -62,20 +63,15 @@ class PreconditionError(ValueError):
     """Raised when an operation's stated precondition is violated."""
 
 
-def as_bits(bits: Union[str, Iterable[int]]) -> str:
-    """Normalise a bit string or iterable of 0/1 ints to a '0'/'1' string."""
-    if isinstance(bits, str):
-        s = bits
-    else:
-        try:
-            s = "".join("01"[b if b in (0, 1) else 2] for b in bits)  # "01"[2] raises
-        except (TypeError, IndexError):
-            raise BitsError(f"bits must be 0/1 values, got {bits!r}") from None
-    if not s:
+def as_bits(bits: str) -> str:
+    """bits, checked to be a non-empty string of '0' and '1' characters."""
+    if not isinstance(bits, str):
+        raise BitsError(f"bits must be a '0'/'1' string, got {bits!r}")
+    if not bits:
         raise BitsError("empty sequences are not allowed")
-    if s.strip("01"):
-        raise BitsError(f"bits must contain only '0' and '1', got {s!r}")
-    return s
+    if bits.strip("01"):
+        raise BitsError(f"bits must contain only '0' and '1', got {bits!r}")
+    return bits
 
 
 class _Packed:
@@ -83,9 +79,8 @@ class _Packed:
 
     __slots__ = ("_value", "_len")
 
-    def __init__(self, bits: Union[str, Iterable[int]]):
-        s = as_bits(bits)
-        self._value, self._len = int(s, 2), len(s)
+    def __init__(self, bits: str):
+        self._value, self._len = int(as_bits(bits), 2), len(bits)
 
     @classmethod
     def _trusted(cls, value: int, length: int):
@@ -142,7 +137,7 @@ class GeneratingCycle(_Packed):
 
     __slots__ = ()
 
-    def __init__(self, bits: Union[str, Iterable[int]]):
+    def __init__(self, bits: str):
         super().__init__(bits)
         self._require_minimal()
 
@@ -249,7 +244,7 @@ def window_values(x: int, length: int, n: int) -> Sequence[int]:
     return out
 
 
-def first_in(values: Iterable[int], has: Callable[[int], object]) -> Optional[int]:
+def first_in(values: Iterable, has: Callable[[int], object]) -> Optional[int]:
     """The first position p with has(values[p]) true, or None; a C-speed scan
     where has is a C method such as set.__contains__ or bytearray.__getitem__."""
     return next(compress(count(), map(has, values)), None)
@@ -261,17 +256,28 @@ def first_in(values: Iterable[int], has: Callable[[int], object]) -> Optional[in
 BYTES_PER_BIT = 8
 
 
+# Needs of 2^SIZE_LIMIT bytes and up are refused, and sizes known to reach that many
+# items are not computed: at order 10^11 the int 2^order alone would take 12.5 GB.
+SIZE_LIMIT = 1000
+
+
+def capped_size(log2: int, count: Callable[[], int]) -> int:
+    """count(), a size known to be at least 2^log2; once log2 reaches SIZE_LIMIT,
+    2^SIZE_LIMIT in its place without calling count, which require_memory refuses."""
+    return count() if log2 < SIZE_LIMIT else 1 << SIZE_LIMIT
+
+
 def require_memory(what: str, count: int, size: int = BYTES_PER_BIT) -> None:
-    """Raise ValueError if count items of size bytes, for what, exceed physical
-    memory; nothing is checked where the platform does not report its memory."""
+    """Raise ValueError if count items of size bytes, for what, reach 2^SIZE_LIMIT
+    bytes or exceed physical memory; only the first is checked where the platform
+    does not report its memory."""
+    need = count * size
+    if need >= 1 << SIZE_LIMIT:
+        raise ValueError(f"{what} need at least 2^{SIZE_LIMIT} bytes, more than any machine holds")
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = count * size
     if need > have:
-        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
-        raise ValueError(
-            f"{what} need about {gib:,.1f} GiB,"
-            f" more than the {have / 2**30:,.1f} GiB of physical memory"
-        )
+        raise ValueError(f"{what} need about {need / 2**30:,.1f} GiB,"
+                         f" more than the {have / 2**30:,.1f} GiB of physical memory")

@@ -26,7 +26,7 @@ class SequenceFile:
     order: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", as_bits(self.bits))
+        as_bits(self.bits)
 
     def to_cycle(self) -> GeneratingCycle:
         return GeneratingCycle._trusted(int(self.bits, 2), len(self.bits))._require_minimal()
@@ -56,9 +56,7 @@ def parse_sequence(text: str) -> SequenceFile:
             continue
         bits_lines.append(line)
     if len(bits_lines) != 1:
-        raise BitsError(
-            f"expected exactly one line of bits, found {len(bits_lines)}"
-        )
+        raise BitsError(f"expected exactly one line of bits, found {len(bits_lines)}")
     return SequenceFile(bits=bits_lines[0], mode=mode, order=order)
 
 
@@ -67,16 +65,9 @@ def read_sequence(path: Union[str, os.PathLike]) -> SequenceFile:
         return parse_sequence(fh.read())
 
 
-def write_sequence(
-    path: Union[str, os.PathLike],
-    seq: Union[GeneratingCycle, FiniteSeq, str],
-    *,
-    mode: Optional[str] = None,
-    order: Optional[int] = None,
-) -> None:
-    bits = seq if isinstance(seq, str) else seq.bits  # built once, for output
-    if not isinstance(seq, str):
-        mode = mode or ("periodic" if isinstance(seq, GeneratingCycle) else "aperiodic")
+def write_sequence(path: Union[str, os.PathLike], bits: str, *,
+                   mode: Optional[str] = None, order: Optional[int] = None) -> None:
+    """Write the '0'/'1' string bits under a header naming the mode and order given."""
     header = f"# mode={mode}" if mode else "#"
     if order is not None:
         header += f" order={order}"

@@ -153,8 +153,9 @@ class TestAbsurdOrders:
             ["bound", "--order", "100000000000", "--aperiodic"],
             ["search", "--order", "100000000000"],
             ["search", "--order", "100000000000", "--mode", "aperiodic"],
+            ["construct", "debruijn", "--order", "100000000000"],
         ],
-        ids=["bound", "bound-aperiodic", "search", "search-aperiodic"],
+        ids=["bound", "bound-aperiodic", "search", "search-aperiodic", "debruijn"],
     )
     def test_refused_before_any_work(self, capsys, argv):
         code, out, err = run(capsys, *argv)

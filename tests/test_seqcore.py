@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orientseq.aperiodic import build_aos
+from orientseq.join import debruijn_lempel
+from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
+from orientseq.search import max_aos_length, max_orientable_period
 from orientseq.seqcore import (
+    SIZE_LIMIT,
     BitsError,
     FiniteSeq,
     GeneratingCycle,
     NonMinimalPeriodError,
     WindowRangeError,
+    capped_size,
     cyclic_value,
     require_memory,
     reverse_value,
@@ -25,7 +34,9 @@ class TestConstruction:
     def test_cycle_accepts_minimal_periods(self):
         assert GeneratingCycle("001101").bits == "001101"
         assert GeneratingCycle("0").period == 1
-        assert GeneratingCycle([0, 1, 1]).bits == "011"
+        # Bits enter as '0'/'1' strings only.
+        with pytest.raises(BitsError, match="^bits must be a '0'/'1' string, got \\[0, 1, 1\\]$"):
+            GeneratingCycle([0, 1, 1])
 
     @pytest.mark.parametrize("bad", ["0101", "0000", "011011", "11"])
     def test_cycle_rejects_non_minimal_periods(self, bad):
@@ -186,8 +197,50 @@ class TestRequireMemory:
     def test_small_needs_pass(self):
         require_memory("a table", 1 << 20)
 
-    @pytest.mark.parametrize("need", [1 << 70, 1 << 5000], ids=["2^70", "2^5000"])
-    def test_needs_past_physical_memory_are_refused(self, need):
-        # 2^5000 bytes is past the float range: still a ValueError, not an overflow.
-        with pytest.raises(ValueError, match="^a table need about .* GiB, more than the"):
+    @pytest.mark.parametrize(
+        "need,text",
+        [(1 << 70, "about .* GiB, more than the"), (1 << 5000, "at least 2\\^1000 bytes,")],
+        ids=["2^70", "2^5000"],
+    )
+    def test_needs_past_physical_memory_are_refused(self, need, text):
+        # 2^5000 bytes is past the float range: refused at the size limit, no GiB figure.
+        with pytest.raises(ValueError, match=f"^a table need {text}") as refused:
             require_memory("a table", need, 1)
+        assert "inf" not in str(refused.value)
+
+    def test_size_limit_holds_where_memory_is_not_reported(self, monkeypatch):
+        def unreported(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "sysconf", unreported)
+        require_memory("a table", 1 << 70, 1)
+        with pytest.raises(ValueError, match="^a table need at least 2\\^1000 bytes,"):
+            require_memory("a table", 1 << 999, 2)
+
+    def test_sizes_past_the_limit_are_not_computed(self):
+        def count():
+            raise AssertionError("computed")
+
+        assert capped_size(SIZE_LIMIT, count) == 1 << SIZE_LIMIT
+        assert capped_size(SIZE_LIMIT - 1, lambda: 7) == 7
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n),
+        build_aos,
+        debruijn_lempel,
+        max_orientable_period,
+        max_aos_length,
+    ],
+    ids=["build_orientable", "build_aos", "debruijn_lempel", "max_orientable_period",
+         "max_aos_length"],
+)
+def test_absurd_orders_are_refused_at_the_size_limit(build):
+    # 2^(10^11) bits or windows: refused from the order alone, the size never computed.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="need at least 2\\^1000 bytes,") as refused:
+        build(10**11)
+    assert time.perf_counter() - start < 0.5
+    assert "inf" not in str(refused.value)

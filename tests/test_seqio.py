@@ -41,7 +41,8 @@ class TestParse:
     def test_hand_built_file_is_validated(self):
         with pytest.raises(BitsError):
             SequenceFile(bits="01x0")
-        assert SequenceFile(bits=[0, 1, 1]).bits == "011"
+        with pytest.raises(BitsError, match="^bits must be a '0'/'1' string"):
+            SequenceFile(bits=[0, 1, 1])
 
     def test_non_minimal_periodic_file(self):
         text = r"^\[0101\] is not a minimal period \(repeats every 2 bits\)$"
@@ -52,13 +53,13 @@ class TestParse:
 class TestRoundTrip:
     def test_cycle_file(self, tmp_path):
         path = tmp_path / "c.seq"
-        write_sequence(path, GeneratingCycle("001101"), order=5)
+        write_sequence(path, GeneratingCycle("001101").bits, mode="periodic", order=5)
         f = read_sequence(path)
         assert (f.bits, f.mode, f.order) == ("001101", "periodic", 5)
 
     def test_finite_file(self, tmp_path):
         path = tmp_path / "s.seq"
-        write_sequence(path, FiniteSeq("00010111"), order=4)
+        write_sequence(path, FiniteSeq("00010111").bits, mode="aperiodic", order=4)
         f = read_sequence(path)
         assert (f.bits, f.mode, f.order) == ("00010111", "aperiodic", 4)
 
