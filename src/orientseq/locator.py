@@ -4,65 +4,89 @@ Once a sequence is orientable at order n, every n-bit window read off it in
 either direction is unique, so any window a reader sees names the position
 where it occurs and the direction of travel.  There are two ways to look up:
 
-* many lookups: build_index tabulates all 2N windows once, then each locate
-  is one dict probe; it refuses an index past physical memory up front;
+* many lookups: build_index tabulates all 2N windows once, keyed by their
+  integer values, and each locate is one int() parse and one table read; it
+  refuses an index past physical memory up front;
 * one lookup: find scans the sequence's window string with at most two
   str.find calls, forward and then reversed, and builds no table.
 
-Both refuse non-orientable sources and give the same answers.
+Both refuse non-orientable sources and give the same answers.  Queries are
+'0'/'1' strings; anything else of the right length is absent.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .seqcore import FORWARD, REVERSE, PreconditionError, Seq, require_memory, window_bits
-from .verifier import require_orientable
+from .verifier import _dense, _values, _window_count, require_orientable
 
 __all__ = ["LocatorIndex", "build_index", "locate", "find"]
 
-# Index bytes per window besides its two n-byte keys: tracemalloc peaks at 306-325
-# on family members at orders 16-20, and on order-16 members at orders up to 1,000.
-BYTES_PER_WINDOW = 384
+# Bytes per window charged to an index in a dict, a bound on its peak (tracemalloc):
+# 177-298 on family members and random words of 100-450,000 bits at orders 30-1000, plus
+# 8 per 30 bits of the order past 64.  An array of 2^n <= 8N slots is charged 12 slot
+# widths (the slots, two window arrays); family members peak at 36 and 20.5 (aperiodic).
+BYTES_PER_WINDOW = 320
 
 
 @dataclass(frozen=True)
 class LocatorIndex:
     """Complete window -> (position, orientation) table for one sequence.
 
-    Periodic positions are modulo the period, anchored at the generating
-    cycle's first bit; a reverse entry reports the position of the window
-    whose reversal was looked up, in source coordinates.
+    table maps the value of the forward window at i to i + 1 and of its reversal
+    to -(i + 1), in an array of 2^n slots (0: no window) where that is dense, as
+    for every family member, else in a dict.  Periodic positions are modulo the
+    period, anchored at the generating cycle's first bit; a reverse entry reports
+    the position of the window whose reversal was looked up.  len() is 2N.
     """
 
     order: int
-    entries: dict[str, tuple[int, str]]
+    table: Union[array, dict[int, int]]
+    count: int
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.count
 
 
 def build_index(s: Seq, n: int) -> LocatorIndex:
     """Index every window of s, in both directions, at order n; an index that
     would not fit in physical memory raises ValueError before any window is read."""
-    require_memory(f"the index at order {n}", len(s), BYTES_PER_WINDOW + 2 * n)
-    bits = _window_string(s, n)
-    windows = [bits[i : i + n] for i in range(len(bits) - n + 1)]
-    entries: dict[str, tuple[int, str]] = {}
-    for i, w in enumerate(windows):
-        entries[w] = (i, FORWARD)
-    for i, w in enumerate(windows):
-        entries[w[::-1]] = (i, REVERSE)
-    # 2N distinct keys iff s is orientable; the verifier only words the refusal.
-    if len(entries) != 2 * len(windows):
+    count = _window_count(s, n)
+    dense, code = _dense(n, count), "i" if 2 * count < 1 << 31 else "q"
+    size = 12 * array(code).itemsize if dense else BYTES_PER_WINDOW + 8 * -(-n // 30)
+    require_memory(f"the index at order {n}", len(s), size)
+    fwd, rev = _values(s, n), _values(s, n, reverse=True)
+    slots = range(1, len(fwd) + 1)
+    if dense:
+        table = array(code, [0]) * (1 << n)
+        for i, v in zip(slots, fwd):
+            table[v] = i
+        for i, v in zip(slots, rev):
+            table[v] = -i
+        filled = len(table) - table.count(0)
+    else:
+        table = dict(zip(fwd, slots))
+        table.update(zip(rev, range(-1, -len(fwd) - 1, -1)))
+        filled = len(table)
+    # 2N distinct values iff s is orientable; the verifier only words the refusal.
+    if filled != 2 * len(fwd):
         require_orientable(s, n, "source")
-    return LocatorIndex(n, entries)
+    return LocatorIndex(n, table, filled)
 
 
 def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
     """(position, orientation) of the window t, or None if absent."""
     _require_order(t, idx.order)
-    return idx.entries.get(t)
+    # int() would also read '0b', '_', spaces, a sign and non-ASCII digits.
+    if not (isinstance(t, str) and t.isascii() and t.isdigit()):
+        return None
+    try:
+        k = idx.table[int(t, 2)]
+    except (KeyError, ValueError):  # absent from a dict, or a digit 2-9
+        return None
+    return (k - 1, FORWARD) if k > 0 else (-k - 1, REVERSE) if k else None
 
 
 def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
@@ -70,18 +94,13 @@ def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
     require_orientable(s, n, "source")
     _require_order(t, n)
     # Every offset of the window string is a window start, so a hit is a position.
-    bits = _window_string(s, n)
+    x, length = window_bits(s, n)
+    bits = format(x, f"0{length}b")
     for w, orientation in ((t, FORWARD), (t[::-1], REVERSE)):
         i = bits.find(w)
         if i >= 0:
             return i, orientation
     return None
-
-
-def _window_string(s: Seq, n: int) -> str:
-    """s's bits, a cycle's extended by n-1: its n-windows are the n-bit slices."""
-    x, length = window_bits(s, n)
-    return format(x, f"0{length}b")
 
 
 def _require_order(t: str, n: int) -> None:

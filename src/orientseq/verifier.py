@@ -65,13 +65,18 @@ _DENSE = 8
 
 def _dense(n: int, count: int) -> bool:
     """Whether count n-bit windows go in 2^n marks; no order past 64 fits."""
-    return n <= 64 and 1 << n <= _DENSE * count
+    return 0 < n <= 64 and 1 << n <= _DENSE * count
+
+
+def _window_count(s: Seq, n: int) -> int:
+    """The number of n-windows of s, below 1 if a finite s has none."""
+    return len(s) if isinstance(s, GeneratingCycle) else len(s) - n + 1
 
 
 def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
     """The n-windows of s as integers by position, optionally each read backwards;
     the check is charged first, before a cycle is extended."""
-    count = len(s) if isinstance(s, GeneratingCycle) else len(s) - n + 1
+    count = _window_count(s, n)
     if n >= 1:  # below, window_bits raises WindowRangeError
         size = BYTES_PER_WINDOW + (16 + 8 * -(-n // 30) if n > 64 else 0)
         require_memory(f"the windows at order {n}", count, 32 if _dense(n, count) else size)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from orientseq.locator import LocatorIndex
 from orientseq.seqcore import (
     FORWARD,
     REVERSE,
@@ -169,7 +168,8 @@ def find_conjugate_positions(
     return _conjugate_positions(s.bits, t.bits, n)
 
 
-def build_index(s: Seq, n: int) -> LocatorIndex:
+def build_index(s: Seq, n: int) -> dict[str, tuple[int, str]]:
+    """Every window of s and its reversal -> (position, orientation)."""
     cx = verify_orientable(s, n)
     if cx is not None:
         raise PreconditionError(
@@ -183,7 +183,7 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     for i, w in enumerate(windows):
         entries[w[::-1]] = (i, REVERSE)
     assert len(entries) == 2 * len(windows)
-    return LocatorIndex(n, entries)
+    return entries
 
 
 # Construction steps on bit strings.

@@ -15,6 +15,8 @@ give bit-identical family members.
 from __future__ import annotations
 
 import functools
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -151,18 +153,115 @@ class TestConjugatePositions:
         assert oracle.find_conjugate_positions(s, t, n) is None
 
 
+def every_word(n):
+    return map(f"{{:0{n}b}}".format, range(1 << n))
+
+
+def hits(idx):
+    """locate's answer for every word that hits, as the oracle's dict of entries."""
+    answers = ((w, locator.locate(idx, w)) for w in every_word(idx.order))
+    return {w: hit for w, hit in answers if hit is not None}
+
+
+def indexed(s, n):
+    """hits(build_index(s, n)), asserting that the index took the verifier's path:
+    an array of 2^n slots iff its windows are dense enough for 2^n marks."""
+    idx = locator.build_index(s, n)
+    assert isinstance(idx.table, array) is verifier._dense(n, verifier._window_count(s, n))
+    return hits(idx)
+
+
+def window_string(kind, m, n):
+    """The bits whose n-windows are the windows of the order-m family member."""
+    source = family(kind, m)
+    return source.bits + source.bits[: n - 1] if kind == "periodic" else source.bits
+
+
+def piece_counts(kind, m, n, dense):
+    """The window counts of the pieces of window_string(kind, m, n) that an index
+    keeps in an array (dense) or in a dict, as a range."""
+    most, least = len(window_string(kind, m, n)) - n + 1, -(-(1 << n) // 8)
+    return range(least, most + 1) if dense else range(1, min(most, least - 1) + 1)
+
+
+MEMBERS = [("periodic", m) for m in range(6, 11)] + [("aperiodic", m) for m in range(2, 11)]
+SHAPES = {
+    dense: [(kind, m, n) for kind, m in MEMBERS for n in range(m, 13) if piece_counts(kind, m, n, dense)]
+    for dense in (True, False)
+}
+
+
+@st.composite
+def member_pieces(draw, dense):
+    """(s, n): a piece of an order-m family member's window string, orientable at
+    every order n >= m, with enough windows for an array index or too few."""
+    kind, m, n = draw(st.sampled_from(SHAPES[dense]))
+    bits = window_string(kind, m, n)
+    count = draw(st.sampled_from(piece_counts(kind, m, n, dense)))
+    start = draw(st.integers(0, len(bits) - n + 1 - count))
+    return FiniteSeq(bits[start : start + count + n - 1]), n
+
+
 class TestBuildIndex:
     @given(sequences, st.integers(1, 12))
     def test_rejects_exactly_what_the_oracle_rejects(self, s, n):
-        assert outcome(locator.build_index, s, n) == outcome(oracle.build_index, s, n)
+        assert outcome(indexed, s, n) == outcome(oracle.build_index, s, n)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["array", "dict"])
+    @given(data=st.data())
+    def test_every_word_of_orientable_pieces(self, dense, data):
+        s, n = data.draw(member_pieces(dense))
+        idx = locator.build_index(s, n)
+        assert isinstance(idx.table, array) is dense
+        assert hits(idx) == oracle.build_index(s, n)
 
     @pytest.mark.parametrize("kind,n", [("periodic", 10), ("aperiodic", 10)])
     def test_family_member_and_mutant(self, kind, n):
         source = family(kind, n)
-        assert locator.build_index(source, n) == oracle.build_index(source, n)
+        assert indexed(source, n) == oracle.build_index(source, n)
         bits = flip(source.bits, 0)
         mutant = as_cycle(bits) if kind == "periodic" else FiniteSeq(bits)
-        assert outcome(locator.build_index, mutant, n) == outcome(oracle.build_index, mutant, n)
+        assert outcome(indexed, mutant, n) == outcome(oracle.build_index, mutant, n)
+
+    @pytest.mark.parametrize(
+        "kind,n", [("periodic", n) for n in range(6, 13)] + [("aperiodic", n) for n in range(2, 13)]
+    )
+    def test_family_members_index_in_an_array(self, kind, n):
+        source = family(kind, n)
+        idx = locator.build_index(source, n)
+        assert isinstance(idx.table, array)
+        assert hits(idx) == oracle.build_index(source, n)
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    def test_family_members_at_order_40_index_in_a_dict(self, kind):
+        source = family(kind, 12)
+        idx = locator.build_index(source, 40)
+        entries = oracle.build_index(source, 40)
+        assert isinstance(idx.table, dict) and len(idx) == len(entries)
+        assert all(locator.locate(idx, w) == hit for w, hit in entries.items())
+        words = [format(v, "040b") for v in random.Random(kind).choices(range(1 << 40), k=1000)]
+        assert all(locator.locate(idx, w) is None for w in words if w not in entries)
+
+
+class TestLocateJunk:
+    """Words of the right length that int(t, 2) reads as a present window, or that
+    are not strings, are absent, as they are from the oracle's dict of strings."""
+
+    @pytest.mark.parametrize("n", [8, 40], ids=["array", "dict"])
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    def test_junk_is_absent(self, kind, n):
+        source = family(kind, 8)
+        idx = locator.build_index(source, n)
+        w = next(w for w in oracle.build_index(source, n) if w.startswith("00") and "1" in w)
+        x, k = w[2:], w.index("1")
+        # int(t, 2) reads each of these as w; a sign, a digit 2-9 or bytes is no hit either.
+        read_as_w = ["0b" + x, "0_" + x, " 0" + x, "\n0" + x, "0" + x + " ", "0" + x + "\n", "+0" + x,
+                     w[:k] + "\u0661" + w[k + 1 :]]
+        others = ["-0" + x, w[:k] + "2" + w[k + 1 :], "9" + w[1:], w.encode()]
+        assert locator.locate(idx, w) is not None
+        assert all(int(t, 2) == int(w, 2) for t in read_as_w)
+        for t in read_as_w + others:
+            assert len(t) == n and locator.locate(idx, t) is None
 
 
 def locate_by_index(s, n, t):
@@ -186,7 +285,7 @@ class TestFind:
     def test_absent_windows(self, kind, n):
         source = family(kind, n)
         idx = locator.build_index(source, n)
-        absent = [w for w in map(f"{{:0{n}b}}".format, range(1 << n)) if w not in idx.entries]
+        absent = [w for w in every_word(n) if locator.locate(idx, w) is None]
         assert absent
         assert all(locator.find(source, n, w) is None for w in absent)
 

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import os
+import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
+from orientseq import locator
 from orientseq.aperiodic import build_aos
-from orientseq.locator import BYTES_PER_WINDOW, build_index, locate
+from orientseq.locator import build_index, locate
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
 from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError
+from orientseq.verifier import verify_orientable
 
 from string_oracle import all_windows
 
@@ -32,9 +36,10 @@ class TestMemoryGuard:
     def test_indexes_past_physical_memory_are_refused(self, monkeypatch):
         small, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 14)
         large, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
-        # 2 MiB holds the 2,389 windows at order 14 (412 bytes each), not the 9,557 at
-        # order 16, nor the order-14 windows read at order 400, where each key is longer.
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}.__getitem__)
+        # 256 KiB holds the 2,389 windows at order 14 in an array (48 bytes each), not
+        # the 9,557 at order 16, nor the order-14 windows read at order 400, which go
+        # in a dict of 432 bytes each.
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
         assert len(build_index(small, 14)) == 2 * small.period
         with pytest.raises(ValueError, match="^the index at order 16 need about .* GiB"):
             build_index(large, 16)
@@ -48,19 +53,25 @@ class TestMemoryGuard:
             build_index(DEFAULT_STARTER, 10**12)
         assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("family", ["periodic", "aperiodic"])
-    def test_index_memory_is_within_the_guard(self, family):
-        if family == "periodic":
-            s, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
-        else:
+    @pytest.mark.parametrize("family", ["periodic", "aperiodic", "dict"])
+    def test_index_memory_is_within_the_guard(self, family, monkeypatch):
+        # Family members at their own order index in an array; the order-16 periodic
+        # member read at orders 40 and 100 goes in a dict.
+        if family == "aperiodic":
             s, _ = build_aos(16)
-        tracemalloc.start()
-        try:
-            build_index(s, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= len(s) * (BYTES_PER_WINDOW + 2 * 16)
+        else:
+            s, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
+        charged = []
+        monkeypatch.setattr(locator, "require_memory", lambda *a: charged.append(a[1] * a[2]))
+        for n in [40, 100] if family == "dict" else [16]:
+            tracemalloc.start()
+            try:
+                idx = build_index(s, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(idx.table, dict if family == "dict" else array)
+            assert peak <= charged.pop()
 
 
 class TestLocate:
@@ -72,12 +83,11 @@ class TestLocate:
             assert locate(idx, w[::-1]) == (i, REVERSE)
 
     def test_absent_window(self):
-        idx = build_index(GeneratingCycle("001101"), 5)
-        present = set(idx.entries)
-        missing = next(
-            format(u, "05b") for u in range(32) if format(u, "05b") not in present
-        )
-        assert locate(idx, missing) is None
+        c = GeneratingCycle("001101")
+        idx = build_index(c, 5)
+        present = {v for w in all_windows(c, 5) for v in (w, w[::-1])}
+        absent = [w for w in map("{:05b}".format, range(32)) if locate(idx, w) is None]
+        assert len(absent) == 32 - len(idx) and not present & set(absent)
 
     def test_order_mismatch(self):
         idx = build_index(GeneratingCycle("001101"), 5)
@@ -91,3 +101,23 @@ class TestLocate:
             for i, w in enumerate(all_windows(s, n)):
                 assert locate(idx, w) == (i, FORWARD)
                 assert locate(idx, w[::-1]) == (i, REVERSE)
+
+
+@pytest.mark.slow
+def test_order_24_index_agrees_with_find(monkeypatch):
+    # 2,446,677 windows in a 64 MB array.  find verifies its source on every call;
+    # the source is verified once here, so each find is its scan alone.
+    s, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 24)
+    idx = build_index(s, 24)
+    assert isinstance(idx.table, array) and len(idx) == 2 * s.period
+    assert verify_orientable(s, 24) is None
+    monkeypatch.setattr(locator, "require_orientable", lambda *a: None)
+    bits, rng = s.bits + s.bits[:23], random.Random(24)
+    for i in rng.sample(range(s.period), 1000):
+        w = bits[i : i + 24]
+        assert locator.find(s, 24, w) == locate(idx, w) == (i, FORWARD)
+        assert locator.find(s, 24, w[::-1]) == locate(idx, w[::-1]) == (i, REVERSE)
+    words = [format(rng.getrandbits(24), "024b") for _ in range(300)]
+    misses = [w for w in words if locate(idx, w) is None]
+    assert len(misses) > 100 and all(locator.find(s, 24, w) is None for w in misses)
+    assert all(locator.find(s, 24, w) == locate(idx, w) for w in words if w not in misses)
