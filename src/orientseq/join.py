@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .lempel import d_inverse_periodic
-from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, first_in
-from .seqcore import require_memory, rotate_left, window_bits, window_values
+from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value
+from .seqcore import require_memory, rotate_left, window_bits
+from .verifier import first_collision, read_windows
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
 
@@ -32,8 +33,8 @@ def find_conjugate_positions(
 
     The pair sits near the start of s in every doubling step, so the first
     _PROBES windows of s are each looked up by one str.find in t's window
-    string, where every offset is a window start.  Past that, one set of t's
-    windows answers every later position, which keeps the worst case linear.
+    string, where every offset is a window start.  Past that, first_collision
+    tabulates t's windows once for every later position: linear at worst.
     """
     top = 1 << (n - 1)
     x, length = window_bits(t, n)
@@ -42,10 +43,11 @@ def find_conjugate_positions(
         j = theirs.find(format(cyclic_value(s, i, n) ^ top, f"0{n}b"))
         if j >= 0:
             return i, j
-    values = window_values(x, length, n)
-    ours = window_values(*window_bits(s, n), n)
-    i = first_in(map(top.__xor__, ours), set(values).__contains__)
-    return None if i is None else (i, values.index(ours[i] ^ top))
+    ours = read_windows(s, n)
+    conjugates = ours[:0]  # an empty array of ours' type, or a list past order 64
+    conjugates.extend(map(top.__xor__, ours))
+    cx = first_collision((conjugates,), read_windows(t, n), n)
+    return None if cx is None else (cx.i, cx.j)
 
 
 def join_at(

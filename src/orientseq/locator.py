@@ -10,8 +10,8 @@ where it occurs and the direction of travel.  There are two ways to look up:
 * one lookup: find scans the sequence's window string with at most two
   str.find calls, forward and then reversed, and builds no table.
 
-Both refuse non-orientable sources and give the same answers.  Queries are
-'0'/'1' strings; anything else of the right length is absent.
+Both refuse non-orientable sources and read queries alike, so they agree: a
+query is a '0'/'1' string, and anything else of the right length is absent.
 """
 from __future__ import annotations
 
@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .seqcore import FORWARD, REVERSE, PreconditionError, Seq, require_memory, window_bits
-from .verifier import _dense, _values, _window_count, require_orientable
+from .verifier import dense, read_windows, require_orientable, window_count
 
 __all__ = ["LocatorIndex", "build_index", "locate", "find"]
 
 # Bytes per window charged to an index in a dict, a bound on its peak (tracemalloc):
-# 177-298 on family members and random words of 100-450,000 bits at orders 30-1000, plus
-# 8 per 30 bits of the order past 64.  An array of 2^n <= 8N slots is charged 12 slot
+# 177-298 on family members and random words of 100-450,000 bits at orders 30-1000,
+# plus 8 * ceil(n / 30) at every order.  An array of 2^n <= 8N slots is charged 12 slot
 # widths (the slots, two window arrays); family members peak at 36 and 20.5 (aperiodic).
 BYTES_PER_WINDOW = 320
 
@@ -53,13 +53,13 @@ class LocatorIndex:
 def build_index(s: Seq, n: int) -> LocatorIndex:
     """Index every window of s, in both directions, at order n; an index that
     would not fit in physical memory raises ValueError before any window is read."""
-    count = _window_count(s, n)
-    dense, code = _dense(n, count), "i" if 2 * count < 1 << 31 else "q"
-    size = 12 * array(code).itemsize if dense else BYTES_PER_WINDOW + 8 * -(-n // 30)
+    count = window_count(s, n)
+    in_array, code = dense(n, count), "i" if 2 * count < 1 << 31 else "q"
+    size = 12 * array(code).itemsize if in_array else BYTES_PER_WINDOW + 8 * -(-n // 30)
     require_memory(f"the index at order {n}", len(s), size)
-    fwd, rev = _values(s, n), _values(s, n, reverse=True)
+    fwd, rev = read_windows(s, n), read_windows(s, n, reverse=True)
     slots = range(1, len(fwd) + 1)
-    if dense:
+    if in_array:
         table = array(code, [0]) * (1 << n)
         for i, v in zip(slots, fwd):
             table[v] = i
@@ -78,9 +78,7 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
 
 def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
     """(position, orientation) of the window t, or None if absent."""
-    _require_order(t, idx.order)
-    # int() would also read '0b', '_', spaces, a sign and non-ASCII digits.
-    if not (isinstance(t, str) and t.isascii() and t.isdigit()):
+    if not _well_formed(t, idx.order):
         return None
     try:
         k = idx.table[int(t, 2)]
@@ -92,7 +90,8 @@ def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
 def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
     """locate(build_index(s, n), t) without the table: one scan per direction."""
     require_orientable(s, n, "source")
-    _require_order(t, n)
+    if not _well_formed(t, n):  # a digit 2-9 is no hit either
+        return None
     # Every offset of the window string is a window start, so a hit is a position.
     x, length = window_bits(s, n)
     bits = format(x, f"0{length}b")
@@ -103,8 +102,10 @@ def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
     return None
 
 
-def _require_order(t: str, n: int) -> None:
+def _well_formed(t: str, n: int) -> bool:
+    """Whether the query t is a string of ASCII digits, which int(t, 2) reads as written
+    or refuses; a query whose length is not the order n raises PreconditionError."""
     if len(t) != n:
-        raise PreconditionError(
-            f"window has {len(t)} bits but the index was built at order {n}"
-        )
+        raise PreconditionError(f"window has {len(t)} bits but the index was built at order {n}")
+    # int() would also read '0b', '_', spaces, a sign and non-ASCII digits.
+    return isinstance(t, str) and t.isascii() and t.isdigit()

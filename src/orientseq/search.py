@@ -95,7 +95,7 @@ def _branch_and_bound(
     if initial_best is not None:
         value, witness = initial_best
         seed = GeneratingCycle(witness) if closed else FiniteSeq(witness)
-        if len(seed) != value or not base_len < value <= cap:
+        if type(value) is not int or len(seed) != value or not base_len < value <= cap:
             raise ValueError(f"initial_best value {value!r} is not its witness's size"
                              f" {len(seed)} in {base_len + 1}..{cap}, the bound at order {n}")
         # A witness that is not orientable at order n proves no lower bound.

@@ -12,8 +12,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from itertools import compress, count
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 __all__ = [
     "BitsError",
@@ -33,7 +32,6 @@ __all__ = [
     "least_period",
     "rotate_left",
     "reverse_value",
-    "first_in",
     "capped_size",
     "require_memory",
 ]
@@ -242,12 +240,6 @@ def window_values(x: int, length: int, n: int) -> Sequence[int]:
             chunk.byteswap()
         out[total - 1 - r :: -width] = chunk[: (total - 1 - r) // width + 1]
     return out
-
-
-def first_in(values: Iterable, has: Callable[[int], object]) -> Optional[int]:
-    """The first position p with has(values[p]) true, or None; a C-speed scan
-    where has is a C method such as set.__contains__ or bytearray.__getitem__."""
-    return next(compress(count(), map(has, values)), None)
 
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the

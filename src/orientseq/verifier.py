@@ -2,9 +2,12 @@
 
 The n-window property, orientability, disjointness of pairs in one or both
 reading directions, and primitivity, all checked exactly.  The builders check
-their starters with these verifiers; the tests check the families built.
+their starters with these verifiers; the tests check the families built.  This
+is the one module that reads and tabulates n-windows: join's conjugate search
+and locator's index use read_windows, dense, window_count and first_collision,
+which the package does not re-export.
 
-All five are one question, answered by _first_collision: does an n-window of
+All five are one question, answered by first_collision: does an n-window of
 one or two readings of s, forward and reversed, occur in the forward reading
 of t (of s itself, for the single-sequence checks)?  Windows are integers read
 straight from the packed bits (seqcore.window_values; the reverse reading is
@@ -19,10 +22,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 from .seqcore import FORWARD, REVERSE, SYMMETRIC, GeneratingCycle, PreconditionError, Seq
-from .seqcore import first_in, require_memory, reverse_value, window_bits, window_values
+from .seqcore import require_memory, reverse_value, window_bits, window_values
 
 __all__ = [
     "Counterexample",
@@ -63,23 +67,23 @@ BYTES_PER_WINDOW = 144
 _DENSE = 8
 
 
-def _dense(n: int, count: int) -> bool:
-    """Whether count n-bit windows go in 2^n marks; no order past 64 fits."""
+def dense(n: int, count: int) -> bool:
+    """Whether count n-bit windows go in 2^n marks (or slots); no order past 64 fits."""
     return 0 < n <= 64 and 1 << n <= _DENSE * count
 
 
-def _window_count(s: Seq, n: int) -> int:
+def window_count(s: Seq, n: int) -> int:
     """The number of n-windows of s, below 1 if a finite s has none."""
     return len(s) if isinstance(s, GeneratingCycle) else len(s) - n + 1
 
 
-def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
+def read_windows(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
     """The n-windows of s as integers by position, optionally each read backwards;
     the check is charged first, before a cycle is extended."""
-    count = _window_count(s, n)
+    count = window_count(s, n)
     if n >= 1:  # below, window_bits raises WindowRangeError
         size = BYTES_PER_WINDOW + (16 + 8 * -(-n // 30) if n > 64 else 0)
-        require_memory(f"the windows at order {n}", count, 32 if _dense(n, count) else size)
+        require_memory(f"the windows at order {n}", count, 32 if dense(n, count) else size)
     x, length = window_bits(s, n)
     values = window_values(reverse_value(x, length) if reverse else x, length, n)
     if reverse:
@@ -90,7 +94,7 @@ def _values(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
 def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int], object], int]:
     """(has, count): has(v) is true iff v occurs in the n-bit values at least
     `times` times (1 or 2), and count is the number of such v."""
-    if not _dense(n, len(values)):
+    if not dense(n, len(values)):
         keys = set(values) if times == 1 else {v for v, k in Counter(values).items() if k > 1}
         return keys.__contains__, len(keys)
     marks = bytearray(1 << n)
@@ -105,7 +109,7 @@ def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int
     return marks.__getitem__, len(marks) - marks.count(0)
 
 
-def _first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Counterexample]:
+def first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Counterexample]:
     """The least (i, j, kind) with reads[kind][i] == theirs[j], or None.
 
     If reads[0] is theirs, s is checked against itself: a forward pair needs
@@ -123,7 +127,7 @@ def _first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Co
         if repeat:
             del has  # freed before the table of repeats is built
             has = _table(theirs, n, 2)[0]
-        i = first_in(values, has)
+        i = next(compress(range(len(values)), map(has, values)))  # a C-speed scan
         j = theirs.index(values[i], i + 1 if repeat else 0)
         found.append((i, j, 2 if itself and kind and i == j else kind))
     if not found:
@@ -134,27 +138,27 @@ def _first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Co
 
 def verify_nwindow(s: Seq, n: int) -> Optional[Counterexample]:
     """None if all n-windows of s are distinct, else the first repeat."""
-    fwd = _values(s, n)
-    return _first_collision((fwd,), fwd, n)
+    fwd = read_windows(s, n)
+    return first_collision((fwd,), fwd, n)
 
 
 def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
     """None if no n-window of s repeats in either reading direction; a window
     equal to its own reversal (i == j, symmetric) already rules it out."""
-    fwd = _values(s, n)
-    return _first_collision((fwd, _values(s, n, reverse=True)), fwd, n)
+    fwd = read_windows(s, n)
+    return first_collision((fwd, read_windows(s, n, reverse=True)), fwd, n)
 
 
 def verify_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window."""
-    theirs = _values(t, n)
-    return _first_collision((_values(s, n),), theirs, n)
+    theirs = read_windows(t, n)
+    return first_collision((read_windows(s, n),), theirs, n)
 
 
 def verify_o_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window in either reading direction."""
-    theirs = _values(t, n)
-    return _first_collision((_values(s, n), _values(s, n, reverse=True)), theirs, n)
+    theirs = read_windows(t, n)
+    return first_collision((read_windows(s, n), read_windows(s, n, reverse=True)), theirs, n)
 
 
 def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:

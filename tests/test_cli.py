@@ -313,6 +313,10 @@ CONTRACT = {
     "search-resume-not-orientable": (
         ["search", "--order", "5", "--resume", "{not_orientable}"], 2
     ),
+    "search-resume-float-value": (["search", "--order", "6", "--resume", "{float_value}"], 2),
+    "search-resume-float-value-aperiodic": (
+        ["search", "--order", "5", "--mode", "aperiodic", "--resume", "{float_aos}"], 2
+    ),
     "search-order-40": (["search", "--order", "40"], 2),
     "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
     # Sizes past any memory, and one past the float range, refused before any work.
@@ -322,12 +326,15 @@ CONTRACT = {
     "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
-# and a witness of the right size that is not orientable at order 5.
+# a witness of the right size that is not orientable at order 5, and optima at
+# orders 6 (periodic) and 5 (aperiodic) whose values are floats, not ints.
 RESUME = {
     "no_value": {"witness": "0101"},
     "a_list": [1, 2],
     "over_bound": {"value": 999, "witness": "0"},
     "not_orientable": {"value": 6, "witness": "000111"},
+    "float_value": {"value": 16.0, "witness": "0001010110010111"},
+    "float_aos": {"value": 14.0, "witness": "00001101001111"},
 }
 
 

@@ -142,6 +142,16 @@ class TestConjugatePositions:
         pos = join.find_conjugate_positions(s, t, n)
         assert pos == oracle.find_conjugate_positions(s, t, n) == (join._PROBES + 1, 0)
 
+    @pytest.mark.parametrize("m,n,dense", [(14, 13, True), (12, 14, False)], ids=["marks", "set"])
+    def test_family_pair_past_the_probe_limit(self, m, n, dense):
+        # s = 0^(P+n) 1 against a periodic member: the pair lies past the probes and
+        # is found through a table of t's windows, 2^n marks or a set.
+        s, t = GeneratingCycle("0" * (join._PROBES + n) + "1"), family("periodic", m)
+        assert verifier.dense(n, verifier.window_count(t, n)) is dense
+        pos = join.find_conjugate_positions(s, t, n)
+        assert pos == oracle.find_conjugate_positions(s, t, n)
+        assert pos is not None and pos[0] >= join._PROBES
+
     @pytest.mark.parametrize("n", [5, 8, 33, 70])
     def test_no_pair_past_the_probe_limit(self, n):
         # Every window of s has at most one 1, so every conjugate starts with 1
@@ -167,7 +177,7 @@ def indexed(s, n):
     """hits(build_index(s, n)), asserting that the index took the verifier's path:
     an array of 2^n slots iff its windows are dense enough for 2^n marks."""
     idx = locator.build_index(s, n)
-    assert isinstance(idx.table, array) is verifier._dense(n, verifier._window_count(s, n))
+    assert isinstance(idx.table, array) is verifier.dense(n, verifier.window_count(s, n))
     return hits(idx)
 
 
@@ -245,7 +255,8 @@ class TestBuildIndex:
 
 class TestLocateJunk:
     """Words of the right length that int(t, 2) reads as a present window, or that
-    are not strings, are absent, as they are from the oracle's dict of strings."""
+    are not strings, are absent from the index and from find, as they are from the
+    oracle's dict of strings."""
 
     @pytest.mark.parametrize("n", [8, 40], ids=["array", "dict"])
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
@@ -254,14 +265,15 @@ class TestLocateJunk:
         idx = locator.build_index(source, n)
         w = next(w for w in oracle.build_index(source, n) if w.startswith("00") and "1" in w)
         x, k = w[2:], w.index("1")
-        # int(t, 2) reads each of these as w; a sign, a digit 2-9 or bytes is no hit either.
+        # int(t, 2) reads each of these as w; a sign, a digit 2-9 or a non-string is no hit either.
         read_as_w = ["0b" + x, "0_" + x, " 0" + x, "\n0" + x, "0" + x + " ", "0" + x + "\n", "+0" + x,
                      w[:k] + "\u0661" + w[k + 1 :]]
-        others = ["-0" + x, w[:k] + "2" + w[k + 1 :], "9" + w[1:], w.encode()]
-        assert locator.locate(idx, w) is not None
+        others = ["-0" + x, w[:k] + "2" + w[k + 1 :], "9" + w[1:], w.encode(), bytearray(w.encode()),
+                  list(w)]
+        assert locator.locate(idx, w) == locator.find(source, n, w) is not None
         assert all(int(t, 2) == int(w, 2) for t in read_as_w)
         for t in read_as_w + others:
-            assert len(t) == n and locator.locate(idx, t) is None
+            assert len(t) == n and locator.locate(idx, t) is None and locator.find(source, n, t) is None
 
 
 def locate_by_index(s, n, t):

@@ -194,6 +194,24 @@ class TestAperiodicSearch:
             max_aos_length(1)
 
 
+@pytest.mark.parametrize(
+    "search,n,value,witness",
+    [
+        (max_orientable_period, 6, 9.0, "001010111"),
+        (max_orientable_period, 6, 16.0, "0001010110010111"),
+        (max_orientable_period, 6, True, "0"),
+        (max_aos_length, 5, 14.0, "00001101001111"),
+    ],
+    ids=["periodic-float", "periodic-float-optimum", "periodic-bool", "aperiodic-float"],
+)
+def test_seed_values_that_are_not_ints_are_refused(search, n, value, witness):
+    # The same seeds with int values are accepted; only the value's type is wrong.
+    if value is not True:
+        assert search(n, initial_best=(int(value), witness), node_budget=10).value == value
+    with pytest.raises(ValueError, match=f"initial_best value {value!r} is not"):
+        search(n, initial_best=(value, witness), node_budget=10)
+
+
 @pytest.mark.parametrize("search", [max_orientable_period, max_aos_length])
 def test_orders_whose_tables_cannot_fit_are_refused_up_front(search):
     # 2^40 windows of tables: refused before anything is allocated.

@@ -18,7 +18,7 @@ from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError
 from orientseq.verifier import (
     BYTES_PER_WINDOW,
     Counterexample,
-    _values,
+    read_windows,
     verify_disjoint,
     verify_nwindow,
     verify_o_disjoint,
@@ -36,19 +36,19 @@ class TestAllWindows:
 
     def test_cyclic_count_equals_period(self):
         c = GeneratingCycle("001101")
-        assert list(_values(c, 5)) == [0b00110, 0b01101, 0b11010, 0b10100, 0b01001, 0b10011]
-        assert list(_values(c, 5, reverse=True)) == [
+        assert list(read_windows(c, 5)) == [0b00110, 0b01101, 0b11010, 0b10100, 0b01001, 0b10011]
+        assert list(read_windows(c, 5, reverse=True)) == [
             0b01100, 0b10110, 0b01011, 0b00101, 0b10010, 0b11001,
         ]
 
     def test_aperiodic_count(self):
-        assert list(_values(FiniteSeq("00010111"), 3)) == [0, 0b001, 0b010, 0b101, 0b011, 0b111]
+        assert list(read_windows(FiniteSeq("00010111"), 3)) == [0, 0b001, 0b010, 0b101, 0b011, 0b111]
 
     def test_too_short(self):
         with pytest.raises(WindowRangeError):
-            _values(FiniteSeq("01"), 3)
+            read_windows(FiniteSeq("01"), 3)
         with pytest.raises(WindowRangeError):
-            _values(FiniteSeq("01"), 0)
+            read_windows(FiniteSeq("01"), 0)
 
 
 class TestNWindow:
