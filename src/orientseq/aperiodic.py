@@ -66,7 +66,7 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     2l-n+2 or 2l-n+3 respectively.
     """
     if not is_ideal(s, n):
-        raise PreconditionError(f"input is not ideal at order {n}: {s.bits!r}")
+        raise PreconditionError(f"input of length {len(s)} is not ideal at order {n}")
     inv, m = d_inverse_aperiodic(s), len(s) + 1
     keep = m - (n if n % 2 == 0 else n - 1)
     u = reverse_value(inv.second.value, m) & ((1 << keep) - 1)

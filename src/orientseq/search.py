@@ -5,8 +5,9 @@ an orientable cycle is a closed walk whose n-bit edges are distinct even
 after reversal, and an aperiodic orientable sequence is the open-walk
 analogue.  The searcher claims edges in reversal-closed orbits (symmetric
 windows are never claimable), prunes branches that cannot beat the best
-result found so far, and stops early once the best result meets the known
-upper bound for the order.
+result found so far, stops a closed walk once both ways back to its start
+are claimed, and stops early once the best result meets the known upper
+bound for the order.
 
 Budgets are node counts, not wall time, so outcomes are machine independent.
 A budget-limited run reports the best sequence found with exhaustive=False;
@@ -73,6 +74,11 @@ def _branch_and_bound(
     bit is 0 (complement symmetry), edges are tried bit 0 first, and each edge
     claims one orbit, so the most a walk from a root can reach is a constant
     `bound` checked against the best result at every node.
+
+    A closed walk can only get home through home's two in-edges, the windows
+    `home` and `home | 1 << (n-1)`.  Once both of their orbits are claimed no
+    extension of the walk closes again, so the search backs up there as at a
+    leaf; every cycle it would have counted is still counted.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
@@ -113,6 +119,8 @@ def _branch_and_bound(
         if bound <= best_len:
             continue
         home = walk[0] >> 1 if closed else None
+        # The orbits of home's two in-edges, the only ways back to it.
+        door0, door1 = (orbit[home], orbit[home | 1 << (n - 1)]) if closed else (0, 0)
         floor = len(walk)
         t = cur << 1  # the next edge to try
         while True:
@@ -133,7 +141,7 @@ def _branch_and_bound(
                     cand = prefix + bits
                     if length > best_len or best_bits is None or cand < best_bits:
                         best_len, best_bits = length, cand
-                if bound > best_len:
+                if bound > best_len and not (closed and taken[door0] and taken[door1]):
                     t = cur << 1
                     continue
             elif not t & 1:

@@ -10,6 +10,8 @@ operations are pure.
 from __future__ import annotations
 
 import os
+import re
+import reprlib
 import sys
 from array import array
 from typing import Callable, Iterator, Sequence, Union
@@ -62,13 +64,19 @@ class PreconditionError(ValueError):
 
 
 def as_bits(bits: str) -> str:
-    """bits, checked to be a non-empty string of '0' and '1' characters."""
+    """bits, checked to be a non-empty string of '0' and '1' characters.
+
+    The check runs at C speed, and an error quotes at most a few dozen
+    characters of the input, however long it is.
+    """
     if not isinstance(bits, str):
-        raise BitsError(f"bits must be a '0'/'1' string, got {bits!r}")
+        raise BitsError(f"bits must be a '0'/'1' string, got {reprlib.repr(bits)}")
     if not bits:
         raise BitsError("empty sequences are not allowed")
-    if bits.strip("01"):
-        raise BitsError(f"bits must contain only '0' and '1', got {bits!r}")
+    if not bits.isascii() or bits.encode("ascii").translate(None, b"01"):
+        i = re.search("[^01]", bits).start()
+        raise BitsError(f"bits must contain only '0' and '1': {len(bits)} characters,"
+                        f" {bits[i]!r} at position {i}")
     return bits
 
 

@@ -1,13 +1,15 @@
 """String-layout reference implementations, kept as test oracles.
 
-Two groups, both working on '0'/'1' strings only:
+Three groups, all returning '0'/'1' strings:
 
 * the window checks, conjugate-pair scan and index builder as they stood
   before window tests moved to integer window values: every window is cut
   into its own string and hashed in a Python loop;
 * the construction steps (inverse maps, odd extension, merge step, join) as
   they stood before sequences were stored as packed integers, plus the
-  recursions built from them, returning bit strings.
+  recursions built from them;
+* the branch-and-bound search as it stood before closed walks stopped once
+  they could no longer get home: only the per-root bound prunes.
 
 They are slow and memory-hungry, which is why the library no longer uses
 them, and independent of the packed layout and seqcore.window_values, which
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from orientseq.aperiodic import burns_bound
+from orientseq.periodic import dai_bound
 from orientseq.seqcore import (
     FORWARD,
     REVERSE,
@@ -265,7 +269,7 @@ def merge_step(b: str, n: int) -> str:
         raise ValueError(f"idealness needs order >= 2, got {n}")
     k = n - 1
     if not (len(b) >= 2 * k and b[:k] == "0" * k and b[-k:] == "1" * k):
-        raise PreconditionError(f"input is not ideal at order {n}: {b!r}")
+        raise PreconditionError(f"input of length {len(b)} is not ideal at order {n}")
     t = d_inverse_aperiodic(b)[0]
     u = complement(t)[::-1]
     drop = n if n % 2 == 0 else n - 1
@@ -316,3 +320,73 @@ def debruijn_lempel(n: int) -> str:
         i, j = _conjugate_positions(inv[0], inv[1], k + 1)
         c = join_at(inv[0], inv[1], i, j, k + 1)
     return c
+
+
+def search(n: int, closed: bool, node_budget: Optional[int] = None):
+    """(value, witness, exhaustive, nodes) of the unpruned branch-and-bound.
+
+    Closed walks search for cycles (max_orientable_period), open ones for
+    aperiodic sequences (max_aos_length).  The reversal and orbit tables are
+    cut from strings; the loop is the library's, without the check that stops
+    a closed walk once both orbits into its start vertex are claimed.
+    """
+    cap = (dai_bound if closed else burns_bound)(n)
+    vmask = (1 << (n - 1)) - 1
+    rev = [int(format(u, f"0{n}b")[::-1], 2) for u in range(1 << n)]
+    orbit = [min(u, r) for u, r in enumerate(rev)]
+    taken = bytearray(u == r for u, r in enumerate(rev))
+    orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2
+    if closed:
+        anchors = (a for a in range(1 << (n - 1)) if rev[a] > a)
+        roots = ((a & vmask, [a], orbits - k, "") for k, a in enumerate(anchors))
+    else:
+        prefixes = (format(v, f"0{n - 1}b") for v in range(1 << (n - 2)))
+        roots = ((v, [], n - 1 + orbits, p) for v, p in enumerate(prefixes))
+    base_len = 0 if closed else n - 1
+    best_len, best_bits, nodes = 0, None, 0
+    for cur, walk, bound, prefix in roots:
+        if best_len >= cap:
+            break
+        if closed:
+            taken[walk[0]] = 1
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return best_len, best_bits, False, nodes
+        if bound <= best_len:
+            continue
+        home = walk[0] >> 1 if closed else None
+        floor = len(walk)
+        t = cur << 1
+        while True:
+            o = orbit[t]
+            if not taken[o]:
+                taken[o] = 1
+                walk.append(t)
+                cur = t & vmask
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    return best_len, best_bits, False, nodes
+                length = base_len + len(walk)
+                if length >= best_len and (home is None or cur == home):
+                    bits = "".join("1" if e & 1 else "0" for e in walk)
+                    if closed:
+                        k = (walk.index(min(walk)) - n + 1) % len(walk)
+                        bits = bits[k:] + bits[:k]
+                    cand = prefix + bits
+                    if length > best_len or best_bits is None or cand < best_bits:
+                        best_len, best_bits = length, cand
+                if bound > best_len:
+                    t = cur << 1
+                    continue
+            elif not t & 1:
+                t |= 1
+                continue
+            while len(walk) > floor:
+                t = walk.pop()
+                taken[orbit[t]] = 0
+                if not t & 1:
+                    t |= 1
+                    break
+            else:
+                break
+    return best_len, best_bits, True, nodes

@@ -97,6 +97,10 @@ class TestBuildAos:
         assert verify_orientable(out, 10) is None
         assert is_ideal(out, 10)
 
+    def test_not_ideal_error_names_the_length_not_the_word(self):
+        with pytest.raises(PreconditionError, match="^input of length 100000 is not ideal at order 5$"):
+            merge_step(FiniteSeq("1" * 100_000), 5)
+
     def test_starter_validation(self):
         with pytest.raises(PreconditionError, match="not ideal"):
             build_aos(5, starter=FiniteSeq("0110"), starter_order=3)

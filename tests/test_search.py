@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import string_oracle as oracle
 from orientseq.search import BYTES_PER_WINDOW, max_aos_length, max_orientable_period
 from orientseq.seqcore import FiniteSeq, GeneratingCycle
 from orientseq.verifier import verify_orientable
@@ -48,12 +49,12 @@ def brute_force_max_aos_length(n):
 # Value, witness, exhaustive flag and node count of each search, pinned so
 # the order in which the search visits nodes cannot drift.
 PINNED = [
-    pytest.param(max_orientable_period, 5, None, 6, "001011", True, 52, id="periodic-5"),
+    pytest.param(max_orientable_period, 5, None, 6, "001011", True, 16, id="periodic-5"),
     pytest.param(
-        max_orientable_period, 6, None, 16, "0001010110010111", True, 1685, id="periodic-6"
+        max_orientable_period, 6, None, 16, "0001010110010111", True, 319, id="periodic-6"
     ),
     pytest.param(
-        max_orientable_period, 7, None, 36, "000010010101100010110111001011110011", True, 648336,
+        max_orientable_period, 7, None, 36, "000010010101100010110111001011110011", True, 91598,
         id="periodic-7",
     ),
     pytest.param(max_aos_length, 4, None, 8, "00010111", True, 23, id="aos-4"),
@@ -61,7 +62,14 @@ PINNED = [
     pytest.param(
         max_aos_length, 6, None, 26, "00000100110111000101011111", True, 4807, id="aos-6"
     ),
-    pytest.param(max_orientable_period, 6, 50, 0, None, False, 51, id="periodic-6-budget-50"),
+    pytest.param(
+        max_orientable_period, 6, 50, 12, "000100110111", False, 51, id="periodic-6-budget-50"
+    ),
+    pytest.param(
+        max_orientable_period, 8, 500_000, 78,
+        "000001000101001000011001000110100011101001101010100111011001111011010111011111", False,
+        500_001, id="periodic-8-budget-500000",
+    ),
     pytest.param(max_aos_length, 5, 30, 14, "00001101001111", False, 31, id="aos-5-budget-30"),
 ]
 
@@ -81,9 +89,39 @@ def test_order_twelve_budget_has_no_depth_limit(search, seq_type):
     # Walks at order 12 run deeper than the interpreter's recursion limit.
     r = search(12, node_budget=200_000)
     assert (r.nodes, r.exhaustive) == (200_001, False)
+    if search is max_orientable_period:  # closed walks that cannot get home are cut
+        assert r.witness is not None
     if r.witness is not None:
         assert len(r.witness) == r.value
         assert verify_orientable(seq_type(r.witness), 12) is None
+
+
+class TestAgainstUnprunedOracle:
+    """The search against the unpruned loop it replaced (string_oracle.search).
+
+    Stopping a closed walk that cannot get home cuts only subtrees with no
+    cycle in them, so the search visits a subsequence of the oracle's nodes,
+    in the same order, and compares every candidate the oracle compares.
+    """
+
+    @pytest.mark.parametrize(
+        "closed,n",
+        [(True, 5), (True, 6), (True, 7), (False, 4), (False, 5), (False, 6)],
+        ids=["periodic-5", "periodic-6", "periodic-7", "aos-4", "aos-5", "aos-6"],
+    )
+    def test_exhaustive_runs_match(self, closed, n):
+        r = (max_orientable_period if closed else max_aos_length)(n)
+        value, witness, exhaustive, nodes = oracle.search(n, closed)
+        assert (r.value, r.witness, r.exhaustive) == (value, witness, exhaustive)
+        assert r.nodes <= nodes
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_budgeted_cycles_verify(self, n):
+        r = max_orientable_period(n, node_budget=1000)
+        assert r.witness is not None and len(r.witness) == r.value
+        assert verify_orientable(GeneratingCycle(r.witness), n) is None
+        # Within the same budget the search gets at least as far as the oracle.
+        assert r.value >= oracle.search(n, True, node_budget=1000)[0]
 
 
 class TestPeriodicSearch:

@@ -18,6 +18,7 @@ from orientseq.seqcore import (
     GeneratingCycle,
     NonMinimalPeriodError,
     WindowRangeError,
+    as_bits,
     capped_size,
     cyclic_value,
     require_memory,
@@ -49,6 +50,31 @@ class TestConstruction:
             GeneratingCycle(bad)
         with pytest.raises(BitsError):
             FiniteSeq(bad)
+
+    @given(st.text("01") | st.text("01 \t\n\x00\xa0\u2003\u0660\u0661\uff10\uff11\xb9"))
+    def test_bits_check_accepts_what_strip_accepts(self, bits):
+        # Whitespace and non-ASCII digits ('\u0661', '\uff11', '\xb9') are not bits.
+        if bits and not bits.strip("01"):
+            assert as_bits(bits) is bits
+        elif bits:
+            i = len(bits) - len(bits.lstrip("01"))
+            with pytest.raises(BitsError, match=f"^bits must contain only '0' and '1': {len(bits)}"
+                               f" characters, .* at position {i}$"):
+                as_bits(bits)
+        else:
+            with pytest.raises(BitsError, match="^empty sequences are not allowed$"):
+                as_bits(bits)
+
+    def test_errors_for_long_inputs_stay_short(self):
+        with pytest.raises(BitsError) as bad_char:
+            as_bits("01" * 500_000 + "2")
+        assert str(bad_char.value) == (
+            "bits must contain only '0' and '1': 1000001 characters, '2' at position 1000000"
+        )
+        for value in ([0, 1] * 500_000, b"01" * 500_000):
+            with pytest.raises(BitsError) as not_str:
+                as_bits(value)
+            assert len(str(not_str.value)) < 100
 
     def test_iteration_reads_one_period(self):
         # Indexing a cycle wraps, so iteration must not fall back to it.
