@@ -12,7 +12,7 @@ from typing import Optional
 
 from .lempel import d_inverse_periodic
 from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value
-from .seqcore import require_memory, rotate_left, window_bits
+from .seqcore import require_memory, rotate_left, window_bits, window_values
 from .verifier import first_collision, read_windows
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
@@ -32,15 +32,15 @@ def find_conjugate_positions(
     Windows are compared as integers, where conjugation flips the top bit.
 
     The pair sits near the start of s in every doubling step, so the first
-    _PROBES windows of s are each looked up by one str.find in t's window
-    string, where every offset is a window start.  Past that, first_collision
+    _PROBES windows of s are each looked up by one bytes.find in t's windows
+    of order k = min(n, 8), one byte each: the n bits at j match iff the n-k+1
+    bytes from j match those of the target.  Past that, first_collision
     tabulates t's windows once for every later position: linear at worst.
     """
-    top = 1 << (n - 1)
-    x, length = window_bits(t, n)
-    theirs = format(x, f"0{length}b")
+    top, k = 1 << (n - 1), min(n, 8)
+    theirs = window_values(*window_bits(t, n), k).tobytes()
     for i in range(min(_PROBES, s.period)):
-        j = theirs.find(format(cyclic_value(s, i, n) ^ top, f"0{n}b"))
+        j = theirs.find(window_values(cyclic_value(s, i, n) ^ top, n, k).tobytes())
         if j >= 0:
             return i, j
     ours = read_windows(s, n)

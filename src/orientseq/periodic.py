@@ -6,6 +6,13 @@ run of n-3 ones, and when its weight comes out even a single extra 1 inserted
 into that run restores odd weight without breaking orientability.  Iterating
 inverse-then-extend doubles the period (give or take one bit) at every order.
 
+Run lemma: if c, of period m, has its one cyclic 0^{n-4} at p, its doubled
+preimage d (d[i+m] = 1 - d[i]) has runs of n-3 equal bits exactly at p and p+m:
+ones at one, zeros at the other, as d[p] tells.  The 1 goes into the run of
+ones, at r; the run of zeros, one place later if after r, is the next step's
+0^{n-3}.  d has weight m, so a bit goes in iff m is even, giving weight m or
+m+1.  build_orientable scans only its starter; the public steps scan their input.
+
 Also provided: the closed-form period prediction for the iteration and the
 classical upper bound on the period of any orientable cycle.
 """
@@ -67,6 +74,8 @@ def dai_bound(n: int) -> int:
 
 def _cyclic_runs(c: GeneratingCycle, k: int, bit: int) -> int:
     """Bit m-1-r is set iff k copies of `bit` start at position r of c's period m."""
+    if k == 0:  # the empty run starts everywhere
+        return (1 << c.period) - 1
     size = c.period + k - 1
     x = cyclic_value(c, 0, size) ^ (0 if bit else (1 << size) - 1)
     have = 1  # x marks the starts of runs of `have` copies; double until k
@@ -94,13 +103,17 @@ def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[i
         )
     if c.weight % 2 == 1:
         return c, None
-    x, m = c.value, c.period
-    low = runs.bit_length()  # the run starts at r = m - low; low bits follow it
-    r = m - low
+    r = c.period - runs.bit_length()
+    return _insert_one(c, r), r
+
+
+def _insert_one(c: GeneratingCycle, r: int) -> GeneratingCycle:
+    """c with a 1 inserted before position r, the start of its unique longest 1-run."""
+    x, low = c.value, c.period - r  # low bits follow the insertion
     # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
     grown = ((x >> low) << (low + 1)) | (1 << low) | (x & ((1 << low) - 1))
     # The four windows over the grown run are distinct: each has 1^{n-3} at its own offset.
-    return GeneratingCycle._trusted(grown, m + 1), r
+    return GeneratingCycle._trusted(grown, c.period + 1)
 
 
 def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
@@ -112,6 +125,17 @@ def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
     return _extend_odd(c, n)[0]
 
 
+def _step(c: GeneratingCycle, n: int, p: int) -> tuple[GeneratingCycle, TraceStep, int]:
+    """next_orientable on a good odd-weight c whose 0^{n-4} starts at p, and where
+    the output's 0^{n-3} starts (the run lemma in the module docstring)."""
+    d, m = d_inverse_periodic(c).first, c.period
+    ones, zeros = (p, p + m) if d[p] else (p + m, p)
+    if m % 2:  # d has weight m
+        return d, TraceStep(n + 1, 2 * m, m, False, None), zeros
+    out = _insert_one(d, ones)
+    return out, TraceStep(n + 1, 2 * m + 1, m + 1, True, ones), zeros + (zeros > ones)
+
+
 def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceStep]:
     """One recursion step: inverse map then odd-weight extension, at order n+1.
 
@@ -119,13 +143,15 @@ def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceS
     caller can check via build_orientable's starter validation); its preimage
     is then a single doubled cycle, which is extended to odd weight.
     """
-    inv = d_inverse_periodic(c)
-    if inv.second is not None:
-        raise PreconditionError(
-            f"input weight {c.weight} is even; the recursion needs odd weight"
-        )
-    out, pos = _extend_odd(inv.first, n + 1)
-    return out, TraceStep(n + 1, out.period, out.weight, pos is not None, pos)
+    if c.weight % 2 == 0:
+        raise PreconditionError(f"input weight {c.weight} is even; the recursion needs odd weight")
+    if n < 4:
+        raise ValueError(f"extension needs order >= 5, got {n + 1}")
+    runs = _cyclic_runs(c, n - 4, 0)  # c's runs of n-4 zeros are d's runs of n-3 ones
+    if runs.bit_count() != 1:
+        found = runs.bit_count()
+        raise PreconditionError(f"expected exactly one occurrence of 1^{n - 3}, found {found}")
+    return _step(c, n, c.period - runs.bit_length())[:2]
 
 
 def build_orientable(
@@ -137,7 +163,9 @@ def build_orientable(
 
     The starter must be orientable at order n0, good, and of odd weight; the
     first failing property is reported.  A target whose period would not fit
-    in physical memory raises ValueError before any step.
+    in physical memory raises ValueError before any step.  Only the starter is
+    scanned for its 0^{n0-4}; by the run lemma each step's preimage gives the
+    next 0^{n-3}, and its 1^{n-3}, from where the last one was.
     """
     if n_target < n0:
         raise PreconditionError(f"target order {n_target} below starter order {n0}")
@@ -150,9 +178,9 @@ def build_orientable(
     period = capped_size(steps, lambda: predicted_period(starter.period, *divmod(steps, 2)))
     require_memory(f"the sequence and its copies at order {n_target}", period)
     trace = ConstructionTrace([TraceStep(n0, starter.period, starter.weight, False, None)])
-    c = starter
+    c, p = starter, starter.period - _cyclic_runs(starter, n0 - 4, 0).bit_length()
     for n in range(n0, n_target):
-        c, step = next_orientable(c, n)
+        c, step, p = _step(c, n, p)
         trace.steps.append(step)
     return c, trace
 

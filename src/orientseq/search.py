@@ -21,6 +21,7 @@ raises ValueError up front.
 """
 from __future__ import annotations
 
+import reprlib
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -102,7 +103,7 @@ def _branch_and_bound(
         value, witness = initial_best
         seed = GeneratingCycle(witness) if closed else FiniteSeq(witness)
         if type(value) is not int or len(seed) != value or not base_len < value <= cap:
-            raise ValueError(f"initial_best value {value!r} is not its witness's size"
+            raise ValueError(f"initial_best value {reprlib.repr(value)} is not its witness's size"
                              f" {len(seed)} in {base_len + 1}..{cap}, the bound at order {n}")
         # A witness that is not orientable at order n proves no lower bound.
         require_orientable(seed, n, "initial_best witness")

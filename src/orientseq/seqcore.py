@@ -149,10 +149,9 @@ class GeneratingCycle(_Packed):
 
     def _require_minimal(self) -> "GeneratingCycle":
         p = least_period(self._value, self._len)
-        if p != self._len:
-            raise NonMinimalPeriodError(
-                f"[{self.bits}] is not a minimal period (repeats every {p} bits)"
-            )
+        if p != self._len:  # a long cycle is named by its length, not echoed
+            what = f"[{self.bits}]" if self._len <= 64 else f"a cycle of {self._len} bits"
+            raise NonMinimalPeriodError(f"{what} is not a minimal period (repeats every {p} bits)")
         return self
 
     @property
@@ -230,15 +229,15 @@ def window_bits(s: Seq, n: int) -> tuple[int, int]:
 
 def window_values(x: int, length: int, n: int) -> Sequence[int]:
     """Element p is the n-bit slice at p of the `length`-bit value x; no Python
-    code runs per window.  (x >> r) & M, M the n-bit mask repeated every B = 32
-    or 64 bits, holds the windows ending r, r+B, ... bits from the right end in
-    its B-bit lanes, copied out via to_bytes and a strided slice.  Orders above
-    64 fall back to a list."""
+    code runs per window.  (x >> r) & M, M the n-bit mask repeated every B = 8,
+    32 or 64 bits, holds the windows ending r, r+B, ... bits from the right end
+    in its B-bit lanes, copied out via to_bytes and a strided slice.  Orders up
+    to 8 come out as bytes (typecode 'B'); orders above 64 fall back to a list."""
     total = max(length - n + 1, 0)
     if n > 64:
         b = format(x, f"0{length}b")
         return [int(b[p : p + n], 2) for p in range(total)]
-    width, code = (32, "I") if n <= 32 else (64, "Q")
+    width, code = (8, "B") if n <= 8 else (32, "I") if n <= 32 else (64, "Q")
     size, lanes = width // 8, -(-total // width)
     mask = int.from_bytes(((1 << n) - 1).to_bytes(size, "little") * lanes, "little")
     out = array(code, bytes(size * total))

@@ -4,8 +4,8 @@ The n-window property, orientability, disjointness of pairs in one or both
 reading directions, and primitivity, all checked exactly.  The builders check
 their starters with these verifiers; the tests check the families built.  This
 is the one module that reads and tabulates n-windows: join's conjugate search
-and locator's index use read_windows, dense, window_count and first_collision,
-which the package does not re-export.
+past its probes and locator's index use read_windows, dense, window_count and
+first_collision, which the package does not re-export.
 
 All five are one question, answered by first_collision: does an n-window of
 one or two readings of s, forward and reversed, occur in the forward reading

@@ -289,9 +289,8 @@ def join_at(s: str, t: str, i: int, j: int, n: int) -> str:
     out = joined[k:] + joined[:k]
     p = (out + out).find(out, 1)
     if p != len(out):
-        raise NonMinimalPeriodError(
-            f"[{out}] is not a minimal period (repeats every {p} bits)"
-        )
+        what = f"[{out}]" if len(out) <= 64 else f"a cycle of {len(out)} bits"
+        raise NonMinimalPeriodError(f"{what} is not a minimal period (repeats every {p} bits)")
     return out
 
 

@@ -317,6 +317,8 @@ CONTRACT = {
     "search-resume-float-value-aperiodic": (
         ["search", "--order", "5", "--mode", "aperiodic", "--resume", "{float_aos}"], 2
     ),
+    "search-resume-huge-value": (["search", "--order", "5", "--resume", "{huge_value}"], 2),
+    "verify-long-non-minimal": (["verify", "{repeats}"], 2),
     "search-order-40": (["search", "--order", "40"], 2),
     "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
     # Sizes past any memory, and one past the float range, refused before any work.
@@ -326,8 +328,9 @@ CONTRACT = {
     "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
-# a witness of the right size that is not orientable at order 5, and optima at
-# orders 6 (periodic) and 5 (aperiodic) whose values are floats, not ints.
+# a witness of the right size that is not orientable at order 5, optima at
+# orders 6 (periodic) and 5 (aperiodic) whose values are floats, not ints, and a
+# value that is a 100,000-element list.
 RESUME = {
     "no_value": {"witness": "0101"},
     "a_list": [1, 2],
@@ -335,6 +338,7 @@ RESUME = {
     "not_orientable": {"value": 6, "witness": "000111"},
     "float_value": {"value": 16.0, "witness": "0001010110010111"},
     "float_aos": {"value": 14.0, "witness": "00001101001111"},
+    "huge_value": {"value": list(range(100_000)), "witness": "001101"},
 }
 
 
@@ -343,11 +347,13 @@ def test_cli_contract(tmp_path, case):
     seq, short = tmp_path / "seq.txt", tmp_path / "short.txt"
     write_sequence(seq, "001101", mode="periodic", order=5)
     write_sequence(short, "0101", mode="aperiodic", order=8)
+    repeats = tmp_path / "repeats.txt"  # 200,000 bits of period 2
+    write_sequence(repeats, "01" * 100_000, mode="periodic", order=5)
     resume = {name: tmp_path / f"{name}.json" for name in RESUME}
     for name, path in resume.items():
         path.write_text(json.dumps(RESUME[name]))
     argv, expected = CONTRACT[case]
-    argv = [a.format(seq=seq, short=short, **resume) for a in argv]
+    argv = [a.format(seq=seq, short=short, repeats=repeats, **resume) for a in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -358,7 +364,9 @@ def test_cli_contract(tmp_path, case):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     if expected == 2:
-        assert proc.stderr.startswith("error:")
+        # One line, however large the input it refuses.
+        assert proc.stderr.startswith("error:") and len(proc.stderr) < 200
+        assert proc.stderr.count("\n") == 1
 
 
 # Every command's exact exit code, stdout, stderr and written files, run in

@@ -15,6 +15,7 @@ give bit-identical family members.
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 from array import array
 
@@ -25,7 +26,8 @@ from hypothesis import strategies as st
 import string_oracle as oracle
 from orientseq import join, lempel, locator, verifier
 from orientseq.aperiodic import build_aos, is_ideal, merge_step
-from orientseq.periodic import DEFAULT_STARTER, _extend_odd, build_orientable
+from orientseq.periodic import DEFAULT_STARTER, TraceStep, _extend_odd, build_orientable
+from orientseq.periodic import next_orientable
 from orientseq.seqcore import (
     FORWARD,
     REVERSE,
@@ -34,6 +36,10 @@ from orientseq.seqcore import (
     NonMinimalPeriodError,
     PreconditionError,
     WindowRangeError,
+    reverse_value,
+    rotate_left,
+    window_bits,
+    window_values,
 )
 
 from conftest import cycles
@@ -133,12 +139,17 @@ class TestConjugatePositions:
         t = as_cycle(flip(s.bits, data.draw(st.integers(0, s.period - 1))))
         assert join.find_conjugate_positions(s, t, n) == oracle.find_conjugate_positions(s, t, n)
 
-    @pytest.mark.parametrize("n", [5, 8, 33, 70])
+    # Probes read windows of min(n, 8) bits, one byte each: up to order 8 a
+    # window is one byte, from 9 on several; 64 and 65 sit at the lane limit.
+    BYTE_ORDERS = [*range(1, 10), 33, 63, 64, 65, 70]
+
+    @pytest.mark.parametrize("n", BYTE_ORDERS)
     def test_first_pair_past_the_probe_limit(self, n):
         # s = 0^(P+n) 1: windows 0^n up to position P, whose conjugate 1 0^(n-1)
-        # t = [1 0^(n-2) 1] lacks; the first pair is 0^(n-1) 1 at P+1 with t at 0.
+        # t, the cycle of the conjugate of 0^(n-1) 1 ([1 0^(n-2) 1] from n = 3),
+        # lacks; the first pair is 0^(n-1) 1 at P+1 with t at 0.
         s = GeneratingCycle("0" * (join._PROBES + n) + "1")
-        t = GeneratingCycle("1" + "0" * (n - 2) + "1")
+        t = as_cycle(oracle.conjugate("0" * (n - 1) + "1"))
         pos = join.find_conjugate_positions(s, t, n)
         assert pos == oracle.find_conjugate_positions(s, t, n) == (join._PROBES + 1, 0)
 
@@ -161,6 +172,28 @@ class TestConjugatePositions:
         assert s.period > join._PROBES
         assert join.find_conjugate_positions(s, t, n) is None
         assert oracle.find_conjugate_positions(s, t, n) is None
+
+    @pytest.mark.parametrize("n", BYTE_ORDERS)
+    def test_seeded_pairs_at_the_byte_orders(self, n):
+        # Random pairs, and pairs one flip apart, so that large orders hit too.
+        rng = random.Random(n)
+        for _ in range(40):
+            s, t = (as_cycle(format(rng.getrandbits(150), "0150b")[: rng.randint(1, 150)])
+                    for _ in "st")
+            for other in (t, as_cycle(flip(s.bits, rng.randrange(s.period)))):
+                pos = join.find_conjugate_positions(s, other, n)
+                assert pos == oracle.find_conjugate_positions(s, other, n)
+
+
+class TestByteWindows:
+    @given(st.integers(1, 8), st.data())
+    def test_every_window_in_a_byte(self, n, data):
+        bits = data.draw(st.text(alphabet="01", min_size=n, max_size=300))
+        c = data.draw(cycles(max_size=100))
+        for s in (FiniteSeq(bits), c):
+            values = window_values(*window_bits(s, n), n)
+            assert values.typecode == "B"
+            assert list(values) == [int(w, 2) for w in oracle.all_windows(s, n)]
 
 
 def every_word(n):
@@ -321,6 +354,69 @@ def one_run_cycles(draw):
     return GeneratingCycle("1" * (n - 4) + "0" + "".join("1" * k + "0" for k in runs)), n
 
 
+@functools.lru_cache(maxsize=None)
+def good_starters(n):
+    """Good, odd-weight orientable cycles of order n, as bit strings: the closed
+    prefixes of 1,000 seeded random walks that use no n-window, nor its reversal,
+    twice, and that have odd weight and one cyclic run of n-4 zeros."""
+    found = set()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        w0 = "0" * n
+        while w0 == w0[::-1]:
+            w0 = format(rng.getrandbits(n), f"0{n}b")
+        w, taken, bits = w0, {w0, w0[::-1]}, ""
+        while True:
+            bits += w[0]
+            ahead = [w[1:] + b for b in "01"]
+            if w0 in ahead and bits.count("1") % 2:
+                if len(oracle.cyclic_positions(bits, "0" * (n - 4))) == 1:
+                    found.add(bits)
+            free = [v for v in ahead if v not in taken and v != v[::-1]]
+            if not free:
+                break
+            w = rng.choice(free)
+            taken.update((w, w[::-1]))
+    return sorted(found)
+
+
+def scanned_step(c, n):
+    """One recursion step composed from the scanning odd extension."""
+    inv = lempel.d_inverse_periodic(c)
+    if inv.second is not None:
+        raise PreconditionError(f"input weight {c.weight} is even; the recursion needs odd weight")
+    out, pos = _extend_odd(inv.first, n + 1)
+    return out, TraceStep(n + 1, out.period, out.weight, pos is not None, pos)
+
+
+class TestRunTracking:
+    """build_orientable carries the run of zeros; next_orientable scans for it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(6, 8), st.data())
+    def test_build_equals_a_chain_of_scanning_steps(self, n0, data):
+        # Rotations and reversals keep a starter good, odd and orientable, and
+        # move its run of zeros, wrapping or not, anywhere in the period.
+        bits = data.draw(st.sampled_from(good_starters(n0)))
+        m = len(bits)
+        x = rotate_left(int(bits, 2), m, data.draw(st.integers(0, m - 1)))
+        if data.draw(st.booleans()):
+            x = reverse_value(x, m)
+        starter, lift = GeneratingCycle._trusted(x, m), data.draw(st.integers(1, 10))
+        built, trace = build_orientable(starter, n0, n0 + lift)
+        c, steps = starter, trace.steps[:1]
+        for n in range(n0, n0 + lift):
+            c, step = next_orientable(c, n)
+            steps.append(step)
+        assert built == c and trace.steps == steps
+        assert built.bits == oracle.build_orientable(starter.bits, n0, n0 + lift)
+
+    @given(cycles(max_size=40), st.integers(1, 12))
+    def test_next_orientable_on_any_input(self, c, n):
+        # Results and error texts as when the preimage itself was scanned.
+        assert outcome(next_orientable, c, n) == outcome(scanned_step, c, n)
+
+
 def bits_of(result):
     """Packed results as the bit strings the oracle returns."""
     if isinstance(result, tuple) and isinstance(result[0], GeneratingCycle):
@@ -387,6 +483,24 @@ class TestFamiliesBitIdentical:
     def test_debruijn(self):
         for n in range(1, 17):
             assert join.debruijn_lempel(n).bits == oracle.debruijn_lempel(n)
+
+    # (size, sha256 of the bits) of the largest builds perfbench's construct
+    # round checks, as pinned there.
+    PINS = {
+        "periodic-26": (9786709, "d3e5d9a8225076823aba0a9de61f6d333cc82cd8cecb3e6b8c9f123dafdb6693"),
+        "aperiodic-24": (5592428, "e29d9dcb154f1645229f6f46a0f7163f86cfcf53c310506e38c20bf3d6806f6f"),
+        "debruijn-19": (524288, "abbdb98574fd412d36006c824d726da134310bf4e01dbee19de1373b55586a10"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_pinned_digests(self, name):
+        build = {
+            "periodic-26": lambda: build_orientable(DEFAULT_STARTER, 6, 26)[0],
+            "aperiodic-24": lambda: build_aos(24)[0],
+            "debruijn-19": lambda: join.debruijn_lempel(19),
+        }[name]
+        bits = build().bits
+        assert (len(bits), hashlib.sha256(bits.encode("ascii")).hexdigest()) == self.PINS[name]
 
     @pytest.mark.slow
     def test_order_24(self):

@@ -156,7 +156,8 @@ class TestWindowValues:
 
     def test_lane_widths(self):
         x = 2**100 - 1
-        assert window_values(x, 100, 32).typecode == "I"
+        assert window_values(x, 100, 8).typecode == "B"
+        assert window_values(x, 100, 9).typecode == window_values(x, 100, 32).typecode == "I"
         assert window_values(x, 100, 33).typecode == "Q"
         assert list(window_values(x, 100, 64)) == [2**64 - 1] * 37
         assert window_values(x, 100, 65) == [2**65 - 1] * 36

@@ -49,6 +49,14 @@ class TestParse:
         with pytest.raises(NonMinimalPeriodError, match=text):
             parse_sequence("0101\n").to_cycle()
 
+    def test_long_non_minimal_cycles_are_named_not_echoed(self):
+        # Up to 64 bits the cycle is echoed; past that, its length stands in.
+        with pytest.raises(NonMinimalPeriodError, match=r"^\[(01){32}\] is not a minimal"):
+            parse_sequence("01" * 32 + "\n").to_cycle()
+        text = r"^a cycle of 200000 bits is not a minimal period \(repeats every 2 bits\)$"
+        with pytest.raises(NonMinimalPeriodError, match=text):
+            parse_sequence("01" * 100_000 + "\n").to_cycle()
+
 
 class TestRoundTrip:
     def test_cycle_file(self, tmp_path):
