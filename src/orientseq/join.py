@@ -12,8 +12,8 @@ from typing import Optional
 
 from .lempel import d_inverse_periodic
 from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value
-from .seqcore import require_memory, rotate_left, window_bits, window_values
-from .verifier import first_collision, read_windows
+from .seqcore import require_memory, rotate_left
+from .verifier import first_collision, read_windows, window_finder
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
 
@@ -31,16 +31,13 @@ def find_conjugate_positions(
     callers are responsible for the inputs being disjoint n-window cycles.
     Windows are compared as integers, where conjugation flips the top bit.
 
-    The pair sits near the start of s in every doubling step, so the first
-    _PROBES windows of s are each looked up by one bytes.find in t's windows
-    of order k = min(n, 8), one byte each: the n bits at j match iff the n-k+1
-    bytes from j match those of the target.  Past that, first_collision
-    tabulates t's windows once for every later position: linear at worst.
+    The pair sits near the start of s in every doubling step, so the conjugates of
+    the first _PROBES windows of s are looked up in t by window_finder; past that,
+    first_collision tabulates t's windows once for all the rest: linear at worst.
     """
-    top, k = 1 << (n - 1), min(n, 8)
-    theirs = window_values(*window_bits(t, n), k).tobytes()
+    top, find = 1 << (n - 1), window_finder(t, n)
     for i in range(min(_PROBES, s.period)):
-        j = theirs.find(window_values(cyclic_value(s, i, n) ^ top, n, k).tobytes())
+        j = find(cyclic_value(s, i, n) ^ top)
         if j >= 0:
             return i, j
     ours = read_windows(s, n)

@@ -7,8 +7,8 @@ where it occurs and the direction of travel.  There are two ways to look up:
 * many lookups: build_index tabulates all 2N windows once, keyed by their
   integer values, and each locate is one int() parse and one table read; it
   refuses an index past physical memory up front;
-* one lookup: find scans the sequence's window string with at most two
-  str.find calls, forward and then reversed, and builds no table.
+* one lookup: find looks the query up, forward and then reversed, with the
+  verifier's window_finder, one bytes.find each, and builds no table.
 
 Both refuse non-orientable sources and read queries alike, so they agree: a
 query is a '0'/'1' string, and anything else of the right length is absent.
@@ -19,8 +19,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .seqcore import FORWARD, REVERSE, PreconditionError, Seq, require_memory, window_bits
-from .verifier import dense, read_windows, require_orientable, window_count
+from .seqcore import FORWARD, REVERSE, PreconditionError, Seq, require_memory
+from .verifier import dense, read_windows, require_orientable, window_count, window_finder
 
 __all__ = ["LocatorIndex", "build_index", "locate", "find"]
 
@@ -88,15 +88,13 @@ def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
 
 
 def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
-    """locate(build_index(s, n), t) without the table: one scan per direction."""
+    """locate(build_index(s, n), t) without the table: one search per direction."""
     require_orientable(s, n, "source")
-    if not _well_formed(t, n):  # a digit 2-9 is no hit either
+    if not _well_formed(t, n) or t.strip("01"):  # a digit 2-9 is no hit either
         return None
-    # Every offset of the window string is a window start, so a hit is a position.
-    x, length = window_bits(s, n)
-    bits = format(x, f"0{length}b")
-    for w, orientation in ((t, FORWARD), (t[::-1], REVERSE)):
-        i = bits.find(w)
+    find_window = window_finder(s, n)
+    for v, orientation in ((int(t, 2), FORWARD), (int(t[::-1], 2), REVERSE)):
+        i = find_window(v)
         if i >= 0:
             return i, orientation
     return None

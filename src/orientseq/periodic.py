@@ -74,8 +74,6 @@ def dai_bound(n: int) -> int:
 
 def _cyclic_runs(c: GeneratingCycle, k: int, bit: int) -> int:
     """Bit m-1-r is set iff k copies of `bit` start at position r of c's period m."""
-    if k == 0:  # the empty run starts everywhere
-        return (1 << c.period) - 1
     size = c.period + k - 1
     x = cyclic_value(c, 0, size) ^ (0 if bit else (1 << size) - 1)
     have = 1  # x marks the starts of runs of `have` copies; double until k
@@ -97,10 +95,8 @@ def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[i
     if n < 5:
         raise ValueError(f"extension needs order >= 5, got {n}")
     runs = _cyclic_runs(c, n - 4, 1)
-    if runs.bit_count() != 1:
-        raise PreconditionError(
-            f"expected exactly one occurrence of 1^{n - 4}, found {runs.bit_count()}"
-        )
+    if (found := runs.bit_count()) != 1:
+        raise PreconditionError(f"expected exactly one occurrence of 1^{n - 4}, found {found}")
     if c.weight % 2 == 1:
         return c, None
     r = c.period - runs.bit_length()
@@ -126,8 +122,8 @@ def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
 
 
 def _step(c: GeneratingCycle, n: int, p: int) -> tuple[GeneratingCycle, TraceStep, int]:
-    """next_orientable on a good odd-weight c whose 0^{n-4} starts at p, and where
-    the output's 0^{n-3} starts (the run lemma in the module docstring)."""
+    """build_orientable's step: next_orientable on a good odd-weight c whose 0^{n-4}
+    starts at p, and where the output's 0^{n-3} starts (the run lemma above)."""
     d, m = d_inverse_periodic(c).first, c.period
     ones, zeros = (p, p + m) if d[p] else (p + m, p)
     if m % 2:  # d has weight m
@@ -137,21 +133,15 @@ def _step(c: GeneratingCycle, n: int, p: int) -> tuple[GeneratingCycle, TraceSte
 
 
 def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceStep]:
-    """One recursion step: inverse map then odd-weight extension, at order n+1.
+    """One recursion step to order n+1: the inverse map, then extend_odd.
 
-    The input must be a good orientable cycle of odd weight at order n (the
-    caller can check via build_orientable's starter validation); its preimage
-    is then a single doubled cycle, which is extended to odd weight.
+    The input must be a good orientable cycle of odd weight at order n (as
+    build_orientable checks its starter); its preimage is one doubled cycle.
     """
     if c.weight % 2 == 0:
         raise PreconditionError(f"input weight {c.weight} is even; the recursion needs odd weight")
-    if n < 4:
-        raise ValueError(f"extension needs order >= 5, got {n + 1}")
-    runs = _cyclic_runs(c, n - 4, 0)  # c's runs of n-4 zeros are d's runs of n-3 ones
-    if runs.bit_count() != 1:
-        found = runs.bit_count()
-        raise PreconditionError(f"expected exactly one occurrence of 1^{n - 3}, found {found}")
-    return _step(c, n, c.period - runs.bit_length())[:2]
+    out, r = _extend_odd(d_inverse_periodic(c).first, n + 1)
+    return out, TraceStep(n + 1, out.period, out.weight, r is not None, r)
 
 
 def build_orientable(

@@ -240,13 +240,14 @@ def window_values(x: int, length: int, n: int) -> Sequence[int]:
     width, code = (8, "B") if n <= 8 else (32, "I") if n <= 32 else (64, "Q")
     size, lanes = width // 8, -(-total // width)
     mask = int.from_bytes(((1 << n) - 1).to_bytes(size, "little") * lanes, "little")
-    out = array(code, bytes(size * total))
+    # A bytearray takes the byte lanes' strided copies about 5x faster than an array does.
+    out = bytearray(total) if size == 1 else array(code, bytes(size * total))
     for r in range(min(width, total)):
         chunk = array(code, ((x >> r) & mask).to_bytes(size * lanes, "little"))
         if sys.byteorder == "big":
             chunk.byteswap()
         out[total - 1 - r :: -width] = chunk[: (total - 1 - r) // width + 1]
-    return out
+    return array(code, out) if size == 1 else out
 
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the

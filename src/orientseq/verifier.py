@@ -3,9 +3,9 @@
 The n-window property, orientability, disjointness of pairs in one or both
 reading directions, and primitivity, all checked exactly.  The builders check
 their starters with these verifiers; the tests check the families built.  This
-is the one module that reads and tabulates n-windows: join's conjugate search
-past its probes and locator's index use read_windows, dense, window_count and
-first_collision, which the package does not re-export.
+is the one module that reads, tabulates and searches n-windows: join and locator
+use read_windows, dense, window_count, first_collision and window_finder, which
+the package does not re-export.
 
 All five are one question, answered by first_collision: does an n-window of
 one or two readings of s, forward and reversed, occur in the forward reading
@@ -89,6 +89,15 @@ def read_windows(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
     if reverse:
         values.reverse()
     return values
+
+
+def window_finder(s: Seq, n: int) -> Callable[[int], int]:
+    """find(v): the first position of the n-bit value v among s's windows, or -1, by one
+    bytes.find and no table: s's k-windows, k = min(n, 8), are one byte each, and the
+    n bits at j equal v iff the n-k+1 bytes from j equal v's own k-windows."""
+    k = min(n, 8)
+    windows = window_values(*window_bits(s, n), k).tobytes()
+    return lambda v: windows.find(window_values(v, n, k).tobytes())
 
 
 def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int], object], int]:

@@ -334,12 +334,17 @@ class TestFind:
         assert absent
         assert all(locator.find(source, n, w) is None for w in absent)
 
-    @given(sequences, st.integers(1, 12), st.data())
+    @given(sequences, orders, st.data())
     def test_matches_index_lookup(self, s, n, data):
-        # Windows of s itself, so hits are likely, and words of any length.
+        # Windows of s itself, so hits are likely, words of exactly n bits, so
+        # misses of the right length occur, and words of any length.
         ws = oracle.all_windows(s, n) if len(s) >= n else []
         t = data.draw(
-            st.one_of(st.text(alphabet="01", max_size=14), *([st.sampled_from(ws)] if ws else []))
+            st.one_of(
+                st.text(alphabet="01", max_size=14),
+                st.text(alphabet="01", min_size=n, max_size=n),
+                *([st.sampled_from(ws)] if ws else []),
+            )
         )
         if data.draw(st.booleans()):
             t = t[::-1]
@@ -390,7 +395,9 @@ def scanned_step(c, n):
 
 
 class TestRunTracking:
-    """build_orientable carries the run of zeros; next_orientable scans for it."""
+    """The lemma against the scan: build_orientable carries the run of zeros from
+    step to step, while next_orientable, the inverse map then extend_odd, scans
+    each preimage for its run of ones."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(6, 8), st.data())

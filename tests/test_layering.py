@@ -1,8 +1,10 @@
-"""No module of the package reaches into another's private names.
+"""No module of the package reaches into another's private names, and only
+the verifier reads n-windows.
 
 A name with a leading underscore is private to its module; a module that
 needs another's helper calls a documented function instead.  Tests may still
-import private names.
+import private names.  Every other module gets its windows, tables and window
+searches from the verifier, never from seqcore.window_values.
 """
 from __future__ import annotations
 
@@ -14,16 +16,21 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orientseq"
 
 
-def private_imports(path: Path) -> list[str]:
-    """Each `from .<module> import _<name>` (or from orientseq.<module>) in path."""
+def package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each `from .<module> import <name>` (or from orientseq.<module>)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if not isinstance(node, ast.ImportFrom):
             continue
         if node.level == 0 and not (node.module or "").startswith("orientseq"):
             continue
-        found += [f"{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+        found += [(node.lineno, a.name) for a in node.names]
     return found
+
+
+def private_imports(path: Path) -> list[str]:
+    """Each private name path imports from the package, as 'line: name'."""
+    return [f"{line}: {name}" for line, name in package_imports(path) if name.startswith("_")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -35,3 +42,9 @@ def test_the_check_sees_a_private_import(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("from .verifier import _dense, read_windows\nfrom os import _exit\n")
     assert private_imports(path) == ["1: _dense"]
+
+
+def test_only_the_verifier_reads_windows():
+    paths = sorted(PACKAGE.glob("*.py"))
+    readers = [p.name for p in paths if "window_values" in [n for _, n in package_imports(p)]]
+    assert readers == ["verifier.py"]
