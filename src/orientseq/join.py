@@ -41,7 +41,7 @@ def find_conjugate_positions(
         if j >= 0:
             return i, j
     ours = read_windows(s, n)
-    conjugates = ours[:0]  # an empty array of ours' type, or a list past order 64
+    conjugates = ours[:0]  # empty, of ours' type: a bytearray, an array, or a list past 64
     conjugates.extend(map(top.__xor__, ours))
     cx = first_collision((conjugates,), read_windows(t, n), n)
     return None if cx is None else (cx.i, cx.j)

@@ -56,7 +56,7 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     count = window_count(s, n)
     in_array, code = dense(n, count), "i" if 2 * count < 1 << 31 else "q"
     size = 12 * array(code).itemsize if in_array else BYTES_PER_WINDOW + 8 * -(-n // 30)
-    require_memory(f"the index at order {n}", len(s), size)
+    require_memory(f"the index at order {n}", count, size)
     fwd, rev = read_windows(s, n), read_windows(s, n, reverse=True)
     slots = range(1, len(fwd) + 1)
     if in_array:

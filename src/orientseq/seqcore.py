@@ -3,18 +3,16 @@
 A sequence is stored packed, as one int holding its bits first (leftmost) bit
 most significant, plus its length; every layer works on that int with shifts,
 masks and XORs, and the '0'/'1' string (`.bits`) is built only for I/O.  A
-window is read as an integer too: one at a time (cyclic_value) or every window
-of a sequence at once (window_values).  All types are immutable values; all
-operations are pure.
+window is read as an integer too: one at a time by cyclic_value, or all at
+once from window_bits, the packed bits whose n-bit slices are a sequence's
+windows, which the verifier's kernel lays out as integers (a bytearray up to
+order 8).  All types are immutable values; all operations are pure.
 """
 from __future__ import annotations
 
 import os
-import re
 import reprlib
-import sys
-from array import array
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Union
 
 __all__ = [
     "BitsError",
@@ -29,7 +27,6 @@ __all__ = [
     "Seq",
     "as_bits",
     "window_bits",
-    "window_values",
     "cyclic_value",
     "least_period",
     "rotate_left",
@@ -74,7 +71,7 @@ def as_bits(bits: str) -> str:
     if not bits:
         raise BitsError("empty sequences are not allowed")
     if not bits.isascii() or bits.encode("ascii").translate(None, b"01"):
-        i = re.search("[^01]", bits).start()
+        i = len(bits) - len(bits.lstrip("01"))
         raise BitsError(f"bits must contain only '0' and '1': {len(bits)} characters,"
                         f" {bits[i]!r} at position {i}")
     return bits
@@ -225,29 +222,6 @@ def window_bits(s: Seq, n: int) -> tuple[int, int]:
     if len(s) < n:
         raise WindowRangeError(f"sequence of length {len(s)} has no windows of order {n}")
     return s.value, len(s)
-
-
-def window_values(x: int, length: int, n: int) -> Sequence[int]:
-    """Element p is the n-bit slice at p of the `length`-bit value x; no Python
-    code runs per window.  (x >> r) & M, M the n-bit mask repeated every B = 8,
-    32 or 64 bits, holds the windows ending r, r+B, ... bits from the right end
-    in its B-bit lanes, copied out via to_bytes and a strided slice.  Orders up
-    to 8 come out as bytes (typecode 'B'); orders above 64 fall back to a list."""
-    total = max(length - n + 1, 0)
-    if n > 64:
-        b = format(x, f"0{length}b")
-        return [int(b[p : p + n], 2) for p in range(total)]
-    width, code = (8, "B") if n <= 8 else (32, "I") if n <= 32 else (64, "Q")
-    size, lanes = width // 8, -(-total // width)
-    mask = int.from_bytes(((1 << n) - 1).to_bytes(size, "little") * lanes, "little")
-    # A bytearray takes the byte lanes' strided copies about 5x faster than an array does.
-    out = bytearray(total) if size == 1 else array(code, bytes(size * total))
-    for r in range(min(width, total)):
-        chunk = array(code, ((x >> r) & mask).to_bytes(size * lanes, "little"))
-        if sys.byteorder == "big":
-            chunk.byteswap()
-        out[total - 1 - r :: -width] = chunk[: (total - 1 - r) // width + 1]
-    return array(code, out) if size == 1 else out
 
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the

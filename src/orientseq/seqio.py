@@ -65,11 +65,7 @@ def read_sequence(path: Union[str, os.PathLike]) -> SequenceFile:
         return parse_sequence(fh.read())
 
 
-def write_sequence(path: Union[str, os.PathLike], bits: str, *,
-                   mode: Optional[str] = None, order: Optional[int] = None) -> None:
-    """Write the '0'/'1' string bits under a header naming the mode and order given."""
-    header = f"# mode={mode}" if mode else "#"
-    if order is not None:
-        header += f" order={order}"
+def write_sequence(path: Union[str, os.PathLike], bits: str, *, mode: str, order: int) -> None:
+    """Write the '0'/'1' string bits under the header `# mode=<mode> order=<order>`."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + bits + "\n")
+        fh.write(f"# mode={mode} order={order}\n{bits}\n")

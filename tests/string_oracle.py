@@ -12,7 +12,7 @@ Three groups, all returning '0'/'1' strings:
   they could no longer get home: only the per-root bound prunes.
 
 They are slow and memory-hungry, which is why the library no longer uses
-them, and independent of the packed layout and seqcore.window_values, which
+them, and independent of the packed layout and verifier._window_values, which
 is why the tests compare against them.  The string helpers the tests use as
 tools (all_windows, cyclic_slice, complement, conjugate) live here too, since
 the library reads windows as integers.

@@ -156,6 +156,10 @@ class TestUnrolling:
         assert out == FiniteSeq("0011010011")
         assert verify_orientable(out, 5) is None
 
+    def test_rejects_orders_below_one(self):
+        with pytest.raises(ValueError, match="^need order >= 1, got 0$"):
+            aos_from_periodic(GeneratingCycle("001101"), 0)
+
     def test_family_round_trip(self):
         from orientseq.periodic import DEFAULT_STARTER as CYCLE_STARTER
         from orientseq.periodic import build_orientable

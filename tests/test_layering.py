@@ -1,10 +1,10 @@
-"""No module of the package reaches into another's private names, and only
-the verifier reads n-windows.
+"""No module of the package reaches into another's private names.
 
 A name with a leading underscore is private to its module; a module that
 needs another's helper calls a documented function instead.  Tests may still
-import private names.  Every other module gets its windows, tables and window
-searches from the verifier, never from seqcore.window_values.
+import private names.  So the verifier's window kernel, _window_values, is read
+by the verifier alone: every other module gets its windows, tables and window
+searches through the verifier's documented functions.
 """
 from __future__ import annotations
 
@@ -43,8 +43,3 @@ def test_the_check_sees_a_private_import(tmp_path):
     path.write_text("from .verifier import _dense, read_windows\nfrom os import _exit\n")
     assert private_imports(path) == ["1: _dense"]
 
-
-def test_only_the_verifier_reads_windows():
-    paths = sorted(PACKAGE.glob("*.py"))
-    readers = [p.name for p in paths if "window_values" in [n for _, n in package_imports(p)]]
-    assert readers == ["verifier.py"]

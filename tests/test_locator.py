@@ -62,7 +62,7 @@ class TestMemoryGuard:
         else:
             s, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 16)
         charged = []
-        monkeypatch.setattr(locator, "require_memory", lambda *a: charged.append(a[1] * a[2]))
+        monkeypatch.setattr(locator, "require_memory", lambda *a: charged.append(a[1:]))
         for n in [40, 100] if family == "dict" else [16]:
             tracemalloc.start()
             try:
@@ -71,7 +71,8 @@ class TestMemoryGuard:
             finally:
                 tracemalloc.stop()
             assert isinstance(idx.table, dict if family == "dict" else array)
-            assert peak <= charged.pop()
+            count, size = charged.pop()  # charged for the windows, not the bits of s
+            assert count == len(idx) // 2 and peak <= count * size
 
 
 class TestLocate:

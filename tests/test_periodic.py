@@ -125,6 +125,9 @@ class TestRecursion:
             build_orientable(GeneratingCycle("0011"), 4, 6)
         with pytest.raises(PreconditionError, match="not good"):
             build_orientable(GeneratingCycle("000110010111001101"), 9, 10)
+        # Good and orientable at order 6, but of even weight.
+        with pytest.raises(PreconditionError, match="^starter weight 4 is even$"):
+            build_orientable(GeneratingCycle("0010111"), 6, 7)
         with pytest.raises(PreconditionError, match="below starter order"):
             build_orientable(DEFAULT_STARTER, 6, 5)
 

@@ -71,6 +71,9 @@ PINNED = [
         500_001, id="periodic-8-budget-500000",
     ),
     pytest.param(max_aos_length, 5, 30, 14, "00001101001111", False, 31, id="aos-5-budget-30"),
+    # A zero budget stops at the first root, before any walk.
+    pytest.param(max_orientable_period, 5, 0, 0, None, False, 1, id="periodic-5-budget-0"),
+    pytest.param(max_aos_length, 5, 0, 0, None, False, 1, id="aos-5-budget-0"),
 ]
 
 

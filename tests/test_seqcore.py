@@ -24,8 +24,8 @@ from orientseq.seqcore import (
     require_memory,
     reverse_value,
     window_bits,
-    window_values,
 )
+from orientseq.verifier import _window_values
 
 from conftest import cycles, finite_seqs, windows_st
 from string_oracle import cyclic_slice
@@ -38,6 +38,10 @@ class TestConstruction:
         # Bits enter as '0'/'1' strings only.
         with pytest.raises(BitsError, match="^bits must be a '0'/'1' string, got \\[0, 1, 1\\]$"):
             GeneratingCycle([0, 1, 1])
+
+    def test_repr(self):
+        assert repr(GeneratingCycle("001101")) == "[001101]"
+        assert repr(FiniteSeq("0011")) == "FiniteSeq(0011)"
 
     @pytest.mark.parametrize("bad", ["0101", "0000", "011011", "11"])
     def test_cycle_rejects_non_minimal_periods(self, bad):
@@ -152,15 +156,15 @@ class TestWindowValues:
     def test_every_window_as_an_integer(self, bits, n):
         # Lengths past 2 * 64 put several lanes in every shifted integer.
         expected = [int(bits[p : p + n], 2) for p in range(len(bits) - n + 1)]
-        assert list(window_values(int(bits, 2), len(bits), n)) == expected
+        assert list(_window_values(int(bits, 2), len(bits), n)) == expected
 
     def test_lane_widths(self):
         x = 2**100 - 1
-        assert window_values(x, 100, 8).typecode == "B"
-        assert window_values(x, 100, 9).typecode == window_values(x, 100, 32).typecode == "I"
-        assert window_values(x, 100, 33).typecode == "Q"
-        assert list(window_values(x, 100, 64)) == [2**64 - 1] * 37
-        assert window_values(x, 100, 65) == [2**65 - 1] * 36
+        assert type(_window_values(x, 100, 8)) is bytearray
+        assert _window_values(x, 100, 9).typecode == _window_values(x, 100, 32).typecode == "I"
+        assert _window_values(x, 100, 33).typecode == "Q"
+        assert list(_window_values(x, 100, 64)) == [2**64 - 1] * 37
+        assert _window_values(x, 100, 65) == [2**65 - 1] * 36
 
     def test_window_bits(self):
         assert window_bits(GeneratingCycle("001101"), 3) == (int("00110100", 2), 8)
@@ -217,7 +221,7 @@ class TestWeightAndOccurrences:
 
 def cyclic_windows(c, n):
     """The n-windows of c, one per position of its period, as integers."""
-    return list(window_values(*window_bits(c, n), n))
+    return list(_window_values(*window_bits(c, n), n))
 
 
 class TestRequireMemory:

@@ -62,6 +62,7 @@ class TestRoundTrip:
     def test_cycle_file(self, tmp_path):
         path = tmp_path / "c.seq"
         write_sequence(path, GeneratingCycle("001101").bits, mode="periodic", order=5)
+        assert path.read_text(encoding="ascii") == "# mode=periodic order=5\n001101\n"
         f = read_sequence(path)
         assert (f.bits, f.mode, f.order) == ("001101", "periodic", 5)
 
@@ -72,7 +73,8 @@ class TestRoundTrip:
         assert (f.bits, f.mode, f.order) == ("00010111", "aperiodic", 4)
 
     def test_raw_string_with_explicit_mode(self, tmp_path):
+        # A hand-written header may name a mode and no order.
         path = tmp_path / "r.seq"
-        write_sequence(path, "0101", mode="aperiodic")
+        path.write_text("# mode=aperiodic\n0101\n", encoding="ascii")
         f = read_sequence(path)
         assert (f.bits, f.mode, f.order) == ("0101", "aperiodic", None)
