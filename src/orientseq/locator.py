@@ -16,6 +16,7 @@ query is a '0'/'1' string, and anything else of the right length is absent.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -58,17 +59,16 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     size = 12 * array(code).itemsize if in_array else BYTES_PER_WINDOW + 8 * -(-n // 30)
     require_memory(f"the index at order {n}", count, size)
     fwd, rev = read_windows(s, n), read_windows(s, n, reverse=True)
-    slots = range(1, len(fwd) + 1)
+    slots, back = range(1, len(fwd) + 1), range(-1, -len(fwd) - 1, -1)
     if in_array:
         table = array(code, [0]) * (1 << n)
-        for i, v in zip(slots, fwd):
-            table[v] = i
-        for i, v in zip(slots, rev):
-            table[v] = -i
+        # Scatter at C speed: deque consumes the map without keeping its Nones.
+        deque(map(table.__setitem__, fwd, slots), maxlen=0)
+        deque(map(table.__setitem__, rev, back), maxlen=0)
         filled = len(table) - table.count(0)
     else:
         table = dict(zip(fwd, slots))
-        table.update(zip(rev, range(-1, -len(fwd) - 1, -1)))
+        table.update(zip(rev, back))
         filled = len(table)
     # 2N distinct values iff s is orientable; the verifier only words the refusal.
     if filled != 2 * len(fwd):

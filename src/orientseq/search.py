@@ -17,14 +17,31 @@ raises ValueError.
 
 The tables behind the search hold one reversal, one orbit id and one claimed
 flag per n-bit window; an order whose tables would not fit in physical memory
-raises ValueError up front.
+raises ValueError up front, in each process that builds them.
+
+Each root (a cycle's anchor edge, a path's start vertex) is walked from a best
+of 0, and the results are merged in root order: longer wins, else the
+lexicographically least.  A root uses the incoming best in three places: to
+decide whether it is skipped, which the merge applies; in `bound > best`,
+which can fail on it only for a root that is skipped anyway; and to choose the
+candidates compared, which the merge compares again.  So each root visits the
+same nodes, and an exhaustive run on a process allowed two or more CPUs starts
+one helper process (multiprocessing, spawn) that walks roots from the back
+while the caller walks them from the front.  None outlives the search; only
+multiprocessing's resource tracker, which spawning starts once per process,
+stays until the process exits.  Budgeted runs and one-CPU hosts walk every
+root in the caller alone, with the same results.  Like any spawned process,
+the helper imports the caller's main module: a script that searches keeps its
+top level under `if __name__ == "__main__":`.
 """
 from __future__ import annotations
 
+import os
 import reprlib
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import compress
+from typing import Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
@@ -59,69 +76,55 @@ def _orbit_table(n: int) -> tuple[array, list[int], bytearray]:
     return rev, orbit, bytearray(map(int.__eq__, windows, rev))
 
 
-def _branch_and_bound(
-    n: int,
-    closed: bool,
-    upper_bound: Callable[[int], int],
-    node_budget: Optional[int],
-    initial_best: Optional[tuple[int, str]],
-) -> SearchResult:
-    """Depth-first search over walks on the shift graph, one root at a time.
+class _Roots:
+    """The search tables at order n, charged to the memory guard in each process
+    that builds them, and depth-first walks on the shift graph from root k.
 
-    A closed walk starts with its anchor edge, the least orbit it uses, and
-    counts each time it returns to the anchor's start vertex; anchors come in
-    increasing order and each stays claimed for every later root.  An open
-    walk starts at a vertex and counts at every edge.  Either way the first
-    bit is 0 (complement symmetry), edges are tried bit 0 first, and each edge
-    claims one orbit, so the most a walk from a root can reach is a constant
-    `bound` checked against the best result at every node.
+    Closed root k is the k-th anchor edge, the least orbit a walk from it uses,
+    and a walk counts each time it returns to the anchor's start vertex; every
+    anchor before k stays claimed.  Open root k is the start vertex k, and a
+    walk counts at every edge.  Either way the first bit is 0 (complement
+    symmetry), edges are tried bit 0 first, and each edge claims one orbit, so
+    the most a walk from a root can reach is a constant `bound` checked against
+    the best result at every node.
 
     A closed walk can only get home through home's two in-edges, the windows
     `home` and `home | 1 << (n-1)`.  Once both of their orbits are claimed no
     extension of the walk closes again, so the search backs up there as at a
     leaf; every cycle it would have counted is still counted.
     """
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {node_budget}")
-    # One table entry per n-bit window; upper_bound(n), as large, waits for the guard.
-    windows = capped_size(n, lambda: 1 << max(n, 0))
-    require_memory(f"search tables at order {n}", windows, BYTES_PER_WINDOW)
-    cap = upper_bound(n)
-    vmask = (1 << (n - 1)) - 1
-    rev, orbit, taken = _orbit_table(n)
-    orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones
-    if closed:
-        anchors = (a for a in range(1 << (n - 1)) if rev[a] > a)
-        roots = ((a & vmask, [a], orbits - k, "") for k, a in enumerate(anchors))
-    else:
-        prefixes = (format(v, f"0{n - 1}b") for v in range(1 << (n - 2)))
-        roots = ((v, [], n - 1 + orbits, p) for v, p in enumerate(prefixes))
-    base_len = 0 if closed else n - 1
 
-    best_len, best_bits = 0, None
-    if initial_best is not None:
-        value, witness = initial_best
-        seed = GeneratingCycle(witness) if closed else FiniteSeq(witness)
-        if type(value) is not int or len(seed) != value or not base_len < value <= cap:
-            raise ValueError(f"initial_best value {reprlib.repr(value)} is not its witness's size"
-                             f" {len(seed)} in {base_len + 1}..{cap}, the bound at order {n}")
-        # A witness that is not orientable at order n proves no lower bound.
-        require_orientable(seed, n, "initial_best witness")
-        best_len, best_bits = value, seed.bits
-    nodes = 0
-    for cur, walk, bound, prefix in roots:
-        if best_len >= cap:
-            break
+    def __init__(self, n: int, closed: bool):
+        # One table entry per n-bit window; the bound, as large, waits for the guard.
+        windows = capped_size(n, lambda: 1 << max(n, 0))
+        require_memory(f"search tables at order {n}", windows, BYTES_PER_WINDOW)
+        self.cap = (dai_bound if closed else burns_bound)(n)
+        self.n, self.closed = n, closed
+        rev, self.orbit, self.taken = _orbit_table(n)
+        self.orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones
+        half = range(1 << (n - 1))
+        self.anchors = array("Q", compress(half, map(int.__lt__, half, rev)) if closed else ())
+        self.count = len(self.anchors) if closed else 1 << (n - 2)
+
+    def bound(self, k: int) -> int:
+        return self.orbits - k if self.closed else self.n - 1 + self.orbits
+
+    def walk(self, k: int, limit: Optional[int] = None) -> tuple[int, int, Optional[str]]:
+        """Nodes, best length and least witness of that length of root k's walk from
+        best 0, or so far once its nodes pass limit.  Closed root k needs the anchors
+        up to its own claimed and the later ones free."""
+        n, closed, orbit, taken = self.n, self.closed, self.orbit, self.taken
+        vmask = (1 << (n - 1)) - 1
+        bound = self.bound(k)
         if closed:
-            taken[walk[0]] = 1  # bars the anchor's orbit from later roots too
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            return SearchResult(best_len, best_bits, False, nodes)
-        if bound <= best_len:
-            continue
-        home = walk[0] >> 1 if closed else None
-        # The orbits of home's two in-edges, the only ways back to it.
-        door0, door1 = (orbit[home], orbit[home | 1 << (n - 1)]) if closed else (0, 0)
+            a = self.anchors[k]
+            cur, walk, prefix, base_len, home = a & vmask, [a], "", 0, a >> 1
+            # The orbits of home's two in-edges, the only ways back to it.
+            door0, door1 = orbit[home], orbit[home | 1 << (n - 1)]
+        else:
+            cur, walk, prefix, base_len, home = k, [], format(k, f"0{n - 1}b"), n - 1, None
+            door0 = door1 = 0
+        best_len, best_bits, nodes = 0, None, 0
         floor = len(walk)
         t = cur << 1  # the next edge to try
         while True:
@@ -131,14 +134,14 @@ def _branch_and_bound(
                 walk.append(t)
                 cur = t & vmask
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    return SearchResult(best_len, best_bits, False, nodes)
+                if limit is not None and nodes > limit:
+                    break
                 length = base_len + len(walk)
                 if length >= best_len and (home is None or cur == home):
                     bits = "".join("1" if e & 1 else "0" for e in walk)
                     if closed:  # rotate to the least window; edge k ends at bit k
-                        k = (walk.index(min(walk)) - n + 1) % len(walk)
-                        bits = bits[k:] + bits[:k]
+                        r = (walk.index(min(walk)) - n + 1) % len(walk)
+                        bits = bits[r:] + bits[:r]
                     cand = prefix + bits
                     if length > best_len or best_bits is None or cand < best_bits:
                         best_len, best_bits = length, cand
@@ -157,7 +160,132 @@ def _branch_and_bound(
                     break
             else:
                 break
+        return nodes, best_len, best_bits
+
+
+def _branch_and_bound(
+    n: int,
+    closed: bool,
+    node_budget: Optional[int],
+    initial_best: Optional[tuple[int, str]],
+) -> SearchResult:
+    """Walk the roots in order from best 0 (_Roots), merging their results; an
+    exhaustive run on two or more CPUs has a _Helper walk roots from the back."""
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+    roots = _Roots(n, closed)
+    cap, base_len = roots.cap, 0 if closed else n - 1
+
+    best_len, best_bits = 0, None
+    if initial_best is not None:
+        value, witness = initial_best
+        seed = GeneratingCycle(witness) if closed else FiniteSeq(witness)
+        if type(value) is not int or len(seed) != value or not base_len < value <= cap:
+            raise ValueError(f"initial_best value {reprlib.repr(value)} is not its witness's size"
+                             f" {len(seed)} in {base_len + 1}..{cap}, the bound at order {n}")
+        # A witness that is not orientable at order n proves no lower bound.
+        require_orientable(seed, n, "initial_best witness")
+        best_len, best_bits = value, seed.bits
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    helper = None
+    if node_budget is None and min(cpus, roots.count) > 1:
+        helper = _Helper(n, closed, roots.count)
+    nodes = 0
+    try:
+        for k in range(roots.count):
+            if best_len >= cap:
+                break
+            if closed:
+                roots.taken[roots.anchors[k]] = 1  # bars the anchor's orbit from later roots too
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return SearchResult(best_len, best_bits, False, nodes)
+            if roots.bound(k) <= best_len:
+                continue
+            limit = None if node_budget is None else node_budget - nodes
+            found, length, bits = helper and helper.take(k, best_len) or roots.walk(k, limit)
+            nodes += found
+            if bits is not None and (best_bits is None or (-length, bits) < (-best_len, best_bits)):
+                best_len, best_bits = length, bits
+            if node_budget is not None and nodes > node_budget:
+                return SearchResult(best_len, best_bits, False, nodes)
+    finally:
+        if helper is not None:
+            helper.stop()
     return SearchResult(best_len, best_bits, True, nodes)
+
+
+class _Helper:
+    """The caller's end of the helper process.  Before each root it walks, the
+    caller sends its index and best; before each root, the helper reads the
+    caller's latest and announces the root if it lies past the caller's and is
+    not to be skipped.  The caller waits only for announced roots; if both walk
+    the root where they meet, the helper's copy is dropped."""
+
+    def __init__(self, n: int, closed: bool, count: int):
+        import multiprocessing  # paid only by exhaustive runs on two or more CPUs
+
+        context = multiprocessing.get_context("spawn")
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_helper, args=(child, n, closed), daemon=True)
+        self.low, self.results = count, {}  # the last root announced; results by root
+        try:
+            self.process.start()
+        except (OSError, AssertionError):  # no process to spare, or a daemonic caller
+            self.process = None
+            self.conn.close()
+        finally:
+            child.close()
+
+    def take(self, k: int, best: int) -> Optional[tuple[int, int, Optional[str]]]:
+        """The helper's walk of root k if it announced k, waited for if need be;
+        else None, once the helper knows that the caller walks k itself and its best."""
+        conn = self.conn
+        try:
+            while not conn.closed and (conn.poll() or k >= self.low and k not in self.results):
+                message = conn.recv()
+                if type(message) is int:
+                    self.low = message
+                else:
+                    self.results[self.low] = message
+            if not conn.closed and k < self.low:
+                conn.send((k, best))
+        except (EOFError, OSError):  # the helper is gone: the caller walks what it did not deliver
+            self.stop()
+        return self.results.pop(k, None)
+
+    def stop(self) -> None:
+        if self.process is not None:
+            self.process.terminate()
+            self.process.join()
+            self.process.close()
+            self.process = None
+        self.conn.close()
+
+
+def _helper(conn, n: int, closed: bool) -> None:
+    """The helper process: walk roots from the back while they lie past the caller's."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops this
+    roots = _Roots(n, closed)
+    if closed:
+        for a in roots.anchors:
+            roots.taken[a] = 1
+    front, best = -1, 0
+    try:
+        for k in reversed(range(roots.count)):
+            while conn.poll():
+                front, best = conn.recv()
+            if k <= front:
+                break
+            if roots.bound(k) > best:  # else the caller skips k too, as its best only grows
+                conn.send(k)
+                conn.send(roots.walk(k))
+            if closed:
+                roots.taken[roots.anchors[k]] = 0  # free for the roots before it
+    except (EOFError, OSError):  # the caller is gone, killed before it could stop this
+        pass
 
 
 def max_orientable_period(
@@ -173,7 +301,7 @@ def max_orientable_period(
     skipped since the reversed cycle has the same period, and complemented
     ones by fixing the anchor's first bit to 0.
     """
-    return _branch_and_bound(n, True, dai_bound, node_budget, initial_best)
+    return _branch_and_bound(n, True, node_budget, initial_best)
 
 
 def max_aos_length(
@@ -187,4 +315,4 @@ def max_aos_length(
     Open walks are enumerated from every start vertex (each path has a unique
     one) whose first bit is 0, by complement symmetry.
     """
-    return _branch_and_bound(n, False, burns_bound, node_budget, initial_best)
+    return _branch_and_bound(n, False, node_budget, initial_best)

@@ -13,7 +13,7 @@ from orientseq.aperiodic import build_aos
 from orientseq.locator import build_index, locate
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
 from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError
-from orientseq.verifier import verify_orientable
+from orientseq.verifier import read_windows, verify_orientable
 
 from string_oracle import all_windows
 
@@ -30,6 +30,32 @@ class TestBuildIndex:
     def test_rejects_non_orientable_source(self):
         with pytest.raises(PreconditionError, match="not orientable"):
             build_index(GeneratingCycle("00110"), 2)
+
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic", "random"])
+    def test_array_table_equals_a_loop_built_one(self, kind, monkeypatch):
+        # Random words are seldom orientable, so the refusal is switched off: where
+        # two windows share a value the later write wins, in the loop as in the table.
+        monkeypatch.setattr(locator, "require_orientable", lambda *a: None)
+        rng = random.Random(20)
+        if kind == "periodic":
+            cases = [(build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0], n)
+                     for n in (8, 11, 14)]
+        elif kind == "aperiodic":
+            cases = [(build_aos(n)[0], n) for n in (8, 11, 14)]
+        else:
+            words = ["".join(rng.choice("01") for _ in range(size)) for size in (40, 300, 2000)]
+            cases = [(seq(w), n) for w in words for seq in (GeneratingCycle, FiniteSeq)
+                     for n in (3, len(w).bit_length() - 1)]
+        for s, n in cases:
+            idx = build_index(s, n)
+            assert isinstance(idx.table, array)
+            table = array(idx.table.typecode, [0]) * (1 << n)
+            for i, v in enumerate(read_windows(s, n), 1):
+                table[v] = i
+            for i, v in enumerate(read_windows(s, n, reverse=True), 1):
+                table[v] = -i
+            assert idx.table == table
 
 
 class TestMemoryGuard:

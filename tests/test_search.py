@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import tracemalloc
 from itertools import product
 
 import pytest
 
 import string_oracle as oracle
+from orientseq import search as search_module
 from orientseq.search import BYTES_PER_WINDOW, max_aos_length, max_orientable_period
 from orientseq.seqcore import FiniteSeq, GeneratingCycle
 from orientseq.verifier import verify_orientable
@@ -97,6 +101,156 @@ def test_order_twelve_budget_has_no_depth_limit(search, seq_type):
     if r.witness is not None:
         assert len(r.witness) == r.value
         assert verify_orientable(seq_type(r.witness), 12) is None
+
+
+@pytest.fixture(autouse=True)
+def no_hang_no_orphans():
+    """Fail a search that hangs instead of hanging the suite, and check afterwards
+    that no helper process outlives the test's searches."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the search did not return within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def helper_first(monkeypatch):
+    """Start each helper on two CPUs and let it announce its first root before the
+    caller walks any, so that it walks roots at any order; return the roots that
+    the caller took from helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    start, take, taken = search_module._Helper.__init__, search_module._Helper.take, []
+
+    def start_and_wait(self, *args):
+        start(self, *args)
+        assert self.conn.closed or self.conn.poll(60)  # an announcement, or the helper's exit
+
+    def spy(self, k, best):
+        found = take(self, k, best)
+        taken.extend([k] if found else [])
+        return found
+
+    monkeypatch.setattr(search_module._Helper, "__init__", start_and_wait)
+    monkeypatch.setattr(search_module._Helper, "take", spy)
+    return taken
+
+
+# Optima up to order 7 (value, witness), each orientable at every higher order too.
+OPTIMA = {
+    (True, 5): (6, "001011"),
+    (True, 6): (16, "0001010110010111"),
+    (True, 7): (36, "000010010101100010110111001011110011"),
+    (False, 3): (4, "0011"),
+    (False, 4): (8, "00010111"),
+    (False, 5): (14, "00001101001111"),
+    (False, 6): (26, "00000100110111000101011111"),
+}
+
+
+def seeds(closed, n):
+    """No seed; the order-(n-1) optimum, if any, whose size is below the bounds of
+    all roots or of the roots before the first it skips; the order-n optimum, at
+    the bound of the first root it skips; and a lexicographically greater witness
+    of the same size (rotated or reversed), last."""
+    value, witness = OPTIMA[closed, n]
+    other = witness[1:] + witness[0] if closed else witness[::-1]
+    lesser = [OPTIMA[closed, n - 1]] if (closed, n - 1) in OPTIMA else []
+    return [None, *lesser, (value, witness), (value, other)]
+
+
+class TestHelper:
+    """An exhaustive run with one helper process against the same run in the caller alone."""
+
+    @pytest.mark.parametrize(
+        "closed,n",
+        [(True, 5), (True, 6), (True, 7), (False, 4), (False, 5), (False, 6)],
+        ids=["periodic-5", "periodic-6", "periodic-7", "aos-4", "aos-5", "aos-6"],
+    )
+    def test_same_results_as_on_one_cpu(self, closed, n, monkeypatch, helper_first):
+        search = max_orientable_period if closed else max_aos_length
+        cases = seeds(closed, n)
+        with_helper = [alone(search, n, initial_best=seed) for seed in cases]
+        # A greater witness of the optimum's size gives way to the least one, unless
+        # its size meets the bound and ends the run before the first root.
+        value, witness = OPTIMA[closed, n]
+        turned = with_helper[-1]
+        assert turned.value == value
+        assert turned.witness == (cases[-1][1] if turned.nodes == 0 else witness)
+        if not closed:  # every open root is walked, the last one first by the helper
+            assert len(helper_first) >= len(cases)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert [search(n, initial_best=seed) for seed in cases] == with_helper
+
+    def test_aperiodic_order_seven(self, monkeypatch, helper_first):
+        # 3,177,525 nodes over 32 roots, the caller and the helper meeting in between.
+        r = alone(max_aos_length, 7)
+        assert len(helper_first) > 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert max_aos_length(7) == r
+        assert (r.value, r.witness, r.exhaustive, r.nodes) == (
+            48, "000000100110000101011001110100011110110100111111", True, 3177525)
+
+    @pytest.mark.parametrize("target", ["exits_at_once", "dies_after_announcing"])
+    @pytest.mark.parametrize("closed,n", [(True, 6), (False, 6)], ids=["periodic-6", "aos-6"])
+    def test_a_helper_that_delivers_nothing(self, target, closed, n, monkeypatch, helper_first):
+        search = max_orientable_period if closed else max_aos_length
+        expected = alone(search, n)
+        helper_first.clear()
+        monkeypatch.setattr(search_module, "_helper", globals()[target])
+        assert alone(search, n) == expected and helper_first == []
+
+    def test_budgets_and_one_cpu_start_no_helper(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_Helper", None)  # starting one would raise TypeError
+        r = max_aos_length(6, node_budget=10**6)
+        assert (r.value, r.witness, r.exhaustive, r.nodes) == (
+            26, "00000100110111000101011111", True, 4807)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        r = max_orientable_period(6)
+        assert (r.value, r.witness, r.exhaustive, r.nodes) == (16, "0001010110010111", True, 319)
+
+    def test_a_daemonic_caller_walks_alone(self):
+        # A daemonic process may not start one of its own, as in a Pool's workers.
+        context = multiprocessing.get_context("spawn")
+        conn, child = context.Pipe()
+        process = context.Process(target=search_in_child, args=(child,), daemon=True)
+        process.start()
+        child.close()
+        try:
+            assert conn.poll(60) and conn.recv() == max_aos_length(5)
+        finally:
+            process.join(60)
+            conn.close()
+        assert process.exitcode == 0
+
+
+def search_in_child(conn):
+    """Send max_aos_length(5), searched on two CPUs, back through conn."""
+    os.sched_getaffinity = lambda pid: {0, 1}
+    conn.send(max_aos_length(5))
+
+
+def alone(search, n, **kwargs):
+    """search(n, **kwargs), checking that no child process outlives it."""
+    r = search(n, **kwargs)
+    assert multiprocessing.active_children() == []
+    return r
+
+
+def exits_at_once(conn, n, closed):
+    """A helper process that walks no root."""
+
+
+def dies_after_announcing(conn, n, closed):
+    """A helper process that announces root 1 and exits without walking it."""
+    conn.send(1)
 
 
 class TestAgainstUnprunedOracle:
