@@ -18,6 +18,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import setitem
 from typing import Optional, Union
 
 from .seqcore import FORWARD, REVERSE, PreconditionError, Seq, require_memory
@@ -63,8 +65,9 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     if in_array:
         table = array(code, [0]) * (1 << n)
         # Scatter at C speed: deque consumes the map without keeping its Nones.
-        deque(map(table.__setitem__, fwd, slots), maxlen=0)
-        deque(map(table.__setitem__, rev, back), maxlen=0)
+        # operator.setitem takes its arguments without a tuple, table.__setitem__ not.
+        deque(map(setitem, repeat(table), fwd, slots), maxlen=0)
+        deque(map(setitem, repeat(table), rev, back), maxlen=0)
         filled = len(table) - table.count(0)
     else:
         table = dict(zip(fwd, slots))
