@@ -6,6 +6,16 @@ map is {T, complement(T)} with T starting in n zeros and ending in n
 alternating bits; reversing the complement and overlapping it with T (by n
 bits for even n, n-1 for odd n) produces an ideal word one order higher.
 Starting from 01 this yields a family whose length roughly doubles per order.
+
+Every member is orientable (Mitchell and Wild, "Constructing orientable
+sequences", arXiv 2108.03069), so `verify` certifies a file equal to a rebuilt
+member.  The builder checks the starter exactly.  T and its complement are
+orientable and o-disjoint at n+1: a window they repeat or share, either way,
+maps under D to a repeat or a symmetric window of s.  So are T and U, the
+reversed complement.  Every window of the merge is one of theirs but one, at
+odd orders: the window across the join, T's n alternating last bits and one
+more.  D sends it and its reverse to 1^n, a palindrome that s lacks, so neither
+is T's or U's, and it is no palindrome itself.
 """
 from __future__ import annotations
 

@@ -13,6 +13,18 @@ ones, at r; the run of zeros, one place later if after r, is the next step's
 0^{n-3}.  d has weight m, so a bit goes in iff m is even, giving weight m or
 m+1.  build_orientable scans only its starter; the public steps scan their input.
 
+Every member is orientable (Mitchell and Wild, "Constructing orientable
+sequences", arXiv 2108.03069), so `verify` certifies a file equal to a rebuilt
+member.  The builder checks the starter exactly.  D sends d's N-windows at i
+and i+m (N = n+1), which are complements, to c's n-window at i and commutes with
+reversal, so a repeat in d at i and j, either way, maps to one in c, or to a
+symmetric window if j = i mod m: d is orientable.  After the insertion, every
+window without the grown 1^{N-3} is one of d's; the four with it, p u 0 1^{N-3},
+u 0 1^{N-3} 0, 0 1^{N-3} 0 x and 1^{N-3} 0 x q, hold it at offsets 3, 2, 1, 0,
+which reversal sends to 0, 1, 2, 3: none is symmetric, and the outer and the
+inner two reverse to each other only if u = x.  But d's window u 0 1^{N-4} 0 x
+is no palindrome: u != x.
+
 Also provided: the closed-form period prediction for the iteration and the
 classical upper bound on the period of any orientable cycle.
 """

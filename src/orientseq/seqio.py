@@ -14,9 +14,10 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .seqcore import BitsError, FiniteSeq, GeneratingCycle, as_bits
+from . import aperiodic, periodic
+from .seqcore import BitsError, FiniteSeq, GeneratingCycle, Seq, as_bits, capped_size
 
-__all__ = ["SequenceFile", "parse_sequence", "read_sequence", "write_sequence"]
+__all__ = ["SequenceFile", "parse_sequence", "read_sequence", "write_sequence", "rebuild"]
 
 
 @dataclass(frozen=True)
@@ -69,3 +70,20 @@ def write_sequence(path: Union[str, os.PathLike], bits: str, *, mode: str, order
     """Write the '0'/'1' string bits under the header `# mode=<mode> order=<order>`."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# mode={mode} order={order}\n{bits}\n")
+
+
+def rebuild(mode: str, order: int, size: int) -> Optional[Seq]:
+    """The default member of mode at order, built through its builder's memory guard, for
+    a caller to compare with a file's bits; None, in O(1) at any order and with no guard,
+    if the closed forms give that member another size."""
+    if mode == "periodic":
+        n0, m0 = periodic.DEFAULT_STARTER_ORDER, periodic.DEFAULT_STARTER.period
+        predicted = lambda: periodic.predicted_period(m0, *divmod(order - n0, 2))
+        build = lambda: periodic.build_orientable(periodic.DEFAULT_STARTER, n0, order)
+    else:
+        n0, m0 = aperiodic.DEFAULT_STARTER_ORDER, len(aperiodic.DEFAULT_STARTER)
+        predicted = lambda: aperiodic.predicted_length(m0, n0, order - n0)
+        build = lambda: aperiodic.build_aos(order)
+    if order < n0 or capped_size(order - n0, predicted) != size:
+        return None
+    return build()[0]

@@ -47,7 +47,12 @@ def complement(w: str) -> str:
 
 def conjugate(w: str) -> str:
     """The first bit flipped."""
-    return ("1" if w[0] == "0" else "0") + w[1:]
+    return flip(w, 0)
+
+
+def flip(w: str, p: int) -> str:
+    """Bit p flipped."""
+    return w[:p] + ("1" if w[p] == "0" else "0") + w[p + 1 :]
 
 
 def cyclic_slice(bits: str, start: int, length: int) -> str:

@@ -12,6 +12,7 @@ from orientseq.aperiodic import build_aos
 from orientseq.cli import main
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable, dai_bound
 from orientseq.seqio import read_sequence, write_sequence
+from string_oracle import flip
 
 
 def run(capsys, *argv):
@@ -117,14 +118,50 @@ class TestVerify:
 
 
 def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "p16.seq"
+    path, edited = tmp_path / "p16.seq", tmp_path / "e16.seq"
     assert run(capsys, "construct", "periodic", "--target-order", "16", "--out", str(path))[0] == 0
-    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB.
+    bits = read_sequence(path).bits
+    write_sequence(edited, flip(bits, 5000), mode="periodic", order=16)
+    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB, its rebuild 57 KB.
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
-    for argv in (["verify", str(path)], ["locate", "--seq", str(path), "--window", "0" * 16]):
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    assert (code, json.loads(out)["method"]) == (0, "certificate")
+    for argv in (["verify", str(edited)], ["locate", "--seq", str(path), "--window", "0" * 16]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: the windows at order 16 need about ")
+
+
+def test_verify_past_the_address_space_limit_exit_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    cycle, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 26)
+    edited = tmp_path / "e26.seq"
+    write_sequence(edited, flip(cycle.bits, 1000), mode="periodic", order=26)
+    # 192 MiB of address space: the edited member's rebuild fits (charged 59 MB), its
+    # 9,786,709 windows (charged 313 MB) do not, though physical memory would hold them.
+    limit = 192 << 20
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orientseq.cli", "verify", str(edited)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the windows at order 26 need about 0.3 GiB, more than the"
+                                  " 0.2 GiB address-space limit") and proc.stderr.count("\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("orientseq.cli.verify_orientable", exhausted)
+    path = tmp_path / "bad.seq"
+    write_sequence(path, "00110", mode="periodic", order=2)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 class TestBound:
@@ -298,6 +335,10 @@ CONTRACT = {
     "verify-shorter-than-order": (["verify", "{short}"], 2),
     "verify-order-zero": (["verify", "{seq}", "--order", "0"], 2),
     "verify-order-negative": (["verify", "{seq}", "--order", "-3"], 2),
+    # Orders no default member reaches: the closed forms rule out a rebuild at once,
+    # and the exact check runs, or is refused by the memory guard.
+    "verify-order-10e6": (["verify", "{seq}", "--order", "1000000"], 0),
+    "verify-order-10e12": (["verify", "{seq}", "--order", "1000000000000"], 2),
     "locate-order-zero": (["locate", "--seq", "{seq}", "--order", "0", "--window", "0"], 2),
     "construct-periodic-target-3": (["construct", "periodic", "--target-order", "3"], 2),
     "construct-debruijn-order-0": (["construct", "debruijn", "--order", "0"], 2),

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import string_oracle as oracle
+from string_oracle import flip
 from orientseq import join, lempel, locator, verifier
 from orientseq.aperiodic import build_aos, is_ideal, merge_step
 from orientseq.periodic import DEFAULT_STARTER, TraceStep, _extend_odd, build_orientable
@@ -69,10 +70,6 @@ def outcome(fn, *args):
 
 def assert_matches_oracle(name, *args):
     assert outcome(getattr(verifier, name), *args) == outcome(getattr(oracle, name), *args)
-
-
-def flip(bits, p):
-    return bits[:p] + ("1" if bits[p] == "0" else "0") + bits[p + 1 :]
 
 
 def as_cycle(bits):
