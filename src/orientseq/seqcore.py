@@ -227,9 +227,8 @@ def window_bits(s: Seq, n: int) -> tuple[int, int]:
 
 # Peak bytes per bit of a built sequence, CLI output included.  Above the
 # interpreter's own, the builders peak at 0.5-1.6, `construct --out` at 3.1-3.5
-# and `construct --json` at 4.1-5.6 (orders 22-28, Python 3.11); in address space
-# (VmPeak), `construct periodic --target-order 30` takes 3.4 with --out, 4.4 with --json.
-BYTES_PER_BIT = 6
+# and `construct --json` at 4.1-5.6 (orders 22-28, Python 3.11).
+BYTES_PER_BIT = 8
 
 
 # Needs of 2^SIZE_LIMIT bytes and up are refused, and sizes known to reach that many

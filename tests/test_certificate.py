@@ -7,7 +7,8 @@ the inverse map keeps orientability, on random orientable cycles and words,
 and the insertion step's local argument at every step of the default build.
 They also check `seqio.rebuild`, which gives the member a file is compared with,
 and that `verify` certifies exactly the members and checks every other file
-window by window, with the exact verifiers' answers.
+window by window, with the exact verifiers' answers; `--property nwindow` is
+always checked window by window.
 """
 from __future__ import annotations
 
@@ -150,14 +151,15 @@ def assert_exact(capsys, path, seq, n):
 
 
 class TestVerifyMethod:
-    def test_members_are_certified_for_both_properties(self, capsys, tmp_path):
+    def test_members_are_certified_orientable_and_checked_for_nwindow(self, capsys, tmp_path):
         path = tmp_path / "m.seq"
         for mode, n, seq in members():
             write_sequence(path, seq.bits, mode=mode, order=n)
-            for prop in ("orientable", "nwindow"):
+            for prop, method in (("orientable", "certificate"), ("nwindow", "exact")):
                 payload = verify_json(capsys, path, "--property", prop)
                 assert payload == {"ok": True, "mode": mode, "order": n,
-                                   "method": "certificate", "size": len(seq)}
+                                   "method": method, "size": len(seq)}
+            assert verify_orientable(seq, n) is None and verify_nwindow(seq, n) is None
 
     def test_one_bit_mutants_are_checked_exactly(self, capsys, tmp_path):
         cycle, trace = periodic.build_orientable(periodic.DEFAULT_STARTER, 6, 12)
@@ -211,6 +213,5 @@ def test_certificate_and_exact_agree_on_every_member_up_to_order_24(capsys, tmp_
     path = tmp_path / "m.seq"
     for mode, n, seq in members(24):
         write_sequence(path, seq.bits, mode=mode, order=n)
-        for prop in ("orientable", "nwindow"):
-            assert verify_json(capsys, path, "--property", prop)["method"] == "certificate"
-        assert verify_orientable(seq, n) is None
+        assert verify_json(capsys, path)["method"] == "certificate"
+        assert verify_orientable(seq, n) is None and verify_nwindow(seq, n) is None

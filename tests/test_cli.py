@@ -122,7 +122,7 @@ def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeyp
     assert run(capsys, "construct", "periodic", "--target-order", "16", "--out", str(path))[0] == 0
     bits = read_sequence(path).bits
     write_sequence(edited, flip(bits, 5000), mode="periodic", order=16)
-    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB, its rebuild 57 KB.
+    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB, its rebuild 76 KB.
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
     code, out, _ = run(capsys, "verify", str(path), "--json")
     assert (code, json.loads(out)["method"]) == (0, "certificate")
@@ -137,7 +137,7 @@ def test_verify_past_the_address_space_limit_exit_2(tmp_path):
     cycle, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 26)
     edited = tmp_path / "e26.seq"
     write_sequence(edited, flip(cycle.bits, 1000), mode="periodic", order=26)
-    # 192 MiB of address space: the edited member's rebuild fits (charged 59 MB), its
+    # 192 MiB of address space: the edited member's rebuild fits (charged 78 MB), its
     # 9,786,709 windows (charged 313 MB) do not, though physical memory would hold them.
     limit = 192 << 20
     src = str(Path(__file__).resolve().parent.parent / "src")
