@@ -15,8 +15,10 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-from . import aperiodic, locator, periodic, search, seqio
-from .join import debruijn_lempel
+# search, join and locator load inside the one command each serves, so no other
+# command pays for them.  The rest stay at module level, where the tests and the
+# benchmark's tracer patch them.
+from . import aperiodic, periodic, seqio
 from .seqcore import BitsError, PreconditionError, WindowRangeError, as_bits
 from .verifier import verify_nwindow, verify_orientable
 
@@ -44,6 +46,8 @@ def _cmd_construct(args) -> int:
     """Build the sequence, write the --out and --trace files, then print it."""
     order, trace = args.target_order, None
     if args.kind == "debruijn":
+        from .join import debruijn_lempel
+
         title, seq = "de Bruijn", debruijn_lempel(order)
     elif args.kind == "aperiodic":
         title, (seq, trace) = "aperiodic orientable", aperiodic.build_aos(order)
@@ -104,6 +108,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     initial = None
     if args.resume:
         with open(args.resume, encoding="ascii") as fh:
@@ -125,6 +131,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_locate(args) -> int:
+    from . import locator
+
     seq, _, order = _load_seq(args.seq, args.mode, args.order)
     if len(as_bits(args.window)) != order:
         raise ValueError(f"window has {len(args.window)} bits, expected {order}")
