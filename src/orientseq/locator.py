@@ -32,6 +32,8 @@ __all__ = ["LocatorIndex", "build_index", "locate", "find"]
 # plus 8 * ceil(n / 30) at every order.  An array of 2^n <= 8N slots is charged 12 slot
 # widths (the slots, two window arrays); family members peak at 36 and 20.5 (aperiodic).
 BYTES_PER_WINDOW = 320
+# Slots hold -2N..2N: in 'i' below this many windows in both directions, else in 'q'.
+I_SLOTS_BELOW = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,19 @@ def build_index(s: Seq, n: int) -> LocatorIndex:
     """Index every window of s, in both directions, at order n; an index that
     would not fit in physical memory raises ValueError before any window is read."""
     count = window_count(s, n)
-    in_array, code = dense(n, count), "i" if 2 * count < 1 << 31 else "q"
+    in_array, code = dense(n, count), "i" if 2 * count < I_SLOTS_BELOW else "q"
     size = 12 * array(code).itemsize if in_array else BYTES_PER_WINDOW + 8 * -(-n // 30)
     require_memory(f"the index at order {n}", count, size)
     fwd, rev = read_windows(s, n), read_windows(s, n, reverse=True)
     slots, back = range(1, len(fwd) + 1), range(-1, -len(fwd) - 1, -1)
     if in_array:
         table = array(code, [0]) * (1 << n)
-        # Scatter at C speed: deque consumes the map without keeping its Nones.
-        # operator.setitem takes its arguments without a tuple, table.__setitem__ not.
-        deque(map(setitem, repeat(table), fwd, slots), maxlen=0)
-        deque(map(setitem, repeat(table), rev, back), maxlen=0)
+        # Scatter at C speed: deque consumes the map without keeping its Nones.  A
+        # memoryview packs each int directly, where a signed array parses it with a
+        # format string on every store; the view is released before the count.
+        with memoryview(table) as view:
+            deque(map(setitem, repeat(view), fwd, slots), maxlen=0)
+            deque(map(setitem, repeat(view), rev, back), maxlen=0)
         filled = len(table) - table.count(0)
     else:
         table = dict(zip(fwd, slots))

@@ -13,7 +13,9 @@ from orientseq.aperiodic import build_aos
 from orientseq.locator import build_index, locate
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
 from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError
-from orientseq.verifier import read_windows, verify_orientable
+from orientseq.verifier import (
+    dense, read_windows, require_orientable, verify_orientable, window_count,
+)
 
 from string_oracle import all_windows
 
@@ -32,11 +34,55 @@ class TestBuildIndex:
             build_index(GeneratingCycle("00110"), 2)
 
 
-    @pytest.mark.parametrize("kind", ["periodic", "aperiodic", "random"])
-    def test_array_table_equals_a_loop_built_one(self, kind, monkeypatch):
+    def test_refusals_are_the_verifiers(self):
+        # One-bit mutants of family members and random words, all indexed in an array:
+        # each non-orientable one is refused in the words of require_orientable, so the
+        # count catches every slot the scatter wrote twice; the rest index 2N windows.
+        rng = random.Random(23)
+        cases = []
+        for n in range(10, 15):
+            members = [(build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0],
+                        GeneratingCycle), (build_aos(n)[0], FiniteSeq)]
+            for s, seq in members:
+                bits = s.bits
+                for i in rng.sample(range(len(bits)), 4):
+                    cases.append((seq(bits[:i] + "10"[int(bits[i])] + bits[i + 1:]), n))
+        for size in (60, 300, 2000):
+            w = "".join(rng.choice("01") for _ in range(size))
+            cases += [(seq(w), n) for seq in (GeneratingCycle, FiniteSeq)
+                      for n in (5, size.bit_length() - 1)]
+        refused = 0
+        for s, n in cases:
+            assert dense(n, window_count(s, n))
+            if verify_orientable(s, n) is None:
+                assert len(build_index(s, n)) == 2 * window_count(s, n)
+                continue
+            with pytest.raises(PreconditionError) as want:
+                require_orientable(s, n, "source")
+            with pytest.raises(PreconditionError) as got:
+                build_index(s, n)
+            assert str(got.value) == str(want.value)
+            refused += 1
+        assert refused >= 40
+
+    def test_no_buffer_export_outlives_the_build(self):
+        # An array exported to a live memoryview refuses to resize (BufferError).
+        for s in (build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 11)[0], build_aos(11)[0]):
+            table = build_index(s, 11).table
+            assert isinstance(table, array)
+            table.append(0)
+            assert table.pop() == 0
+
+    @pytest.mark.parametrize("kind, code", [
+        pytest.param(kind, code, id=kind + "-q" * (code == "q"))
+        for code in "iq" for kind in ("periodic", "aperiodic", "random")
+    ])
+    def test_array_table_equals_a_loop_built_one(self, kind, code, monkeypatch):
         # Random words are seldom orientable, so the refusal is switched off: where
         # two windows share a value the later write wins, in the loop as in the table.
         monkeypatch.setattr(locator, "require_orientable", lambda *a: None)
+        if code == "q":  # 'q' takes 2N >= 2^31 windows; a zero bound reaches it
+            monkeypatch.setattr(locator, "I_SLOTS_BELOW", 0)
         rng = random.Random(20)
         if kind == "periodic":
             cases = [(build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0], n)
@@ -49,7 +95,7 @@ class TestBuildIndex:
                      for n in (3, len(w).bit_length() - 1)]
         for s, n in cases:
             idx = build_index(s, n)
-            assert isinstance(idx.table, array)
+            assert isinstance(idx.table, array) and idx.table.typecode == code
             table = array(idx.table.typecode, [0]) * (1 << n)
             for i, v in enumerate(read_windows(s, n), 1):
                 table[v] = i
