@@ -4,15 +4,15 @@ Subcommands: construct {periodic|aperiodic|debruijn}, verify, bound, search,
 locate, tables.  Exit codes: 0 success, 1 property violation (the
 counterexample is reported) or lookup miss, 2 usage or input error or out of
 memory; never a traceback.  Deterministic; --json gives machine output.  verify
-certifies a default family member orientable by rebuilding it, and checks any
-other file, and any --property nwindow, window by window.
+and locate certify a default family member orientable by rebuilding it; verify
+checks any other file, and any --property nwindow, window by window, and locate
+refuses any other file that is not orientable.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 # search, join and locator load inside the one command each serves, so no other
@@ -64,7 +64,7 @@ def _cmd_construct(args) -> int:
         seqio.write_sequence(args.out, bits, mode=mode, order=order)
     payload = {"mode": mode, "order": order, size_name: len(seq), "bits": bits}
     if trace is not None:
-        payload["trace"] = asdict(trace)
+        payload["trace"] = {"steps": [s._asdict() for s in trace.steps]}
         if args.trace:
             with open(args.trace, "w", encoding="ascii") as fh:
                 json.dump(payload["trace"], fh, indent=2)
@@ -72,11 +72,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _certified(seq, mode: str, order: int) -> bool:
+    """Whether seq is the default member of mode at order, orientable by the families' proofs."""
+    return seqio.rebuild(mode, order, len(seq)) == seq
+
+
 def _cmd_verify(args) -> int:
     seq, mode, order = _load_seq(args.file, args.mode, args.order)
     # nwindow stays exact, so cli-session still times verify_nwindow (ROADMAP item 8).
     orientable = args.property == "orientable"
-    certified = orientable and seqio.rebuild(mode, order, len(seq)) == seq
+    certified = orientable and _certified(seq, mode, order)
     check = verify_orientable if orientable else verify_nwindow
     cx = None if certified else check(seq, order)
     method = "certificate" if certified else "exact"
@@ -85,7 +90,7 @@ def _cmd_verify(args) -> int:
         payload["size"] = len(seq)
         _emit(args, payload, f"ok: {args.property} at order {order} ({mode}, size {len(seq)})")
         return 0
-    payload["counterexample"] = asdict(cx)
+    payload["counterexample"] = cx._asdict()
     _emit(args, payload, f"FAIL: windows at positions {cx.i} and {cx.j} collide ({cx.kind})")
     return 1
 
@@ -120,7 +125,7 @@ def _cmd_search(args) -> int:
             initial = (prev.get("value"), prev["witness"])
     find = search.max_orientable_period if args.mode == "periodic" else search.max_aos_length
     result = find(args.order, node_budget=args.budget, initial_best=initial)
-    payload = {"mode": args.mode, "order": args.order, **asdict(result)}
+    payload = {"mode": args.mode, "order": args.order, **result._asdict()}
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2)
@@ -133,11 +138,11 @@ def _cmd_search(args) -> int:
 def _cmd_locate(args) -> int:
     from . import locator
 
-    seq, _, order = _load_seq(args.seq, args.mode, args.order)
+    seq, mode, order = _load_seq(args.seq, args.mode, args.order)
     if len(as_bits(args.window)) != order:
         raise ValueError(f"window has {len(args.window)} bits, expected {order}")
     try:
-        hit = locator.find(seq, order, args.window)
+        hit = locator.find(seq, order, args.window, orientable=_certified(seq, mode, order))
     except PreconditionError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1

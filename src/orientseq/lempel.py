@@ -18,8 +18,7 @@ inverse is a prefix XOR by doubling shifts, a complement XORs all ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .seqcore import FiniteSeq, GeneratingCycle, Seq, WindowRangeError, least_period, rotate_left
 
@@ -31,8 +30,7 @@ __all__ = [
     "d_inverse_aperiodic",
 ]
 
-@dataclass(frozen=True)
-class InverseImage:
+class InverseImage(NamedTuple):
     """The preimage of a sequence under the adjacent-XOR map."""
 
     first: Seq

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from operator import setitem
 from typing import Optional, Union
@@ -36,7 +35,6 @@ BYTES_PER_WINDOW = 320
 I_SLOTS_BELOW = 1 << 31
 
 
-@dataclass(frozen=True)
 class LocatorIndex:
     """Complete window -> (position, orientation) table for one sequence.
 
@@ -47,9 +45,10 @@ class LocatorIndex:
     the position of the window whose reversal was looked up.  len() is 2N.
     """
 
-    order: int
-    table: Union[array, dict[int, int]]
-    count: int
+    __slots__ = ("order", "table", "count")  # locate reads slots faster than tuple fields
+
+    def __init__(self, order: int, table: Union[array, dict[int, int]], count: int) -> None:
+        self.order, self.table, self.count = order, table, count
 
     def __len__(self) -> int:
         return self.count
@@ -94,9 +93,11 @@ def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
     return (k - 1, FORWARD) if k > 0 else (-k - 1, REVERSE) if k else None
 
 
-def find(s: Seq, n: int, t: str) -> Optional[tuple[int, str]]:
-    """locate(build_index(s, n), t) without the table: one search per direction."""
-    require_orientable(s, n, "source")
+def find(s: Seq, n: int, t: str, *, orientable: bool = False) -> Optional[tuple[int, str]]:
+    """locate(build_index(s, n), t) without the table: one search per direction; the exact
+    check is skipped for orientable=True, an s the caller has proved orientable at order n."""
+    if not orientable:
+        require_orientable(s, n, "source")
     if not _well_formed(t, n) or t.strip("01"):  # a digit 2-9 is no hit either
         return None
     find_window = window_finder(s, n)

@@ -30,8 +30,7 @@ classical upper bound on the period of any orientable cycle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lempel import d_inverse_periodic
 from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, require_memory
@@ -55,8 +54,7 @@ DEFAULT_STARTER = GeneratingCycle("001010111")
 DEFAULT_STARTER_ORDER = 6
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     order: int
     period: int
     weight: int
@@ -64,11 +62,14 @@ class TraceStep:
     insert_position: Optional[int] = None
 
 
-@dataclass
-class ConstructionTrace:
-    """Per-order record of a recursive construction run."""
+class ConstructionTrace(NamedTuple("_Trace", [("steps", list[TraceStep])])):
+    """Per-order record of a recursive construction run.  The builders append its steps;
+    __new__ gives each trace its own list, where a NamedTuple default would share one."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, steps: Optional[list[TraceStep]] = None) -> ConstructionTrace:
+        return super().__new__(cls, [] if steps is None else steps)
 
 
 # 18 times Dai's bound is 18*2^(n-1) - a*h + b*n + c, h = 2^((n-1)//2), with

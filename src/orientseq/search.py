@@ -39,9 +39,8 @@ from __future__ import annotations
 import os
 import reprlib
 from array import array
-from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .aperiodic import burns_bound
 from .periodic import dai_bound
@@ -51,8 +50,7 @@ from .verifier import require_orientable
 __all__ = ["SearchResult", "max_orientable_period", "max_aos_length"]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     value: int  # maximum period (cycles) or length (paths) found
     witness: Optional[str]
     exhaustive: bool

@@ -11,7 +11,6 @@ header is fine.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import aperiodic, periodic
@@ -20,14 +19,12 @@ from .seqcore import BitsError, FiniteSeq, GeneratingCycle, Seq, as_bits, capped
 __all__ = ["SequenceFile", "parse_sequence", "read_sequence", "write_sequence", "rebuild"]
 
 
-@dataclass(frozen=True)
 class SequenceFile:
-    bits: str  # validated once, here; the conversions trust it
-    mode: Optional[str] = None  # "periodic" | "aperiodic"
-    order: Optional[int] = None
+    __slots__ = ("bits", "mode", "order")
 
-    def __post_init__(self) -> None:
-        as_bits(self.bits)
+    def __init__(self, bits: str, mode: Optional[str] = None, order: Optional[int] = None):
+        as_bits(bits)  # validated once, here; the conversions trust it
+        self.bits, self.mode, self.order = bits, mode, order  # mode: "periodic" | "aperiodic"
 
     def to_cycle(self) -> GeneratingCycle:
         return GeneratingCycle._trusted(int(self.bits, 2), len(self.bits))._require_minimal()

@@ -24,9 +24,8 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .seqcore import FORWARD, REVERSE, SYMMETRIC, GeneratingCycle, PreconditionError, Seq
 from .seqcore import require_memory, reverse_value, window_bits
@@ -45,8 +44,7 @@ __all__ = [
 _KINDS = (FORWARD, REVERSE, SYMMETRIC)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A pair of positions whose windows violate the property being checked."""
 
     i: int

@@ -8,24 +8,28 @@ and the insertion step's local argument at every step of the default build.
 They also check `seqio.rebuild`, which gives the member a file is compared with,
 and that `verify` certifies exactly the members and checks every other file
 window by window, with the exact verifiers' answers; `--property nwindow` is
-always checked window by window.
+always checked window by window.  `locate` certifies the same files: a member
+is searched at once and answers as its index does, and every other file gets
+the exact check first, with its refusal.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orientseq import aperiodic, periodic, seqio
+from orientseq import aperiodic, locator, periodic, seqio
 from orientseq.cli import main
 from orientseq.join import debruijn_lempel
 from orientseq.lempel import d_inverse_aperiodic, d_inverse_periodic
-from orientseq.seqcore import FiniteSeq, GeneratingCycle, reverse_value
+from orientseq.locator import build_index, locate
+from orientseq.seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value
 from orientseq.seqio import read_sequence, write_sequence
-from orientseq.verifier import verify_nwindow, verify_o_disjoint, verify_orientable
+from orientseq.verifier import require_orientable, verify_nwindow, verify_o_disjoint
+from orientseq.verifier import verify_orientable
 from string_oracle import flip
 
 
@@ -147,7 +151,7 @@ def assert_exact(capsys, path, seq, n):
         cx = check(seq, n)
         assert payload["method"] == "exact"
         assert payload["ok"] is (cx is None)
-        assert payload.get("counterexample") == (None if cx is None else asdict(cx))
+        assert payload.get("counterexample") == (None if cx is None else cx._asdict())
 
 
 class TestVerifyMethod:
@@ -206,6 +210,96 @@ class TestVerifyMethod:
         word = member("aperiodic", 12)
         write_sequence(path, word.bits, mode="periodic", order=12)
         assert verify_json(capsys, path, "--mode", "aperiodic")["method"] == "certificate"
+
+
+def locate_json(capsys, path, window, *flags):
+    """locate's exit code, JSON payload ("" if none) and stderr."""
+    code = main(["locate", "--seq", str(path), "--window", window, "--json", *flags])
+    out, err = capsys.readouterr()
+    return code, out and json.loads(out), err
+
+
+def oracle_locate(seq, n, window):
+    """What locate must give: the exact check's refusal, else the index's answer."""
+    try:
+        require_orientable(seq, n, "source")
+    except PreconditionError as exc:
+        return 1, "", f"property violation: {exc}\n"
+    hit = locate(build_index(seq, n), window)
+    if hit is None:
+        return 1, {"found": False, "window": window}, ""
+    return 0, {"found": True, "window": window, "position": hit[0], "orientation": hit[1]}, ""
+
+
+def queries(seq, n, rng):
+    """Windows cut from seq at both ends and at random positions, each read forward and
+    reversed, and 0^n and 1^n, palindromes that no orientable sequence holds."""
+    count = len(seq) if isinstance(seq, GeneratingCycle) else len(seq) - n + 1
+    bits = seq.bits + seq.bits[: n - 1] if isinstance(seq, GeneratingCycle) else seq.bits
+    cut = [bits[p : p + n] for p in {0, count - 1, *rng.sample(range(count), min(count, 4))}]
+    return [*cut, *(w[::-1] for w in cut), "0" * n, "1" * n]
+
+
+class TestLocateMethod:
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        """The sources locate's exact check is asked about, in order."""
+        calls = []
+
+        def spy(s, n, what):
+            calls.append(s)
+            return require_orientable(s, n, what)
+
+        monkeypatch.setattr(locator, "require_orientable", spy)
+        return calls
+
+    def test_members_are_certified_and_answer_as_their_index(self, capsys, tmp_path, exact_calls):
+        path, rng = tmp_path / "m.seq", random.Random(2401)
+        for mode, n, seq in members():
+            write_sequence(path, seq.bits, mode=mode, order=n)
+            for w in queries(seq, n, rng):
+                assert locate_json(capsys, path, w) == oracle_locate(seq, n, w), (mode, n, w)
+        assert exact_calls == []
+
+    def test_non_members_are_checked_exactly_first(self, capsys, tmp_path, exact_calls):
+        cycle, word = member("periodic", 12), member("aperiodic", 12)
+        starter, other = tmp_path / "s7.seq", tmp_path / "other.seq"
+        write_sequence(starter, "0001100111101001110110101001", mode="periodic", order=7)
+        assert main(["construct", "periodic", "--target-order", "12", "--starter", str(starter),
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        files = [("periodic", GeneratingCycle(flip(cycle.bits, 0))),
+                 ("periodic", GeneratingCycle(flip(cycle.bits, len(cycle) - 1))),
+                 ("aperiodic", FiniteSeq(flip(word.bits, 0))),
+                 ("aperiodic", FiniteSeq(flip(word.bits, len(word) - 1))),
+                 ("periodic", GeneratingCycle(cycle.bits[1:] + cycle.bits[0])),
+                 ("aperiodic", FiniteSeq(word.bits[1:] + word.bits[0])),
+                 ("periodic", debruijn_lempel(12)),
+                 ("periodic", read_sequence(other).to_cycle())]
+        path, rng, refused = tmp_path / "f.seq", random.Random(2402), set()
+        for k, (mode, seq) in enumerate(files):
+            write_sequence(path, seq.bits, mode=mode, order=12)
+            for w in queries(seq, 12, rng):
+                del exact_calls[:]
+                got = locate_json(capsys, path, w)
+                assert got == oracle_locate(seq, 12, w) and exact_calls == [seq], (mode, w)
+                if got[2]:
+                    refused.add(k)
+        # The mutants, the rotated word and the de Bruijn file are refused; the rotated
+        # cycle and the other starter's member are orientable and answered.
+        assert refused == {0, 1, 2, 3, 5, 6}
+
+    def test_flags_choose_the_member_compared(self, capsys, tmp_path, exact_calls):
+        cycle, word = member("periodic", 12), member("aperiodic", 12)
+        path = tmp_path / "p12.seq"
+        write_sequence(path, cycle.bits, mode="periodic", order=12)
+        assert locate_json(capsys, path, cycle.bits[:12])[0] == 0 and exact_calls == []
+        locate_json(capsys, path, cycle.bits[:11], "--order", "11")
+        locate_json(capsys, path, cycle.bits[:12], "--mode", "aperiodic")
+        assert len(exact_calls) == 2
+        write_sequence(path, word.bits, mode="periodic", order=12)
+        assert locate_json(capsys, path, word.bits[:12], "--mode", "aperiodic")[0] == 0
+        assert len(exact_calls) == 2
 
 
 @pytest.mark.slow

@@ -126,7 +126,10 @@ def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeyp
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
     code, out, _ = run(capsys, "verify", str(path), "--json")
     assert (code, json.loads(out)["method"]) == (0, "certificate")
-    for argv in (["verify", str(edited)], ["locate", "--seq", str(path), "--window", "0" * 16]):
+    # locate certifies the member too, so it answers; the edited file needs the exact check.
+    code, out, _ = run(capsys, "locate", "--seq", str(path), "--window", bits[5000:5016])
+    assert (code, out) == (0, "position 5000, reading forward\n")
+    for argv in (["verify", str(edited)], ["locate", "--seq", str(edited), "--window", "0" * 16]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: the windows at order 16 need about ")

@@ -1,6 +1,7 @@
 """The package namespace loads on first use, and each CLI command loads only
-the modules it runs.  Each case runs in a fresh interpreter, since
-sys.modules of the test process already holds every module."""
+the modules it runs, and neither dataclasses nor inspect.  Each case runs in a
+fresh interpreter, since sys.modules of the test process already holds every
+module."""
 from __future__ import annotations
 
 import json
@@ -133,9 +134,12 @@ def test_cli_command_loads_only_what_it_runs(files, argv, loaded):
         "from orientseq import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('orientseq.'))]))",
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('orientseq.')),\n"
+        "                  sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)]))",
         *argv, cwd=cwd,
     )
-    code, modules = json.loads(out)
+    code, modules, heavy = json.loads(out)
     assert code == 0
     assert OPTIONAL & set(modules) == loaded
+    # dataclasses imports inspect, and inspect ast, dis and tokenize: 6-12 ms a process.
+    assert heavy == []

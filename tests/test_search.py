@@ -448,10 +448,9 @@ def test_negative_budget_is_refused(search):
 class TestResultPayload:
     def test_as_dict_round_trips_through_json(self):
         import json
-        from dataclasses import asdict
 
         r = max_aos_length(4)
-        payload = json.loads(json.dumps(asdict(r)))
+        payload = json.loads(json.dumps(r._asdict()))
         assert payload["value"] == 8
         assert payload["exhaustive"] is True
         assert isinstance(payload["nodes"], int)
