@@ -11,13 +11,12 @@ refuses any other file that is not orientable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-# search, join and locator load inside the one command each serves, so no other
-# command pays for them.  The rest stay at module level, where the tests and the
-# benchmark's tracer patch them.
+# search, join, locator and json load only where they are used, so no other command
+# pays for them.  The rest stay at module level, where the tests and the benchmark's
+# tracer patch them.
 from . import aperiodic, periodic, seqio
 from .seqcore import BitsError, PreconditionError, WindowRangeError, as_bits
 from .verifier import verify_nwindow, verify_orientable
@@ -26,6 +25,8 @@ __all__ = ["main"]
 
 
 def _emit(args, payload: dict, human: str) -> None:
+    if args.json:
+        import json
     print(json.dumps(payload, indent=2) if args.json else human)
 
 
@@ -66,6 +67,7 @@ def _cmd_construct(args) -> int:
     if trace is not None:
         payload["trace"] = {"steps": [s._asdict() for s in trace.steps]}
         if args.trace:
+            import json
             with open(args.trace, "w", encoding="ascii") as fh:
                 json.dump(payload["trace"], fh, indent=2)
     _emit(args, payload, f"{title} order {order} {size_name} {len(seq)}\n{bits}")
@@ -115,6 +117,8 @@ def _cmd_bound(args) -> int:
 def _cmd_search(args) -> int:
     from . import search
 
+    if args.resume or args.out:
+        import json
     initial = None
     if args.resume:
         with open(args.resume, encoding="ascii") as fh:

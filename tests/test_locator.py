@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 import tracemalloc
 from array import array
@@ -34,10 +35,12 @@ class TestBuildIndex:
             build_index(GeneratingCycle("00110"), 2)
 
 
-    def test_refusals_are_the_verifiers(self):
+    def test_refusals_are_the_verifiers(self, monkeypatch):
         # One-bit mutants of family members and random words, all indexed in an array:
         # each non-orientable one is refused in the words of require_orientable, so the
         # count catches every slot the scatter wrote twice; the rest index 2N windows.
+        # The count reads its chunk at full size and at 1 and 3 slots, so that slots
+        # written twice also fall on chunk boundaries, in 'i' and in 'q' tables.
         rng = random.Random(23)
         cases = []
         for n in range(10, 15):
@@ -51,19 +54,49 @@ class TestBuildIndex:
             w = "".join(rng.choice("01") for _ in range(size))
             cases += [(seq(w), n) for seq in (GeneratingCycle, FiniteSeq)
                       for n in (5, size.bit_length() - 1)]
-        refused = 0
+        wants = []
         for s, n in cases:
             assert dense(n, window_count(s, n))
-            if verify_orientable(s, n) is None:
-                assert len(build_index(s, n)) == 2 * window_count(s, n)
-                continue
-            with pytest.raises(PreconditionError) as want:
+            try:
                 require_orientable(s, n, "source")
-            with pytest.raises(PreconditionError) as got:
-                build_index(s, n)
-            assert str(got.value) == str(want.value)
-            refused += 1
-        assert refused >= 40
+                wants.append(None)
+            except PreconditionError as exc:
+                wants.append(str(exc))
+        assert sum(w is not None for w in wants) >= 40
+        for chunk in (locator.COUNT_CHUNK, 1, 3):
+            for below in (locator.I_SLOTS_BELOW, 0):
+                monkeypatch.setattr(locator, "COUNT_CHUNK", chunk)
+                monkeypatch.setattr(locator, "I_SLOTS_BELOW", below)
+                for (s, n), want in zip(cases, wants):
+                    if want is None:
+                        idx = build_index(s, n)
+                        assert idx.table.typecode == "iq"[below == 0]
+                        assert len(idx) == 2 * window_count(s, n)
+                        continue
+                    with pytest.raises(PreconditionError) as got:
+                        build_index(s, n)
+                    assert str(got.value) == want
+
+    @pytest.mark.parametrize("code", ["i", "q"])
+    def test_count_reads_the_low_byte_in_either_byte_order(self, code, monkeypatch):
+        # A table byteswapped and counted in the other byte order counts alike, so the
+        # big-endian offset is read on a little-endian host, and the other way round.
+        # Random words, with the refusal switched off, leave slots written twice.
+        monkeypatch.setattr(locator, "require_orientable", lambda *a: None)
+        monkeypatch.setattr(locator, "I_SLOTS_BELOW", 1 << 31 if code == "i" else 0)
+        other = "big" if sys.byteorder == "little" else "little"
+        rng = random.Random(25)
+        words = ["".join(rng.choice("01") for _ in range(size)) for size in (300, 2000, 5000)]
+        cases = [(build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 12)[0], 12),
+                 (build_aos(12)[0], 12)] + [(FiniteSeq(w), 11) for w in words]
+        for s, n in cases:
+            table = build_index(s, n).table
+            assert table.typecode == code
+            filled = len(table) - table.count(0)
+            assert locator._filled(table) == filled
+            table.byteswap()
+            assert locator._filled(table, other) == filled
+            assert locator._filled(table) != filled  # the offset is the byte order's
 
     def test_no_buffer_export_outlives_the_build(self):
         # An array exported to a live memoryview refuses to resize (BufferError).
@@ -97,10 +130,10 @@ class TestBuildIndex:
             idx = build_index(s, n)
             assert isinstance(idx.table, array) and idx.table.typecode == code
             table = array(idx.table.typecode, [0]) * (1 << n)
-            for i, v in enumerate(read_windows(s, n), 1):
-                table[v] = i
-            for i, v in enumerate(read_windows(s, n, reverse=True), 1):
-                table[v] = -i
+            for i, v in enumerate(read_windows(s, n)):
+                table[v] = 2 * i + 1
+            for i, v in enumerate(read_windows(s, n, reverse=True)):
+                table[v] = -(2 * i + 1)
             assert idx.table == table
 
 
