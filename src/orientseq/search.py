@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import reprlib
+import sys
 from array import array
 from itertools import compress
 from typing import NamedTuple, Optional
@@ -57,13 +58,16 @@ class SearchResult(NamedTuple):
     nodes: int
 
 
-# Table bytes per window: tracemalloc peaks at 47 at order 14 in both modes (an
-# orbit id, its list slot, a reversal and a flag); 64 leaves headroom.
+# Table bytes per window (an orbit id, a reversal and two list slots): tracemalloc
+# peaks, with a 1000-node budget, at 57.9/58.5/59.2 for closed walks and 54.3/55.4/56.1
+# for open ones at orders 14/16/18; 64 leaves headroom.
 BYTES_PER_WINDOW = 64
 
 
-def _orbit_table(n: int) -> tuple[array, list[int], bytearray]:
-    """Reversals, orbit ids min(u, reverse(u)), and claimed flags set for symmetric ids."""
+def _orbit_table(n: int) -> tuple[array, list[int], list[bool]]:
+    """Reversals, orbit ids min(u, reverse(u)), and claimed flags set for symmetric ids;
+    the flags are a list, whose subscripts the interpreter specialises (a bytearray's
+    it does not), since the search reads or writes one at every node."""
     rev = array("Q", [0])  # reversals of the k-bit windows, k = 0..n
     for _ in range(n):
         # Over k+1 bits, u < 2^k reverses to 2*rev[u] and u + 2^k to 2*rev[u] + 1.
@@ -71,7 +75,7 @@ def _orbit_table(n: int) -> tuple[array, list[int], bytearray]:
         rev += array("Q", map((1).__or__, rev))
     windows = range(1 << n)
     orbit = [u if u < r else r for u, r in zip(windows, rev)]
-    return rev, orbit, bytearray(map(int.__eq__, windows, rev))
+    return rev, orbit, list(map(int.__eq__, windows, rev))
 
 
 class _Roots:
@@ -85,6 +89,13 @@ class _Roots:
     symmetry), edges are tried bit 0 first, and each edge claims one orbit, so
     the most a walk from a root can reach is a constant `bound` checked against
     the best result at every node.
+
+    Depth-first with bit 0 first visits a root's walks in lexicographic order
+    of their bits, so the first walk of each length is the least of that
+    length, and a walk builds its witness only when it beats the best length.
+    Closed walks too: the last n-1 bits of one that counts spell home, the
+    same for every walk from the root, and rotating its witness to start at
+    the anchor only moves them to the front.
 
     A closed walk can only get home through home's two in-edges, the windows
     `home` and `home | 1 << (n-1)`.  Once both of their orbits are claimed no
@@ -107,57 +118,82 @@ class _Roots:
     def bound(self, k: int) -> int:
         return self.orbits - k if self.closed else self.n - 1 + self.orbits
 
-    def walk(self, k: int, limit: Optional[int] = None) -> tuple[int, int, Optional[str]]:
+    def walk(self, k: int, limit: int = sys.maxsize) -> tuple[int, int, Optional[str]]:
         """Nodes, best length and least witness of that length of root k's walk from
         best 0, or so far once its nodes pass limit.  Closed root k needs the anchors
-        up to its own claimed and the later ones free."""
-        n, closed, orbit, taken = self.n, self.closed, self.orbit, self.taken
+        up to its own claimed and the later ones free.  Each kind of walk has a loop
+        of its own, which tests at a node only what that kind needs."""
+        n, orbit, taken = self.n, self.orbit, self.taken
         vmask = (1 << (n - 1)) - 1
         bound = self.bound(k)
-        if closed:
+        best_len, best_bits, nodes = 0, None, 0
+        if self.closed:
             a = self.anchors[k]
-            cur, walk, prefix, base_len, home = a & vmask, [a], "", 0, a >> 1
+            walk, depth, home = [a], 1, a >> 1
             # The orbits of home's two in-edges, the only ways back to it.
             door0, door1 = orbit[home], orbit[home | 1 << (n - 1)]
-        else:
-            cur, walk, prefix, base_len, home = k, [], format(k, f"0{n - 1}b"), n - 1, None
-            door0 = door1 = 0
-        best_len, best_bits, nodes = 0, None, 0
-        floor = len(walk)
-        t = cur << 1  # the next edge to try
-        while True:
-            o = orbit[t]
-            if not taken[o]:
-                taken[o] = 1
-                walk.append(t)
-                cur = t & vmask
-                nodes += 1
-                if limit is not None and nodes > limit:
-                    break
-                length = base_len + len(walk)
-                if length >= best_len and (home is None or cur == home):
-                    bits = "".join("1" if e & 1 else "0" for e in walk)
-                    if closed:  # rotate to the least window; edge k ends at bit k
-                        r = (walk.index(min(walk)) - n + 1) % len(walk)
-                        bits = bits[r:] + bits[:r]
-                    cand = prefix + bits
-                    if length > best_len or best_bits is None or cand < best_bits:
-                        best_len, best_bits = length, cand
-                if bound > best_len and not (closed and taken[door0] and taken[door1]):
-                    t = cur << 1
-                    continue
-            elif not t & 1:
-                t |= 1
-                continue
-            # Back up to the deepest edge whose bit-1 sibling is untried.
-            while len(walk) > floor:
-                t = walk.pop()
-                taken[orbit[t]] = 0
-                if not t & 1:
+            t = (a & vmask) << 1  # the next edge to try
+            while True:
+                o = orbit[t]
+                if not taken[o]:
+                    taken[o] = 1
+                    walk.append(t)
+                    depth += 1
+                    nodes += 1
+                    if nodes > limit:
+                        break
+                    t &= vmask
+                    if t == home and depth > best_len:
+                        # Start at the anchor, the least edge; edge i ends at bit i.
+                        bits = "".join("1" if e & 1 else "0" for e in walk)
+                        r = (1 - n) % depth
+                        best_len, best_bits = depth, bits[r:] + bits[:r]
+                    if bound > best_len and not (taken[door0] and taken[door1]):
+                        t <<= 1
+                        continue
+                elif not t & 1:
                     t |= 1
+                    continue
+                # Back up to the deepest edge whose bit-1 sibling is untried.
+                while depth > 1:
+                    t = walk.pop()
+                    depth -= 1
+                    taken[orbit[t]] = 0
+                    if not t & 1:
+                        t |= 1
+                        break
+                else:
                     break
-            else:
-                break
+        else:
+            walk, length = [], n - 1
+            t = k << 1
+            while True:
+                o = orbit[t]
+                if not taken[o]:
+                    taken[o] = 1
+                    walk.append(t)
+                    length += 1
+                    nodes += 1
+                    if nodes > limit:
+                        break
+                    if length > best_len:
+                        bits = "".join("1" if e & 1 else "0" for e in walk)
+                        best_len, best_bits = length, format(k, f"0{n - 1}b") + bits
+                    if bound > best_len:
+                        t = (t & vmask) << 1
+                        continue
+                elif not t & 1:
+                    t |= 1
+                    continue
+                while walk:
+                    t = walk.pop()
+                    length -= 1
+                    taken[orbit[t]] = 0
+                    if not t & 1:
+                        t |= 1
+                        break
+                else:
+                    break
         return nodes, best_len, best_bits
 
 
@@ -200,7 +236,7 @@ def _branch_and_bound(
                 return SearchResult(best_len, best_bits, False, nodes)
             if roots.bound(k) <= best_len:
                 continue
-            limit = None if node_budget is None else node_budget - nodes
+            limit = sys.maxsize if node_budget is None else node_budget - nodes
             found, length, bits = helper and helper.take(k, best_len) or roots.walk(k, limit)
             nodes += found
             if bits is not None and (best_bits is None or (-length, bits) < (-best_len, best_bits)):

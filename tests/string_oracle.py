@@ -1,6 +1,6 @@
 """String-layout reference implementations, kept as test oracles.
 
-Three groups, all returning '0'/'1' strings:
+Four groups, all returning '0'/'1' strings:
 
 * the window checks, conjugate-pair scan and index builder as they stood
   before window tests moved to integer window values: every window is cut
@@ -9,7 +9,9 @@ Three groups, all returning '0'/'1' strings:
   they stood before sequences were stored as packed integers, plus the
   recursions built from them;
 * the branch-and-bound search as it stood before closed walks stopped once
-  they could no longer get home: only the per-root bound prunes.
+  they could no longer get home: only the per-root bound prunes;
+* one root's walk as it stood before closed and open walks got a loop each:
+  one loop for both kinds, which compares every walk of the best length.
 
 They are slow and memory-hungry, which is why the library no longer uses
 them, and independent of the packed layout and verifier._window_values, which
@@ -331,8 +333,8 @@ def search(n: int, closed: bool, node_budget: Optional[int] = None):
 
     Closed walks search for cycles (max_orientable_period), open ones for
     aperiodic sequences (max_aos_length).  The reversal and orbit tables are
-    cut from strings; the loop is the library's, without the check that stops
-    a closed walk once both orbits into its start vertex are claimed.
+    cut from strings; one loop walks both kinds, as the library's did before
+    closed walks stopped once both orbits into their start vertex are claimed.
     """
     cap = (dai_bound if closed else burns_bound)(n)
     vmask = (1 << (n - 1)) - 1
@@ -394,3 +396,59 @@ def search(n: int, closed: bool, node_budget: Optional[int] = None):
             else:
                 break
     return best_len, best_bits, True, nodes
+
+
+def walk(roots, k: int, limit: Optional[int] = None):
+    """(nodes, best length, witness) of root k's walk on the tables of roots, a
+    search._Roots, from best 0, or so far once its nodes pass limit.
+
+    One loop for closed and open walks, testing the walk kind, the limit and
+    the home vertex at every node and comparing every candidate whose length
+    meets the best; the tables must be set up as for _Roots.walk.
+    """
+    n, closed, orbit, taken = roots.n, roots.closed, roots.orbit, roots.taken
+    vmask = (1 << (n - 1)) - 1
+    bound = roots.bound(k)
+    if closed:
+        a = roots.anchors[k]
+        cur, walk, prefix, base_len, home = a & vmask, [a], "", 0, a >> 1
+        door0, door1 = orbit[home], orbit[home | 1 << (n - 1)]
+    else:
+        cur, walk, prefix, base_len, home = k, [], format(k, f"0{n - 1}b"), n - 1, None
+        door0 = door1 = 0
+    best_len, best_bits, nodes = 0, None, 0
+    floor = len(walk)
+    t = cur << 1
+    while True:
+        o = orbit[t]
+        if not taken[o]:
+            taken[o] = 1
+            walk.append(t)
+            cur = t & vmask
+            nodes += 1
+            if limit is not None and nodes > limit:
+                break
+            length = base_len + len(walk)
+            if length >= best_len and (home is None or cur == home):
+                bits = "".join("1" if e & 1 else "0" for e in walk)
+                if closed:
+                    r = (walk.index(min(walk)) - n + 1) % len(walk)
+                    bits = bits[r:] + bits[:r]
+                cand = prefix + bits
+                if length > best_len or best_bits is None or cand < best_bits:
+                    best_len, best_bits = length, cand
+            if bound > best_len and not (closed and taken[door0] and taken[door1]):
+                t = cur << 1
+                continue
+        elif not t & 1:
+            t |= 1
+            continue
+        while len(walk) > floor:
+            t = walk.pop()
+            taken[orbit[t]] = 0
+            if not t & 1:
+                t |= 1
+                break
+        else:
+            break
+    return nodes, best_len, best_bits

@@ -7,6 +7,8 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import string_oracle as oracle
 from orientseq import search as search_module
@@ -279,6 +281,67 @@ class TestAgainstUnprunedOracle:
         assert verify_orientable(GeneratingCycle(r.witness), n) is None
         # Within the same budget the search gets at least as far as the oracle.
         assert r.value >= oracle.search(n, True, node_budget=1000)[0]
+
+
+def roots_at(n, closed, k):
+    """Fresh search tables at order n, set up for root k's walk."""
+    roots = search_module._Roots(n, closed)
+    if closed:
+        for a in roots.anchors[: k + 1]:
+            roots.taken[a] = 1
+    return roots
+
+
+def same_walk(roots, k, limit=None):
+    """Root k's walk with its nodes cut past limit, if any: check that the library
+    and the per-root oracle give the same result and leave the same flags, then
+    restore the flags and return the result."""
+    before = roots.taken[:]
+    ours = roots.walk(k) if limit is None else roots.walk(k, limit)
+    after = roots.taken[:]
+    roots.taken[:] = before
+    assert oracle.walk(roots, k, limit) == ours
+    assert roots.taken == after
+    if limit is None:  # a whole walk frees every orbit it claimed
+        assert after == before
+    roots.taken[:] = before
+    return ours
+
+
+# Orders 4-7 in both modes, as (closed, n); no cycle is orientable at order 4.
+WALKS = [(True, 5), (True, 6), (True, 7), (False, 4), (False, 5), (False, 6), (False, 7)]
+
+
+class TestWalkAgainstOracle:
+    """Each root's walk against the one loop for both walk kinds (string_oracle.walk)
+    that it replaced: the same nodes, best length and witness from every root."""
+
+    @pytest.mark.parametrize(
+        "closed,n", WALKS, ids=[f"{'periodic' if c else 'aos'}-{n}" for c, n in WALKS]
+    )
+    def test_every_root(self, closed, n):
+        roots = search_module._Roots(n, closed)
+        for k in range(roots.count):
+            if closed:
+                roots.taken[roots.anchors[k]] = 1
+            same_walk(roots, k)
+
+    @pytest.mark.parametrize("limit", [0, 1, 5_000])
+    def test_order_eight_closed_roots_under_limits(self, limit):
+        roots = search_module._Roots(8, True)
+        for k in range(roots.count):
+            roots.taken[roots.anchors[k]] = 1
+            assert same_walk(roots, k, limit)[0] <= limit + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_limits_cut_inside_a_root(self, data):
+        closed, n = data.draw(st.sampled_from(WALKS[:-1]))  # aos-7 roots: up to 267,135 nodes
+        k = data.draw(st.integers(0, search_module._Roots(n, closed).count - 1))
+        nodes = roots_at(n, closed, k).walk(k)[0]
+        limit = data.draw(st.sampled_from([0, 1]) | st.integers(0, nodes))
+        found = same_walk(roots_at(n, closed, k), k, limit)[0]
+        assert found == min(nodes, limit + 1)
 
 
 class TestPeriodicSearch:
