@@ -3,10 +3,12 @@
 Subcommands: construct {periodic|aperiodic|debruijn}, verify, bound, search,
 locate, tables.  Exit codes: 0 success, 1 property violation (the
 counterexample is reported) or lookup miss, 2 usage or input error or out of
-memory; never a traceback.  Deterministic; --json gives machine output.  verify
-and locate certify a default family member orientable by rebuilding it; verify
-checks any other file, and any --property nwindow, window by window, and locate
-refuses any other file that is not orientable.
+memory; never a traceback.  Deterministic; --json gives machine output.  seqio
+reads a file's body as packed bits, which _load_seq makes a cycle in periodic
+mode.  verify and locate certify a default family member orientable: _certified
+rebuilds it and compares.  verify checks any other file, and any --property
+nwindow, window by window, and locate refuses any other file that is not
+orientable.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from typing import Optional
 # pays for them.  The rest stay at module level, where the tests and the benchmark's
 # tracer patch them.
 from . import aperiodic, periodic, seqio
-from .seqcore import BitsError, PreconditionError, WindowRangeError, as_bits
+from .seqcore import BitsError, GeneratingCycle, PreconditionError, WindowRangeError
+from .seqcore import as_bits, capped_size
 from .verifier import verify_nwindow, verify_orientable
 
 __all__ = ["main"]
@@ -33,14 +36,16 @@ def _emit(args, payload: dict, human: str) -> None:
 def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: str = ""):
     """The sequence in path, its mode and its order; flags override the header,
     and no_order, if given, is the message when neither gives an order."""
-    f = seqio.read_sequence(path)
-    mode = mode or f.mode
+    seq, file_mode, file_order = seqio.read_sequence(path)
+    mode = mode or file_mode
     if mode is None:
         raise BitsError(f"{path} has no mode header; pass --mode periodic|aperiodic")
-    order = order if order is not None else f.order
+    order = order if order is not None else file_order
     if order is None:
         raise BitsError(no_order or f"{path} has no order header; pass --order")
-    return (f.to_cycle() if mode == "periodic" else f.to_finite()), mode, order
+    if mode == "periodic":
+        seq = GeneratingCycle._trusted(seq.value, len(seq))._require_minimal()
+    return seq, mode, order
 
 
 def _cmd_construct(args) -> int:
@@ -75,8 +80,18 @@ def _cmd_construct(args) -> int:
 
 
 def _certified(seq, mode: str, order: int) -> bool:
-    """Whether seq is the default member of mode at order, orientable by the families' proofs."""
-    return seqio.rebuild(mode, order, len(seq)) == seq
+    """Whether seq is the default member of mode at order, orientable by the families'
+    proofs.  The member is rebuilt, through its builder's memory guard, only where the
+    closed forms give it seq's size; they answer in O(1) at any order."""
+    if mode == "periodic":
+        n0, m0 = periodic.DEFAULT_STARTER_ORDER, periodic.DEFAULT_STARTER.period
+        predicted = lambda: periodic.predicted_period(m0, *divmod(order - n0, 2))
+        build = lambda: periodic.build_orientable(periodic.DEFAULT_STARTER, n0, order)
+    else:
+        n0, m0 = aperiodic.DEFAULT_STARTER_ORDER, len(aperiodic.DEFAULT_STARTER)
+        predicted = lambda: aperiodic.predicted_length(m0, n0, order - n0)
+        build = lambda: aperiodic.build_aos(order)
+    return order >= n0 and capped_size(order - n0, predicted) == len(seq) and build()[0] == seq
 
 
 def _cmd_verify(args) -> int:

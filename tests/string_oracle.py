@@ -1,6 +1,6 @@
 """String-layout reference implementations, kept as test oracles.
 
-Four groups, all returning '0'/'1' strings:
+Five groups, all returning '0'/'1' strings:
 
 * the window checks, conjugate-pair scan and index builder as they stood
   before window tests moved to integer window values: every window is cut
@@ -11,7 +11,9 @@ Four groups, all returning '0'/'1' strings:
 * the branch-and-bound search as it stood before closed walks stopped once
   they could no longer get home: only the per-root bound prunes;
 * one root's walk as it stood before closed and open walks got a loop each:
-  one loop for both kinds, which compares every walk of the best length.
+  one loop for both kinds, which compares every walk of the best length;
+* the sequence-file parser as it stood before files were read straight into
+  packed bits: it hands back the body as its '0'/'1' string.
 
 They are slow and memory-hungry, which is why the library no longer uses
 them, and independent of the packed layout and verifier._window_values, which
@@ -29,12 +31,14 @@ from orientseq.seqcore import (
     FORWARD,
     REVERSE,
     SYMMETRIC,
+    BitsError,
     FiniteSeq,
     GeneratingCycle,
     NonMinimalPeriodError,
     PreconditionError,
     Seq,
     WindowRangeError,
+    as_bits,
 )
 from orientseq.verifier import Counterexample
 
@@ -452,3 +456,30 @@ def walk(roots, k: int, limit: Optional[int] = None):
         else:
             break
     return nodes, best_len, best_bits
+
+
+def parse_sequence(text: str) -> tuple[str, Optional[str], Optional[int]]:
+    """(bits, mode, order) of a sequence file's text: its one line of bits, checked,
+    and the lenient header's mode and order, each None where it is not given."""
+    mode: Optional[str] = None
+    order: Optional[int] = None
+    bits_lines = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                key, _, value = token.partition("=")
+                if key == "mode" and value in ("periodic", "aperiodic"):
+                    mode = value
+                elif key == "order":
+                    try:
+                        order = int(value)
+                    except ValueError:
+                        pass
+            continue
+        bits_lines.append(line)
+    if len(bits_lines) != 1:
+        raise BitsError(f"expected exactly one line of bits, found {len(bits_lines)}")
+    return as_bits(bits_lines[0]), mode, order

@@ -5,8 +5,8 @@ order is orientable by the construction's proof (the `periodic` and `aperiodic`
 module docstrings).  These tests check the proof's two parts: the lemma that
 the inverse map keeps orientability, on random orientable cycles and words,
 and the insertion step's local argument at every step of the default build.
-They also check `seqio.rebuild`, which gives the member a file is compared with,
-and that `verify` certifies exactly the members and checks every other file
+They also check `cli._certified`, which rebuilds the member a file is compared
+with, and that `verify` certifies exactly the members and checks every other file
 window by window, with the exact verifiers' answers; `--property nwindow` is
 always checked window by window.  `locate` certifies the same files: a member
 is searched at once and answers as its index does, and every other file gets
@@ -21,13 +21,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orientseq import aperiodic, locator, periodic, seqio
-from orientseq.cli import main
+from orientseq import aperiodic, locator, periodic
+from orientseq.cli import _certified, _load_seq, main
 from orientseq.join import debruijn_lempel
 from orientseq.lempel import d_inverse_aperiodic, d_inverse_periodic
 from orientseq.locator import build_index, locate
 from orientseq.seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value
-from orientseq.seqio import read_sequence, write_sequence
+from orientseq.seqio import write_sequence
 from orientseq.verifier import require_orientable, verify_nwindow, verify_o_disjoint
 from orientseq.verifier import verify_orientable
 from string_oracle import flip
@@ -118,14 +118,17 @@ def members(top: int = 16):
 class TestRebuild:
     def test_rebuilds_each_default_member_from_its_size(self):
         for mode, n, seq in members():
-            assert seqio.rebuild(mode, n, len(seq)) == seq
+            assert _certified(seq, mode, n)
 
     def test_no_member_of_another_size_or_below_the_starter(self):
         for mode, n, seq in members():
-            assert seqio.rebuild(mode, n, len(seq) + 1) is None
-            assert seqio.rebuild(mode, n + 1, len(seq)) is None
-        assert seqio.rebuild("periodic", 5, 6) is None
-        assert seqio.rebuild("aperiodic", 1, 1) is None
+            mutant = type(seq)._trusted(seq.value ^ 1 << len(seq) // 2, len(seq))
+            longer = type(seq)._trusted(seq.value << 1, len(seq) + 1)
+            assert not _certified(mutant, mode, n)
+            assert not _certified(longer, mode, n)
+            assert not _certified(seq, mode, n + 1)
+        assert not _certified(GeneratingCycle("001011"), "periodic", 5)
+        assert not _certified(FiniteSeq("0"), "aperiodic", 1)
 
     def test_huge_order_costs_nothing_and_asks_no_memory(self, monkeypatch):
         def guard(*args):
@@ -133,8 +136,9 @@ class TestRebuild:
 
         monkeypatch.setattr(periodic, "require_memory", guard)
         monkeypatch.setattr(aperiodic, "require_memory", guard)
-        for mode in ("periodic", "aperiodic"):
-            assert seqio.rebuild(mode, 10**12, 9) is None
+        for mode, seq in (("periodic", GeneratingCycle("001010111")),
+                          ("aperiodic", FiniteSeq("001010111"))):
+            assert not _certified(seq, mode, 10**12)
 
 
 def verify_json(capsys, path, *extra):
@@ -195,7 +199,7 @@ class TestVerifyMethod:
         for mode, seq in (("periodic", GeneratingCycle(cycle.bits[1:] + cycle.bits[0])),
                           ("aperiodic", FiniteSeq(word.bits[1:] + word.bits[0])),
                           ("periodic", debruijn_lempel(12)),
-                          ("periodic", read_sequence(other).to_cycle())):
+                          ("periodic", _load_seq(other, None, None)[0])):
             write_sequence(path, seq.bits, mode=mode, order=12)
             assert_exact(capsys, path, seq, 12)
 
@@ -275,7 +279,7 @@ class TestLocateMethod:
                  ("periodic", GeneratingCycle(cycle.bits[1:] + cycle.bits[0])),
                  ("aperiodic", FiniteSeq(word.bits[1:] + word.bits[0])),
                  ("periodic", debruijn_lempel(12)),
-                 ("periodic", read_sequence(other).to_cycle())]
+                 ("periodic", _load_seq(other, None, None)[0])]
         path, rng, refused = tmp_path / "f.seq", random.Random(2402), set()
         for k, (mode, seq) in enumerate(files):
             write_sequence(path, seq.bits, mode=mode, order=12)

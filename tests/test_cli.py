@@ -120,7 +120,7 @@ class TestVerify:
 def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeypatch):
     path, edited = tmp_path / "p16.seq", tmp_path / "e16.seq"
     assert run(capsys, "construct", "periodic", "--target-order", "16", "--out", str(path))[0] == 0
-    bits = read_sequence(path).bits
+    bits = read_sequence(path)[0].bits
     write_sequence(edited, flip(bits, 5000), mode="periodic", order=16)
     # 256 KiB: the 9,557 windows at order 16 are charged 306 KB, its rebuild 76 KB.
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
