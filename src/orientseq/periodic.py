@@ -62,14 +62,10 @@ class TraceStep(NamedTuple):
     insert_position: Optional[int] = None
 
 
-class ConstructionTrace(NamedTuple("_Trace", [("steps", list[TraceStep])])):
-    """Per-order record of a recursive construction run.  The builders append its steps;
-    __new__ gives each trace its own list, where a NamedTuple default would share one."""
+class ConstructionTrace(NamedTuple):
+    """Per-order record of a recursive construction run, its steps in order."""
 
-    __slots__ = ()
-
-    def __new__(cls, steps: Optional[list[TraceStep]] = None) -> ConstructionTrace:
-        return super().__new__(cls, [] if steps is None else steps)
+    steps: list[TraceStep]
 
 
 # 18 times Dai's bound is 18*2^(n-1) - a*h + b*n + c, h = 2^((n-1)//2), with

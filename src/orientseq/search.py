@@ -4,10 +4,10 @@ Windows of order n trace walks on the shift graph over (n-1)-bit vertices;
 an orientable cycle is a closed walk whose n-bit edges are distinct even
 after reversal, and an aperiodic orientable sequence is the open-walk
 analogue.  The searcher claims edges in reversal-closed orbits (symmetric
-windows are never claimable), prunes branches that cannot beat the best
-result found so far, stops a closed walk once both ways back to its start
-are claimed, and stops early once the best result meets the known upper
-bound for the order.
+windows are never claimable), skips roots that cannot beat the best result
+found so far, stops a closed walk once both ways back to its start are
+claimed, and stops early once the best result meets the known upper bound
+for the order.
 
 Budgets are node counts, not wall time, so outcomes are machine independent.
 A budget-limited run reports the best sequence found with exhaustive=False;
@@ -21,18 +21,17 @@ raises ValueError up front, in each process that builds them.
 
 Each root (a cycle's anchor edge, a path's start vertex) is walked from a best
 of 0, and the results are merged in root order: longer wins, else the
-lexicographically least.  A root uses the incoming best in three places: to
-decide whether it is skipped, which the merge applies; in `bound > best`,
-which can fail on it only for a root that is skipped anyway; and to choose the
-candidates compared, which the merge compares again.  So each root visits the
-same nodes, and an exhaustive run on a process allowed two or more CPUs starts
-one helper process (multiprocessing, spawn) that walks roots from the back
-while the caller walks them from the front.  None outlives the search; only
-multiprocessing's resource tracker, which spawning starts once per process,
-stays until the process exits.  Budgeted runs and one-CPU hosts walk every
-root in the caller alone, with the same results.  Like any spawned process,
-the helper imports the caller's main module: a script that searches keeps its
-top level under `if __name__ == "__main__":`.
+lexicographically least.  A root uses the incoming best in two places: to
+decide whether it is skipped, which the merge applies, and to choose the
+candidates compared, which the merge compares again; a walk reads no bound.
+So each root visits the same nodes, and an exhaustive run on a process allowed
+two or more CPUs starts one helper process (multiprocessing, spawn) that walks
+roots from the back while the caller walks them from the front.  None outlives
+the search; only multiprocessing's resource tracker, which spawning starts once
+per process, stays until the process exits.  Budgeted runs and one-CPU hosts
+walk every root in the caller alone, with the same results.  Like any spawned
+process, the helper imports the caller's main module: a script that searches
+keeps its top level under `if __name__ == "__main__":`.
 """
 from __future__ import annotations
 
@@ -87,8 +86,8 @@ class _Roots:
     anchor before k stays claimed.  Open root k is the start vertex k, and a
     walk counts at every edge.  Either way the first bit is 0 (complement
     symmetry), edges are tried bit 0 first, and each edge claims one orbit, so
-    the most a walk from a root can reach is a constant `bound` checked against
-    the best result at every node.
+    the most a walk from a root can reach is a constant `bound` (for an open
+    root, the Burns bound), which only picks the roots that are walked.
 
     Depth-first with bit 0 first visits a root's walks in lexicographic order
     of their bits, so the first walk of each length is the least of that
@@ -116,7 +115,7 @@ class _Roots:
         self.count = len(self.anchors) if closed else 1 << (n - 2)
 
     def bound(self, k: int) -> int:
-        return self.orbits - k if self.closed else self.n - 1 + self.orbits
+        return self.orbits - k if self.closed else self.cap  # open: cap = n - 1 + orbits
 
     def walk(self, k: int, limit: int = sys.maxsize) -> tuple[int, int, Optional[str]]:
         """Nodes, best length and least witness of that length of root k's walk from
@@ -125,7 +124,6 @@ class _Roots:
         of its own, which tests at a node only what that kind needs."""
         n, orbit, taken = self.n, self.orbit, self.taken
         vmask = (1 << (n - 1)) - 1
-        bound = self.bound(k)
         best_len, best_bits, nodes = 0, None, 0
         if self.closed:
             a = self.anchors[k]
@@ -148,7 +146,7 @@ class _Roots:
                         bits = "".join("1" if e & 1 else "0" for e in walk)
                         r = (1 - n) % depth
                         best_len, best_bits = depth, bits[r:] + bits[:r]
-                    if bound > best_len and not (taken[door0] and taken[door1]):
+                    if not (taken[door0] and taken[door1]):
                         t <<= 1
                         continue
                 elif not t & 1:
@@ -179,9 +177,8 @@ class _Roots:
                     if length > best_len:
                         bits = "".join("1" if e & 1 else "0" for e in walk)
                         best_len, best_bits = length, format(k, f"0{n - 1}b") + bits
-                    if bound > best_len:
-                        t = (t & vmask) << 1
-                        continue
+                    t = (t & vmask) << 1
+                    continue
                 elif not t & 1:
                     t |= 1
                     continue
@@ -224,6 +221,7 @@ def _branch_and_bound(
     helper = None
     if node_budget is None and min(cpus, roots.count) > 1:
         helper = _Helper(n, closed, roots.count)
+    budget = sys.maxsize if node_budget is None else node_budget
     nodes = 0
     try:
         for k in range(roots.count):
@@ -232,16 +230,16 @@ def _branch_and_bound(
             if closed:
                 roots.taken[roots.anchors[k]] = 1  # bars the anchor's orbit from later roots too
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
+            if nodes > budget:
                 return SearchResult(best_len, best_bits, False, nodes)
             if roots.bound(k) <= best_len:
                 continue
-            limit = sys.maxsize if node_budget is None else node_budget - nodes
-            found, length, bits = helper and helper.take(k, best_len) or roots.walk(k, limit)
+            found, length, bits = (helper and helper.take(k, best_len)
+                                   or roots.walk(k, budget - nodes))
             nodes += found
-            if bits is not None and (best_bits is None or (-length, bits) < (-best_len, best_bits)):
+            if bits is not None and (-length, bits) < (-best_len, best_bits):
                 best_len, best_bits = length, bits
-            if node_budget is not None and nodes > node_budget:
+            if nodes > budget:
                 return SearchResult(best_len, best_bits, False, nodes)
     finally:
         if helper is not None:

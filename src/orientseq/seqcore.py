@@ -42,6 +42,7 @@ FORWARD = "forward"
 REVERSE = "reverse"
 SYMMETRIC = "symmetric"
 
+_CHUNK = 1 << 16  # characters as_bits checks at a time
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -64,14 +65,15 @@ class PreconditionError(ValueError):
 def as_bits(bits: str) -> str:
     """bits, checked to be a non-empty string of '0' and '1' characters.
 
-    The check runs at C speed, and an error quotes at most a few dozen
-    characters of the input, however long it is.
+    The check runs at C speed on slices, copying none of the input whole, and
+    an error quotes at most a few dozen characters of it, however long it is.
     """
     if not isinstance(bits, str):
         raise BitsError(f"bits must be a '0'/'1' string, got {reprlib.repr(bits)}")
     if not bits:
         raise BitsError("empty sequences are not allowed")
-    if not bits.isascii() or bits.encode("ascii").translate(None, b"01"):
+    if not bits.isascii() or any(bits[k : k + _CHUNK].encode("ascii").translate(None, b"01")
+                                 for k in range(0, len(bits), _CHUNK)):
         i = len(bits) - len(bits.lstrip("01"))
         raise BitsError(f"bits must contain only '0' and '1': {len(bits)} characters,"
                         f" {bits[i]!r} at position {i}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import string_oracle as oracle
 from orientseq import search as search_module
+from orientseq.aperiodic import burns_bound
 from orientseq.search import BYTES_PER_WINDOW, max_aos_length, max_orientable_period
 from orientseq.seqcore import FiniteSeq, GeneratingCycle
 from orientseq.verifier import verify_orientable
@@ -63,6 +64,8 @@ PINNED = [
         max_orientable_period, 7, None, 36, "000010010101100010110111001011110011", True, 91598,
         id="periodic-7",
     ),
+    pytest.param(max_aos_length, 2, None, 2, "01", True, 2, id="aos-2"),
+    pytest.param(max_aos_length, 3, None, 4, "0011", True, 3, id="aos-3"),
     pytest.param(max_aos_length, 4, None, 8, "00010111", True, 23, id="aos-4"),
     pytest.param(max_aos_length, 5, None, 14, "00001101001111", True, 120, id="aos-5"),
     pytest.param(
@@ -308,8 +311,12 @@ def same_walk(roots, k, limit=None):
     return ours
 
 
-# Orders 4-7 in both modes, as (closed, n); no cycle is orientable at order 4.
-WALKS = [(True, 5), (True, 6), (True, 7), (False, 4), (False, 5), (False, 6), (False, 7)]
+# Orders 2-7 as (closed, n); no cycle is orientable below order 5.  Orders 2 and 3
+# are the only ones where an open walk reaches its bound, on its last node.
+WALKS = [
+    (True, 5), (True, 6), (True, 7),
+    (False, 2), (False, 3), (False, 4), (False, 5), (False, 6), (False, 7),
+]
 
 
 class TestWalkAgainstOracle:
@@ -342,6 +349,12 @@ class TestWalkAgainstOracle:
         limit = data.draw(st.sampled_from([0, 1]) | st.integers(0, nodes))
         found = same_walk(roots_at(n, closed, k), k, limit)[0]
         assert found == min(nodes, limit + 1)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_open_roots_are_bounded_by_the_burns_bound(n):
+    # An open walk's n-1 start bits plus one edge per non-symmetric orbit.
+    assert n - 1 + search_module._Roots(n, False).orbits == burns_bound(n)
 
 
 class TestPeriodicSearch:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -79,6 +80,24 @@ class TestConstruction:
             with pytest.raises(BitsError) as not_str:
                 as_bits(value)
             assert len(str(not_str.value)) < 100
+
+    @pytest.mark.parametrize("i", [65_535, 65_536, 65_537, 200_001])
+    def test_bad_characters_past_the_first_slice(self, i):
+        with pytest.raises(BitsError) as error:
+            as_bits("0" * i + "2" + "1" * (300_000 - i))
+        assert str(error.value) == (
+            f"bits must contain only '0' and '1': 300001 characters, '2' at position {i}"
+        )
+
+    def test_checking_holds_no_copy_of_the_input(self):
+        bits = "01" * 5_000_000
+        tracemalloc.start()
+        try:
+            assert as_bits(bits) is bits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * len(bits), peak / len(bits)
 
     def test_iteration_reads_one_period(self):
         # Indexing a cycle wraps, so iteration must not fall back to it.
