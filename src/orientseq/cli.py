@@ -6,9 +6,9 @@ counterexample is reported) or lookup miss, 2 usage or input error or out of
 memory; never a traceback.  Deterministic; --json gives machine output.  seqio
 reads a file's body as packed bits, which _load_seq makes a cycle in periodic
 mode.  verify and locate certify a default family member orientable: _certified
-rebuilds it and compares.  verify checks any other file, and any --property
-nwindow, window by window, and locate refuses any other file that is not
-orientable.
+rebuilds the member of the file's size.  Any other file of that size is checked
+exactly at the windows that differ from it, any other file window by window, as
+is any --property nwindow; locate refuses a file that is not orientable.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ from typing import Optional
 from . import aperiodic, periodic, seqio
 from .seqcore import BitsError, GeneratingCycle, PreconditionError, WindowRangeError
 from .seqcore import as_bits, capped_size
-from .verifier import verify_nwindow, verify_orientable
+from .verifier import require_orientable, verify_nwindow, verify_orientable
+from .verifier import verify_orientable_near
 
 __all__ = ["main"]
 
@@ -79,10 +80,10 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _certified(seq, mode: str, order: int) -> bool:
-    """Whether seq is the default member of mode at order, orientable by the families'
-    proofs.  The member is rebuilt, through its builder's memory guard, only where the
-    closed forms give it seq's size; they answer in O(1) at any order."""
+def _certified(seq, mode: str, order: int):
+    """The default member of mode at order, orientable by the families' proofs, where the
+    closed forms give it seq's size, else None.  The closed forms answer in O(1) at any
+    order; the member is rebuilt, through its builder's memory guard, only then."""
     if mode == "periodic":
         n0, m0 = periodic.DEFAULT_STARTER_ORDER, periodic.DEFAULT_STARTER.period
         predicted = lambda: periodic.predicted_period(m0, *divmod(order - n0, 2))
@@ -91,16 +92,17 @@ def _certified(seq, mode: str, order: int) -> bool:
         n0, m0 = aperiodic.DEFAULT_STARTER_ORDER, len(aperiodic.DEFAULT_STARTER)
         predicted = lambda: aperiodic.predicted_length(m0, n0, order - n0)
         build = lambda: aperiodic.build_aos(order)
-    return order >= n0 and capped_size(order - n0, predicted) == len(seq) and build()[0] == seq
+    return build()[0] if order >= n0 and capped_size(order - n0, predicted) == len(seq) else None
 
 
 def _cmd_verify(args) -> int:
     seq, mode, order = _load_seq(args.file, args.mode, args.order)
     # nwindow stays exact, so cli-session still times verify_nwindow (ROADMAP item 8).
     orientable = args.property == "orientable"
-    certified = orientable and _certified(seq, mode, order)
-    check = verify_orientable if orientable else verify_nwindow
-    cx = None if certified else check(seq, order)
+    member = _certified(seq, mode, order) if orientable else None
+    certified = member == seq
+    cx = (None if certified else verify_orientable_near(seq, member, order) if member is not None
+          else (verify_orientable if orientable else verify_nwindow)(seq, order))
     method = "certificate" if certified else "exact"
     payload = {"ok": cx is None, "mode": mode, "order": order, "method": method}
     if cx is None:
@@ -160,8 +162,11 @@ def _cmd_locate(args) -> int:
     seq, mode, order = _load_seq(args.seq, args.mode, args.order)
     if len(as_bits(args.window)) != order:
         raise ValueError(f"window has {len(args.window)} bits, expected {order}")
+    member = _certified(seq, mode, order)
     try:
-        hit = locator.find(seq, order, args.window, orientable=_certified(seq, mode, order))
+        if member is not None and member != seq:
+            require_orientable(seq, order, "source", member)
+        hit = locator.find(seq, order, args.window, orientable=member is not None)
     except PreconditionError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1

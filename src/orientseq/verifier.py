@@ -17,23 +17,27 @@ where that costs at most _DENSE bytes per window (every family member), else in
 a set; the other readings are probed at C speed.  A check needs O(N) memory for
 N windows, and one that would not fit in physical memory raises ValueError
 before any window is read.  Only a failing check scans again, for the
-lexicographically first offending pair and its kind.
+lexicographically first offending pair and its kind.  verify_orientable_near
+answers as verify_orientable from only the windows that differ from a known
+orientable sequence.
 """
 from __future__ import annotations
 
 import sys
 from array import array
 from collections import Counter
-from itertools import compress
+from itertools import compress, repeat
+from operator import getitem
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .seqcore import FORWARD, REVERSE, SYMMETRIC, GeneratingCycle, PreconditionError, Seq
-from .seqcore import require_memory, reverse_value, window_bits
+from .seqcore import cyclic_value, require_memory, reverse_value, window_bits
 
 __all__ = [
     "Counterexample",
     "verify_nwindow",
     "verify_orientable",
+    "verify_orientable_near",
     "verify_disjoint",
     "verify_o_disjoint",
     "verify_primitive",
@@ -118,18 +122,20 @@ def read_windows(s: Seq, n: int, reverse: bool = False) -> Sequence[int]:
 def window_finder(s: Seq, n: int) -> Callable[[int], int]:
     """find(v): the first position of the n-bit value v among s's windows, or -1, by one
     bytes.find and no table: s's k-windows, k = min(n, 8), are one byte each, and the
-    n bits at j equal v iff the n-k+1 bytes from j equal v's own k-windows."""
+    n bits at j equal v iff the n-k+1 bytes from j equal v's own k-windows.  They are
+    charged first, 2 a window: family members peak at 1.5-1.7 at orders 16-24 and keep 1."""
+    require_memory(f"the window bytes at order {n}", window_count(s, n), 2)
     k = min(n, 8)
     windows = _window_values(*window_bits(s, n), k)
     return lambda v: windows.find(_window_values(v, n, k))
 
 
-def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int], object], int]:
-    """(has, count): has(v) is true iff v occurs in the n-bit values at least
-    `times` times (1 or 2), and count is the number of such v."""
+def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable, int]:
+    """(probe, count): probe(vs) yields, for each v in vs, whether v occurs in the n-bit
+    values at least `times` times (1 or 2), and count is the number of such v."""
     if not dense(n, len(values)):
         keys = set(values) if times == 1 else {v for v, k in Counter(values).items() if k > 1}
-        return keys.__contains__, len(keys)
+        return lambda vs: map(keys.__contains__, vs), len(keys)
     marks = bytearray(1 << n)
     if times == 1:
         for v in values:
@@ -139,7 +145,8 @@ def _table(values: Sequence[int], n: int, times: int = 1) -> tuple[Callable[[int
         for v in values:
             marks[v] = once[v]
             once[v] = 1
-    return marks.__getitem__, len(marks) - marks.count(0)
+    # operator.getitem probes 30-45% faster than the bound marks.__getitem__ (orders 21-24).
+    return lambda vs: map(getitem, repeat(marks), vs), len(marks) - marks.count(0)
 
 
 def first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Counterexample]:
@@ -150,18 +157,18 @@ def first_collision(reads: tuple, theirs: Sequence[int], n: int) -> Optional[Cou
     rev[i] == fwd[j] iff fwd[i] == rev[j], so the reverse reading probes the
     table of the forward one.
     """
-    has, distinct = _table(theirs, n)
+    probe, distinct = _table(theirs, n)
     itself = reads[0] is theirs
     found = []
     for kind in reversed(range(len(reads))):  # a self-check's forward reading last
-        values, repeat = reads[kind], itself and not kind
-        if not (distinct < len(theirs) if repeat else any(map(has, values))):
+        values, repeats = reads[kind], itself and not kind
+        if not (distinct < len(theirs) if repeats else any(probe(values))):
             continue
-        if repeat:
-            del has  # freed before the table of repeats is built
-            has = _table(theirs, n, 2)[0]
-        i = next(compress(range(len(values)), map(has, values)))  # a C-speed scan
-        j = theirs.index(values[i], i + 1 if repeat else 0)
+        if repeats:
+            del probe  # freed before the table of repeats is built
+            probe = _table(theirs, n, 2)[0]
+        i = next(compress(range(len(values)), probe(values)))  # a C-speed scan
+        j = theirs.index(values[i], i + 1 if repeats else 0)
         found.append((i, j, 2 if itself and kind and i == j else kind))
     if not found:
         return None
@@ -182,6 +189,50 @@ def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
     return first_collision((fwd, read_windows(s, n, reverse=True)), fwd, n)
 
 
+# Most dirty windows verify_orientable_near checks; past it, the whole check runs.
+_NEAR = 64
+
+
+def verify_orientable_near(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
+    """verify_orientable(s, n), given t orientable at order n, of s's type and length.
+
+    A window holding no bit where s and t differ is t's, and t's windows are distinct
+    and none the reversal of another, so every pair that collides has a dirty window.
+    A value occurs at most once among the clean windows, where t has it, so its
+    occurrences in s are few, found by one window_finder search in t.  The least pair
+    is among: the first two occurrences of a dirty window's value v; (that window, the
+    first occurrence of v's reversal r); (the first r, the first v)."""
+    diff, length, cyclic = s.value ^ t.value, len(s), isinstance(s, GeneratingCycle)
+    dirty = {}  # position -> value; each differing bit dirties a window of its own
+    while diff and len(dirty) <= _NEAR and diff.bit_count() <= _NEAR:
+        b = length - diff.bit_length()  # the first differing bit; it dirties b-n+1..b
+        diff ^= 1 << (length - 1 - b)
+        lo, hi = (b - n + 1, b) if cyclic else (max(b - n + 1, 0), min(b, length - n))
+        span = hi - lo + n
+        x = cyclic_value(s, lo, span) if cyclic else s.value >> (length - lo - span)
+        for p, v in enumerate(_window_values(x & ((1 << span) - 1), span, n), lo):
+            dirty[p % length] = v
+    if diff or len(dirty) > _NEAR:
+        return verify_orientable(s, n)
+    find, at = window_finder(t, n), {}  # at: value -> its positions in s
+    for p in sorted(dirty):
+        at.setdefault(dirty[p], []).append(p)
+    for v in {*at, *(reverse_value(v, n) for v in at)}:
+        q = find(v)
+        at[v] = sorted(at.get(v, []) + ([q] if q >= 0 and q not in dirty else []))
+    found = []
+    for p, v in dirty.items():
+        fwd, rev = at[v], at[reverse_value(v, n)]
+        if len(fwd) > 1:
+            found.append((fwd[0], fwd[1], 0))
+        if rev:
+            found += [(i, j, 2 if i == j else 1) for i, j in ((p, rev[0]), (rev[0], fwd[0]))]
+    if not found:
+        return None
+    i, j, kind = min(found)
+    return Counterexample(i, j, _KINDS[kind])
+
+
 def verify_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     """None if s and t share no n-window."""
     theirs = read_windows(t, n)
@@ -199,9 +250,10 @@ def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:
     return verify_disjoint(s, type(s)._trusted(s.value ^ ((1 << len(s)) - 1), len(s)), n)
 
 
-def require_orientable(s: Seq, n: int, what: str) -> None:
-    """Raise PreconditionError naming the first collision unless s is orientable."""
-    cx = verify_orientable(s, n)
+def require_orientable(s: Seq, n: int, what: str, near: Optional[Seq] = None) -> None:
+    """Raise PreconditionError naming the first collision unless s is orientable, as
+    verify_orientable_near(s, near, n) finds it where near is given."""
+    cx = verify_orientable(s, n) if near is None else verify_orientable_near(s, near, n)
     if cx is not None:
         raise PreconditionError(
             f"{what} is not orientable at order {n}: windows at "

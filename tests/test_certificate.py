@@ -7,8 +7,9 @@ the inverse map keeps orientability, on random orientable cycles and words,
 and the insertion step's local argument at every step of the default build.
 They also check `cli._certified`, which rebuilds the member a file is compared
 with, and that `verify` certifies exactly the members and checks every other file
-window by window, with the exact verifiers' answers; `--property nwindow` is
-always checked window by window.  `locate` certifies the same files: a member
+exactly, with the exact verifiers' answers: from the windows that differ from the
+member where the file has its size, else window by window; `--property nwindow`
+is always checked window by window.  `locate` certifies the same files: a member
 is searched at once and answers as its index does, and every other file gets
 the exact check first, with its refusal.
 """
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orientseq import aperiodic, locator, periodic
+from orientseq import aperiodic, cli, locator, periodic, verifier
 from orientseq.cli import _certified, _load_seq, main
 from orientseq.join import debruijn_lempel
 from orientseq.lempel import d_inverse_aperiodic, d_inverse_periodic
@@ -118,17 +119,18 @@ def members(top: int = 16):
 class TestRebuild:
     def test_rebuilds_each_default_member_from_its_size(self):
         for mode, n, seq in members():
-            assert _certified(seq, mode, n)
+            assert _certified(seq, mode, n) == seq
 
     def test_no_member_of_another_size_or_below_the_starter(self):
         for mode, n, seq in members():
             mutant = type(seq)._trusted(seq.value ^ 1 << len(seq) // 2, len(seq))
             longer = type(seq)._trusted(seq.value << 1, len(seq) + 1)
-            assert not _certified(mutant, mode, n)
-            assert not _certified(longer, mode, n)
-            assert not _certified(seq, mode, n + 1)
-        assert not _certified(GeneratingCycle("001011"), "periodic", 5)
-        assert not _certified(FiniteSeq("0"), "aperiodic", 1)
+            # A mutant has the member's size, so the member is rebuilt for comparison.
+            assert _certified(mutant, mode, n) == seq != mutant
+            assert _certified(longer, mode, n) is None
+            assert _certified(seq, mode, n + 1) is None
+        assert _certified(GeneratingCycle("001011"), "periodic", 5) is None
+        assert _certified(FiniteSeq("0"), "aperiodic", 1) is None
 
     def test_huge_order_costs_nothing_and_asks_no_memory(self, monkeypatch):
         def guard(*args):
@@ -247,14 +249,16 @@ def queries(seq, n, rng):
 class TestLocateMethod:
     @pytest.fixture
     def exact_calls(self, monkeypatch):
-        """The sources locate's exact check is asked about, in order."""
+        """The sources locate's exact check is asked about, in order: the locator's own
+        check, or the cli's against the member of the source's size."""
         calls = []
 
-        def spy(s, n, what):
+        def spy(s, n, what, *near):
             calls.append(s)
-            return require_orientable(s, n, what)
+            return require_orientable(s, n, what, *near)
 
         monkeypatch.setattr(locator, "require_orientable", spy)
+        monkeypatch.setattr(cli, "require_orientable", spy)
         return calls
 
     def test_members_are_certified_and_answer_as_their_index(self, capsys, tmp_path, exact_calls):
@@ -292,6 +296,38 @@ class TestLocateMethod:
         # The mutants, the rotated word and the de Bruijn file are refused; the rotated
         # cycle and the other starter's member are orientable and answered.
         assert refused == {0, 1, 2, 3, 5, 6}
+
+    def test_edited_members_are_answered_without_the_whole_check(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        """verify and locate answer a one-bit edit of a member from its differing windows,
+        as the whole check and the index answer."""
+        cycle, rng = member("periodic", 12), random.Random(2403)
+        flips = [GeneratingCycle(flip(cycle.bits, b)) for b in range(len(cycle))]
+        bad = next(s for s in flips if verify_orientable(s, 12) is not None)
+        good = next(s for s in flips if verify_orientable(s, 12) is None)
+        expected = {s: (verify_orientable(s, 12), [(w, oracle_locate(s, 12, w))
+                                                   for w in queries(s, 12, rng)])
+                    for s in (bad, good)}
+
+        checked = []  # what the whole check is asked about: here, only the builder's starter
+        whole = verifier.verify_orientable
+        monkeypatch.setattr(verifier, "verify_orientable",
+                            lambda *a: checked.append(a[0]) or whole(*a))
+        monkeypatch.setattr(cli, "verify_orientable", verifier.verify_orientable)
+        path = tmp_path / "e12.seq"
+        for seq, (cx, answers) in expected.items():
+            write_sequence(path, seq.bits, mode="periodic", order=12)
+            payload = verify_json(capsys, path)
+            assert payload["method"] == "exact" and payload.get("counterexample") == (
+                None if cx is None else cx._asdict())
+            for w, answer in answers:
+                assert locate_json(capsys, path, w) == answer, w
+            assert seq not in checked
+        cx = expected[bad][0]
+        assert expected[bad][1][0][1] == (1, "", f"property violation: source is not orientable"
+                                          f" at order 12: windows at {cx.i} and {cx.j} collide"
+                                          f" ({cx.kind})\n")
+        assert expected[good][0] is None and expected[good][1][0][1][0] == 0
 
     def test_flags_choose_the_member_compared(self, capsys, tmp_path, exact_calls):
         cycle, word = member("periodic", 12), member("aperiodic", 12)

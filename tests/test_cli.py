@@ -11,7 +11,9 @@ import pytest
 from orientseq.aperiodic import build_aos
 from orientseq.cli import main
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable, dai_bound
+from orientseq.seqcore import GeneratingCycle, cyclic_value, reverse_value
 from orientseq.seqio import read_sequence, write_sequence
+from orientseq.verifier import verify_orientable
 from string_oracle import flip
 
 
@@ -118,41 +120,66 @@ class TestVerify:
 
 
 def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeypatch):
-    path, edited = tmp_path / "p16.seq", tmp_path / "e16.seq"
+    path, edited, rotated = tmp_path / "p16.seq", tmp_path / "e16.seq", tmp_path / "r16.seq"
     assert run(capsys, "construct", "periodic", "--target-order", "16", "--out", str(path))[0] == 0
     bits = read_sequence(path)[0].bits
     write_sequence(edited, flip(bits, 5000), mode="periodic", order=16)
-    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB, its rebuild 76 KB.
+    # The member rotated by one bit has its size but differs in about half its bits.
+    write_sequence(rotated, bits[1:] + bits[0], mode="periodic", order=16)
+    cx = verify_orientable(GeneratingCycle(flip(bits, 5000)), 16)
+    assert cx == (355, 4985, "reverse")
+    # 256 KiB: the 9,557 windows at order 16 are charged 306 KB, its rebuild 76 KB and
+    # the member's window bytes 19 KB.
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.__getitem__)
     code, out, _ = run(capsys, "verify", str(path), "--json")
     assert (code, json.loads(out)["method"]) == (0, "certificate")
-    # locate certifies the member too, so it answers; the edited file needs the exact check.
+    # locate certifies the member too, so it answers; the rotated file needs the exact check.
     code, out, _ = run(capsys, "locate", "--seq", str(path), "--window", bits[5000:5016])
     assert (code, out) == (0, "position 5000, reading forward\n")
-    for argv in (["verify", str(edited)], ["locate", "--seq", str(edited), "--window", "0" * 16]):
+    for argv in (["verify", str(rotated)], ["locate", "--seq", str(rotated), "--window", "0" * 16]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: the windows at order 16 need about ")
+    # The edited member is checked at its differing windows, within the same memory.
+    code, out, _ = run(capsys, "verify", str(edited), "--json")
+    assert (code, json.loads(out)["method"], json.loads(out)["counterexample"]) == (
+        1, "exact", cx._asdict())
+    code, out, err = run(capsys, "locate", "--seq", str(edited), "--window", "0" * 16)
+    assert (code, out) == (1, "")
+    assert err == (f"property violation: source is not orientable at order 16: windows at"
+                   f" {cx.i} and {cx.j} collide ({cx.kind})\n")
 
 
 def test_verify_past_the_address_space_limit_exit_2(tmp_path):
     resource = pytest.importorskip("resource")
     cycle, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 26)
-    edited = tmp_path / "e26.seq"
+    edited, rotated = tmp_path / "e26.seq", tmp_path / "r26.seq"
     write_sequence(edited, flip(cycle.bits, 1000), mode="periodic", order=26)
-    # 192 MiB of address space: the edited member's rebuild fits (charged 78 MB), its
-    # 9,786,709 windows (charged 313 MB) do not, though physical memory would hold them.
+    write_sequence(rotated, cycle.bits[1:] + cycle.bits[0], mode="periodic", order=26)
+    # 192 MiB of address space: the member's rebuild fits (charged 78 MB), the rotated
+    # file's 9,786,709 windows (charged 313 MB) do not, though physical memory would hold
+    # them.  The edited file needs only the member's window bytes (charged 20 MB).
     limit = 192 << 20
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "orientseq.cli", "verify", str(edited)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+
+    def verify(seq_file):
+        return subprocess.run(
+            [sys.executable, "-m", "orientseq.cli", "verify", str(seq_file)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    proc = verify(rotated)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: the windows at order 26 need about 0.3 GiB, more than the"
                                   " 0.2 GiB address-space limit") and proc.stderr.count("\n") == 1
+    # verify_orientable's answer, which takes ~6 s and 0.3 GiB; the windows do collide.
+    proc = verify(edited)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "FAIL: windows at positions 978 and 4332535 collide (reverse)\n", "")
+    mutant = GeneratingCycle(flip(cycle.bits, 1000))
+    assert cyclic_value(mutant, 978, 26) == reverse_value(cyclic_value(mutant, 4332535, 26), 26)
 
 
 def test_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch):

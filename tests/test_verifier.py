@@ -7,7 +7,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orientseq import verifier
@@ -22,10 +22,12 @@ from orientseq.verifier import (
     verify_nwindow,
     verify_o_disjoint,
     verify_orientable,
+    verify_orientable_near,
     verify_primitive,
 )
 
 from conftest import cycles, finite_seqs, naive_nwindow, naive_orientable
+import string_oracle
 from string_oracle import all_windows, complement
 from test_differential import as_cycle, family as member, flip as flip_bit
 
@@ -275,3 +277,62 @@ class TestWindowTables:
             tracemalloc.stop()
         assert (cx is not None) == mutant
         assert peak <= 32 * windows
+
+
+def edited(source, flips):
+    """source with the bits at flips flipped (a bit flipped twice is restored), or None
+    for a cycle that no longer has source's period as its least."""
+    x = source.value
+    for b in flips:
+        x ^= 1 << (len(source) - 1 - b)
+    bits = format(x, f"0{len(source)}b")
+    if isinstance(source, GeneratingCycle) and (bits + bits).find(bits, 1) != len(bits):
+        return None
+    return type(source)(bits)
+
+
+class TestNear:
+    """verify_orientable_near checks the windows that differ from an orientable sequence
+    of the same size, and answers as verify_orientable does."""
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_every_one_bit_flip_matches_the_string_oracle(self, kind, n):
+        source, still = member(kind, n), 0
+        for b in range(len(source)):
+            s = edited(source, [b])
+            if s is not None:
+                cx = verify_orientable_near(s, source, n)
+                assert cx == string_oracle.verify_orientable(s, n), b
+                still += cx is None
+        # Some flips of a cycle stay orientable, none of a word's.
+        assert still == ({8: 1, 9: 4, 10: 17, 11: 14, 12: 52}[n] if kind == "periodic" else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["periodic", "aperiodic"]), st.integers(5, 14), st.data())
+    def test_edits_match_the_whole_check(self, kind, n, data):
+        if kind == "periodic":
+            n = max(n, DEFAULT_STARTER_ORDER)
+        source = member(kind, n)
+        size = len(source)
+        # Flips near a cycle's wrap and a word's two ends dirty windows cut there.
+        ends = st.one_of(st.integers(0, n - 2), st.integers(size - n + 1, size - 1))
+        flips = data.draw(st.lists(st.one_of(ends, st.integers(0, size - 1)), min_size=1,
+                                   max_size=4), label="flipped bits")
+        s = edited(source, flips)
+        assume(s is not None)
+        for dense in (math.inf, 0):
+            with mock.patch.object(verifier, "_DENSE", dense):
+                assert verify_orientable_near(s, source, n) == verify_orientable(s, n)
+
+    def test_many_dirty_windows_take_the_whole_check(self, monkeypatch):
+        source, calls = member("periodic", 12), []
+        whole = verifier.verify_orientable
+        monkeypatch.setattr(verifier, "verify_orientable", lambda *a: calls.append(a) or whole(*a))
+        # Five flips 100 bits apart dirty 5 * 12 = 60 windows, six 72, and 65 flips
+        # dirty at least 65; the first is checked window by window, the others whole.
+        for count, whole_calls in ((5, 0), (6, 1), (65, 1)):
+            s = edited(source, range(0, 100 * count, 100) if count < 65 else range(0, 130, 2))
+            del calls[:]
+            assert verify_orientable_near(s, source, 12) == whole(s, 12) is not None
+            assert len(calls) == whole_calls, count
