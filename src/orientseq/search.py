@@ -15,9 +15,10 @@ its result can seed a later run as an initial lower bound.  A seed whose
 size or bound is wrong, or whose witness is not orientable at the order,
 raises ValueError.
 
-The tables behind the search hold one reversal, one orbit id and one claimed
-flag per n-bit window; an order whose tables would not fit in physical memory
-raises ValueError up front, in each process that builds them.
+The tables behind the search hold one reversal, one orbit id, one claimed flag,
+one successor and one parity per n-bit window; an order whose tables would not
+fit in physical memory raises ValueError up front, in each process that builds
+them.
 
 Each root (a cycle's anchor edge, a path's start vertex) is walked from a best
 of 0, and the results are merged in root order: longer wins, else the
@@ -57,10 +58,11 @@ class SearchResult(NamedTuple):
     nodes: int
 
 
-# Table bytes per window (an orbit id, a reversal and two list slots): tracemalloc
-# peaks, with a 1000-node budget, at 57.9/58.5/59.2 for closed walks and 54.3/55.4/56.1
-# for open ones at orders 14/16/18; 64 leaves headroom.
-BYTES_PER_WINDOW = 64
+# Table bytes per window (an orbit id, a reversal, a claimed flag, a successor, half a
+# successor int and a parity): tracemalloc peaks, with a 1000-node budget, at
+# 89.7/90.5/91.2 for closed walks and 86.0/87.4/88.1 for open ones at orders 14/16/18;
+# 96 leaves headroom.
+BYTES_PER_WINDOW = 96
 
 
 def _orbit_table(n: int) -> tuple[array, list[int], list[bool]]:
@@ -109,6 +111,9 @@ class _Roots:
         self.cap = (dai_bound if closed else burns_bound)(n)
         self.n, self.closed = n, closed
         rev, self.orbit, self.taken = _orbit_table(n)
+        # An edge's bit-0 successor (t & vmask) << 1, and its last bit, as lists: the
+        # interpreter specialises their subscripts but not these operators.
+        self.succ, self.odd = list(range(0, 1 << n, 2)) * 2, [0, 1] * (1 << (n - 1))
         self.orbits = ((1 << n) - (1 << (n + 1) // 2)) // 2  # the non-symmetric ones
         half = range(1 << (n - 1))
         self.anchors = array("Q", compress(half, map(int.__lt__, half, rev)) if closed else ())
@@ -117,20 +122,22 @@ class _Roots:
     def bound(self, k: int) -> int:
         return self.orbits - k if self.closed else self.cap  # open: cap = n - 1 + orbits
 
-    def walk(self, k: int, limit: int = sys.maxsize) -> tuple[int, int, Optional[str]]:
+    def walk(self, k: int, limit: Optional[int] = None) -> tuple[int, int, Optional[str]]:
         """Nodes, best length and least witness of that length of root k's walk from
-        best 0, or so far once its nodes pass limit.  Closed root k needs the anchors
-        up to its own claimed and the later ones free.  Each kind of walk has a loop
-        of its own, which tests at a node only what that kind needs."""
-        n, orbit, taken = self.n, self.orbit, self.taken
-        vmask = (1 << (n - 1)) - 1
+        best 0, or so far once its nodes pass limit, if one is given.  Closed root k
+        needs the anchors up to its own claimed and the later ones free.  Each kind of
+        walk has a loop of its own, which tests at a node only what that kind needs."""
+        n, orbit, taken, succ, odd = self.n, self.orbit, self.taken, self.succ, self.odd
+        # The node count to stop at: -1, never reached, rather than a limit of many
+        # digits, so that the test compares small ints, which the interpreter specialises.
+        stop = -1 if limit is None else limit + 1
         best_len, best_bits, nodes = 0, None, 0
         if self.closed:
             a = self.anchors[k]
             walk, depth, home = [a], 1, a >> 1
             # The orbits of home's two in-edges, the only ways back to it.
             door0, door1 = orbit[home], orbit[home | 1 << (n - 1)]
-            t = (a & vmask) << 1  # the next edge to try
+            t, back = succ[a], home << 1  # the next edge to try; an in-edge's successor
             while True:
                 o = orbit[t]
                 if not taken[o]:
@@ -138,27 +145,26 @@ class _Roots:
                     walk.append(t)
                     depth += 1
                     nodes += 1
-                    if nodes > limit:
+                    if nodes == stop:
                         break
-                    t &= vmask
-                    if t == home and depth > best_len:
+                    t = succ[t]
+                    if t == back and depth > best_len:
                         # Start at the anchor, the least edge; edge i ends at bit i.
                         bits = "".join("1" if e & 1 else "0" for e in walk)
                         r = (1 - n) % depth
                         best_len, best_bits = depth, bits[r:] + bits[:r]
                     if not (taken[door0] and taken[door1]):
-                        t <<= 1
                         continue
-                elif not t & 1:
-                    t |= 1
+                elif not odd[t]:
+                    t += 1  # the bit-1 sibling, as t is even
                     continue
                 # Back up to the deepest edge whose bit-1 sibling is untried.
                 while depth > 1:
                     t = walk.pop()
                     depth -= 1
                     taken[orbit[t]] = 0
-                    if not t & 1:
-                        t |= 1
+                    if not odd[t]:
+                        t += 1
                         break
                 else:
                     break
@@ -172,22 +178,22 @@ class _Roots:
                     walk.append(t)
                     length += 1
                     nodes += 1
-                    if nodes > limit:
+                    if nodes == stop:
                         break
                     if length > best_len:
                         bits = "".join("1" if e & 1 else "0" for e in walk)
                         best_len, best_bits = length, format(k, f"0{n - 1}b") + bits
-                    t = (t & vmask) << 1
+                    t = succ[t]
                     continue
-                elif not t & 1:
-                    t |= 1
+                elif not odd[t]:
+                    t += 1
                     continue
                 while walk:
                     t = walk.pop()
                     length -= 1
                     taken[orbit[t]] = 0
-                    if not t & 1:
-                        t |= 1
+                    if not odd[t]:
+                        t += 1
                         break
                 else:
                     break
@@ -234,8 +240,8 @@ def _branch_and_bound(
                 return SearchResult(best_len, best_bits, False, nodes)
             if roots.bound(k) <= best_len:
                 continue
-            found, length, bits = (helper and helper.take(k, best_len)
-                                   or roots.walk(k, budget - nodes))
+            limit = None if node_budget is None else budget - nodes
+            found, length, bits = helper and helper.take(k, best_len) or roots.walk(k, limit)
             nodes += found
             if bits is not None and (-length, bits) < (-best_len, best_bits):
                 best_len, best_bits = length, bits

@@ -80,6 +80,12 @@ PINNED = [
         500_001, id="periodic-8-budget-500000",
     ),
     pytest.param(max_aos_length, 5, 30, 14, "00001101001111", False, 31, id="aos-5-budget-30"),
+    pytest.param(
+        max_aos_length, 8, 500_000, 96,
+        "000000010001010010000110010001101000001101101001"
+        "101011100010111011001110111100101010111110001100",
+        False, 500_001, id="aos-8-budget-500000",
+    ),
     # A zero budget stops at the first root, before any walk.
     pytest.param(max_orientable_period, 5, 0, 0, None, False, 1, id="periodic-5-budget-0"),
     pytest.param(max_aos_length, 5, 0, 0, None, False, 1, id="aos-5-budget-0"),
@@ -300,7 +306,7 @@ def same_walk(roots, k, limit=None):
     and the per-root oracle give the same result and leave the same flags, then
     restore the flags and return the result."""
     before = roots.taken[:]
-    ours = roots.walk(k) if limit is None else roots.walk(k, limit)
+    ours = roots.walk(k, limit)
     after = roots.taken[:]
     roots.taken[:] = before
     assert oracle.walk(roots, k, limit) == ours
@@ -317,15 +323,18 @@ WALKS = [
     (True, 5), (True, 6), (True, 7),
     (False, 2), (False, 3), (False, 4), (False, 5), (False, 6), (False, 7),
 ]
+WALKS_5_TO_7 = [(closed, n) for closed, n in WALKS if n >= 5]
+
+
+def walk_ids(walks):
+    return [f"{'periodic' if closed else 'aos'}-{n}" for closed, n in walks]
 
 
 class TestWalkAgainstOracle:
     """Each root's walk against the one loop for both walk kinds (string_oracle.walk)
     that it replaced: the same nodes, best length and witness from every root."""
 
-    @pytest.mark.parametrize(
-        "closed,n", WALKS, ids=[f"{'periodic' if c else 'aos'}-{n}" for c, n in WALKS]
-    )
+    @pytest.mark.parametrize("closed,n", WALKS, ids=walk_ids(WALKS))
     def test_every_root(self, closed, n):
         roots = search_module._Roots(n, closed)
         for k in range(roots.count):
@@ -340,15 +349,43 @@ class TestWalkAgainstOracle:
             roots.taken[roots.anchors[k]] = 1
             assert same_walk(roots, k, limit)[0] <= limit + 1
 
+    @pytest.mark.parametrize("limit", [0, 1, 5_000])
+    def test_order_eight_open_roots_under_limits(self, limit):
+        roots = search_module._Roots(8, False)
+        for k in range(roots.count):
+            assert same_walk(roots, k, limit)[0] <= limit + 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_limits_cut_inside_a_root(self, data):
         closed, n = data.draw(st.sampled_from(WALKS[:-1]))  # aos-7 roots: up to 267,135 nodes
         k = data.draw(st.integers(0, search_module._Roots(n, closed).count - 1))
         nodes = roots_at(n, closed, k).walk(k)[0]
-        limit = data.draw(st.sampled_from([0, 1]) | st.integers(0, nodes))
+        limit = data.draw(st.sampled_from([0, 1, None]) | st.integers(0, nodes))
         found = same_walk(roots_at(n, closed, k), k, limit)[0]
-        assert found == min(nodes, limit + 1)
+        assert found == (nodes if limit is None else min(nodes, limit + 1))
+
+    @pytest.mark.parametrize("closed,n", WALKS_5_TO_7, ids=walk_ids(WALKS_5_TO_7))
+    def test_limits_of_many_digits_never_cut(self, closed, n):
+        # The walk stops on limit + 1 nodes; a limit past any walk, too large for the
+        # interpreter's one-digit ints, stops it nowhere, just as no limit does.
+        roots = search_module._Roots(n, closed)
+        for k in range(roots.count):
+            if closed:
+                roots.taken[roots.anchors[k]] = 1
+            before = roots.taken[:]
+            whole = roots.walk(k)
+            assert roots.taken == before
+            for limit in (2**40, 2**64):
+                assert roots.walk(k, limit) == whole and roots.taken == before
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_successor_and_parity_tables(n):
+    roots = search_module._Roots(n, False)
+    vmask = (1 << (n - 1)) - 1
+    assert roots.succ == [(t & vmask) << 1 for t in range(1 << n)]
+    assert roots.odd == [t & 1 for t in range(1 << n)]
 
 
 @pytest.mark.parametrize("n", range(2, 17))
