@@ -16,10 +16,15 @@ reversed complement.  Every window of the merge is one of theirs but one, at
 odd orders: the window across the join, T's n alternating last bits and one
 more.  D sends it and its reverse to 1^n, a palindrome that s lacks, so neither
 is T's or U's, and it is no palindrome itself.
+
+build_aos merges from s's integral, which is T.  Two merges take one stride-2
+pass PT (lempel), T's integral: the merge's integral is PT, then, flipped by PT's
+last bit, A ^ top[keep-1]1...1 ^ reverse(top >> 1), with top PT's first keep bits
+and A = 1010..., as the tail's bits 0..j are T's bits keep-1-j..keep-1 negated.
 """
 from __future__ import annotations
 
-from .lempel import d_inverse_aperiodic
+from .lempel import d_inverse_aperiodic, prefix_xor
 from .periodic import ConstructionTrace, TraceStep
 from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value, window_bits
 from .seqcore import capped_size, require_memory
@@ -83,12 +88,8 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     return FiniteSeq._trusted((inv.first.value << keep) | u, m + keep)
 
 
-def build_aos(
-    n_target: int,
-    *,
-    starter: FiniteSeq = DEFAULT_STARTER,
-    starter_order: int = DEFAULT_STARTER_ORDER,
-) -> tuple[FiniteSeq, ConstructionTrace]:
+def build_aos(n_target: int, *, starter: FiniteSeq = DEFAULT_STARTER,
+              starter_order: int = DEFAULT_STARTER_ORDER) -> tuple[FiniteSeq, ConstructionTrace]:
     """Iterate merge_step from the starter up to order n_target.
 
     The starter is always fully validated (ideal and orientable at its
@@ -106,12 +107,30 @@ def build_aos(
     steps = n_target - n0  # the length is >= 2^steps
     length = capped_size(steps, lambda: predicted_length(len(starter), n0, steps))
     require_memory(f"the sequence and its copies at order {n_target}", length)
-    s = starter
-    trace = ConstructionTrace([TraceStep(n0, len(s), s.weight, False, None)])
-    for n in range(n0, n_target):
-        s = merge_step(s, n)
-        trace.steps.append(TraceStep(n + 1, len(s), s.weight, n % 2 == 1, None))
-    return s, trace
+    trace = ConstructionTrace([TraceStep(n0, len(starter), starter.weight, False, None)])
+    x, ell = starter.value, len(starter)
+    if steps % 2:
+        x, ell = _merge(prefix_xor(x, ell), ell, n0, trace)
+    for n in range(n0 + steps % 2, n_target, 2):
+        x, ell = _merge(prefix_xor(x, ell, 2), ell, n, trace, lift=True)
+        x, ell = _merge(x, ell, n + 1, trace)
+    return FiniteSeq._trusted(x, ell), trace
+
+
+def _merge(x: int, ell: int, n: int, trace: ConstructionTrace,
+           lift: bool = False) -> tuple[int, int]:
+    """build_aos's merge_step, fed the integral x of an ideal s of length ell: the
+    output and its length, the step put on the trace.  If lift, x is s's stride-2
+    integral and the output's integral comes out (the update above)."""
+    m, keep, top = ell + 1, ell + 1 - n + n % 2, x >> n - n % 2  # merge_step's keep
+    # A ^ 1111... = 0101... = (1 << keep) // 3
+    tail = (reverse_value(top >> 1, keep) ^ (1 << keep + 1 - ((top ^ x) & 1)) // 3 if lift
+            else reverse_value(top, keep) ^ (1 << keep) - 1)
+    del top
+    t = x ^ (x >> 1) if lift else x  # T: its ones, and the zeros of its top are the tail's
+    weight = t.bit_count() + keep - (t >> m - keep).bit_count()
+    trace.steps.append(TraceStep(n + 1, m + keep, weight, n % 2 == 1, None))
+    return (x << keep) | tail, m + keep
 
 
 def predicted_length(ell_n: int, n: int, m: int) -> int:

@@ -44,6 +44,8 @@ def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: st
     order = order if order is not None else file_order
     if order is None:
         raise BitsError(no_order or f"{path} has no order header; pass --order")
+    if order < 1:  # refused here, in the verifier's words, before any command reads seq
+        raise WindowRangeError(f"window order must be >= 1, got {order}")
     if mode == "periodic":
         seq = GeneratingCycle._trusted(seq.value, len(seq))._require_minimal()
     return seq, mode, order

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .lempel import d_inverse_periodic
-from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value
-from .seqcore import require_memory, rotate_left
+from .seqcore import GeneratingCycle, PreconditionError, WindowRangeError, capped_size
+from .seqcore import cyclic_value, require_memory, rotate_left
 from .verifier import first_collision, read_windows, window_finder
 
 __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
@@ -21,9 +21,8 @@ __all__ = ["find_conjugate_positions", "join_at", "debruijn_lempel"]
 _PROBES = 64
 
 
-def find_conjugate_positions(
-    s: GeneratingCycle, t: GeneratingCycle, n: int
-) -> Optional[tuple[int, int]]:
+def find_conjugate_positions(s: GeneratingCycle, t: GeneratingCycle,
+                             n: int) -> Optional[tuple[int, int]]:
     """First (i, j) with the n-window of s at i conjugate to that of t at j.
 
     Positions are scanned with smallest i first, then smallest j, so the
@@ -35,7 +34,7 @@ def find_conjugate_positions(
     the first _PROBES windows of s are looked up in t by window_finder; past that,
     first_collision tabulates t's windows once for all the rest: linear at worst.
     """
-    top, find = 1 << (n - 1), window_finder(t, n)
+    find, top = window_finder(t, n), 1 << (n - 1)  # window_finder refuses n < 1
     for i in range(min(_PROBES, s.period)):
         j = find(cyclic_value(s, i, n) ^ top)
         if j >= 0:
@@ -47,15 +46,15 @@ def find_conjugate_positions(
     return None if cx is None else (cx.i, cx.j)
 
 
-def join_at(
-    s: GeneratingCycle, t: GeneratingCycle, i: int, j: int, n: int
-) -> GeneratingCycle:
+def join_at(s: GeneratingCycle, t: GeneratingCycle, i: int, j: int, n: int) -> GeneratingCycle:
     """Splice t into s where their conjugate n-windows sit.
 
     The output cycle is
     [s_0..s_{i+n-1}, t_{j+n}..t_{m-1}, t_0..t_{j+n-1}, s_{i+n}..s_{l-1}]
     of period l+m, with index arithmetic cyclic in each source.
     """
+    if n < 1:
+        raise WindowRangeError(f"window order must be >= 1, got {n}")
     ell, m = s.period, t.period
     i %= ell
     j %= m

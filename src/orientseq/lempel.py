@@ -14,7 +14,8 @@ Phase conventions, chosen once so every operation is deterministic:
 
 Both are aligned so that output position 0 integrates from input position 0.
 Both maps work on packed integers: the forward map XORs a shifted copy, the
-inverse is a prefix XOR by doubling shifts, a complement XORs all ones.
+inverse is a prefix XOR by doubling shifts, a complement XORs all ones.  Two
+inverses are one prefix XOR at stride 2: over GF(2), (1 + x)^-2 = (1 + x^2)^-1.
 """
 from __future__ import annotations
 
@@ -40,13 +41,13 @@ class InverseImage(NamedTuple):
         return (self.first,) if self.second is None else (self.first, self.second)
 
 
-def _prefix_xor(x: int, n: int) -> int:
-    """The n-bit integer whose bit i (first bit leftmost) is x[0] ^ ... ^ x[i].
+def prefix_xor(x: int, n: int, shift: int = 1) -> int:
+    """The n-bit integer whose bit i (first bit leftmost) is x[0] ^ ... ^ x[i],
+    or, from shift 2, x[i] ^ x[i-2] ^ ...: the prefix XOR of the prefix XOR.
 
     Uses doubling shifts so the cost is O(n/word * log n) even for sequences
     of hundreds of millions of bits.
     """
-    shift = 1
     while shift < n:
         x ^= x >> shift
         shift <<= 1
@@ -55,7 +56,7 @@ def _prefix_xor(x: int, n: int) -> int:
 
 def _integrate(x: int, n: int, t0: int) -> int:
     """The n-bit word t with t[0] = t0 and t[i+1] = t[i] ^ x[i]."""
-    t = _prefix_xor(x, n) >> 1
+    t = prefix_xor(x, n) >> 1
     return t ^ ((1 << n) - 1) if t0 else t
 
 
@@ -98,5 +99,5 @@ def d_forward_aperiodic(s: FiniteSeq) -> FiniteSeq:
 def d_inverse_aperiodic(s: FiniteSeq) -> InverseImage:
     """Preimage pair of a finite word; always complementary, one bit longer."""
     # The first word is a 0 followed by the prefix XORs of s.
-    first, n = _prefix_xor(s.value, len(s)), len(s) + 1
+    first, n = prefix_xor(s.value, len(s)), len(s) + 1
     return InverseImage(FiniteSeq._trusted(first, n), FiniteSeq._trusted(first ^ ((1 << n) - 1), n))

@@ -13,6 +13,12 @@ ones, at r; the run of zeros, one place later if after r, is the next step's
 0^{n-3}.  d has weight m, so a bit goes in iff m is even, giving weight m or
 m+1.  build_orientable scans only its starter; the public steps scan their input.
 
+build_orientable steps from c's integral P (P[i] = c[0] ^ ... ^ c[i]), two steps
+from one stride-2 pass PP (lempel), by three updates (A = 1010... integrates 1s):
+- the half's integral is (PP >> 1) ^ c[0]A, as half[i] = c[0] ^ P[i-1];
+- d's is PH, then PH ^ A ^ PH[m-1]1...1, as the complement adds 1 at every bit;
+- a 1 at r flips it from r on, and puts there the bit before ^ 1, that bit's sum.
+
 Every member is orientable (Mitchell and Wild, "Constructing orientable
 sequences", arXiv 2108.03069), so `verify` certifies a file equal to a rebuilt
 member.  The builder checks the starter exactly.  D sends d's N-windows at i
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .lempel import d_inverse_periodic
+from .lempel import d_inverse_periodic, prefix_xor
 from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, require_memory
 from .verifier import require_orientable
 
@@ -109,16 +115,18 @@ def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[i
     if c.weight % 2 == 1:
         return c, None
     r = c.period - runs.bit_length()
-    return _insert_one(c, r), r
-
-
-def _insert_one(c: GeneratingCycle, r: int) -> GeneratingCycle:
-    """c with a 1 inserted before position r, the start of its unique longest 1-run."""
-    x, low = c.value, c.period - r  # low bits follow the insertion
     # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
-    grown = ((x >> low) << (low + 1)) | (1 << low) | (x & ((1 << low) - 1))
     # The four windows over the grown run are distinct: each has 1^{n-3} at its own offset.
-    return GeneratingCycle._trusted(grown, c.period + 1)
+    return GeneratingCycle._trusted(_insert_one(c.value, c.period, r), c.period + 1), r
+
+
+def _insert_one(x: int, m: int, r: int, integral: bool = False) -> int:
+    """The m-bit x with a 1 inserted before position r, the start of its unique
+    longest 1-run; if integral, x is a word's integral and so is the result."""
+    low = m - r  # low bits follow the insertion
+    out = x + ((x >> low) + 1 << low)  # hi, shifted past the 1, then lo
+    # An integral's 1 is the complement of hi's last bit, and lo flips after it.
+    return out ^ ((1 << low + (x >> low & 1)) - 1) if integral else out
 
 
 def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
@@ -130,15 +138,25 @@ def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
     return _extend_odd(c, n)[0]
 
 
-def _step(c: GeneratingCycle, n: int, p: int) -> tuple[GeneratingCycle, TraceStep, int]:
-    """build_orientable's step: next_orientable on a good odd-weight c whose 0^{n-4}
-    starts at p, and where the output's 0^{n-3} starts (the run lemma above)."""
-    d, m = d_inverse_periodic(c).first, c.period
-    ones, zeros = (p, p + m) if d[p] else (p + m, p)
-    if m % 2:  # d has weight m
-        return d, TraceStep(n + 1, 2 * m, m, False, None), zeros
-    out = _insert_one(d, ones)
-    return out, TraceStep(n + 1, 2 * m + 1, m + 1, True, ones), zeros + (zeros > ones)
+def _step(x: int, m: int, p: int, n: int, trace: ConstructionTrace,
+          lift: bool = False) -> tuple[int, int, int]:
+    """next_orientable fed the integral x of a good odd-weight c of period m with 0^{n-4}
+    at p: the output, its period and its 0^{n-3} (the run lemma), the step traced.
+    If lift, x is c's stride-2 integral, and the output's integral comes out."""
+    t0 = x >> (m - 1)
+    # d[p] = c[0] ^ P[p-1], and P[p-1] = x[p-1] ^ x[p-2] if x is stride-2.
+    dp = t0 ^ ((x >> (m - p)) & (3 if lift else 1)).bit_count() & 1
+    ones, zeros = (p, p + m) if dp else (p + m, p)
+    # d is half, then its complement: all ones flip a word, and an integral gains
+    # A = 1010... = (1 << m + 1) // 3, or 0101... = (1 << m) // 3 after an odd half.
+    half = (x >> 1) ^ (((1 << m + 1) // 3 if lift else (1 << m) - 1) if t0 else 0)
+    del x  # masks and copies go once used: the peak is the insertion's
+    d = (half << m) | (half ^ ((1 << m + 1 - (half & 1)) // 3 if lift else (1 << m) - 1))
+    del half
+    grow = 1 - m % 2  # d has weight m, so a 1 goes in iff m is even
+    trace.steps.append(TraceStep(n + 1, 2 * m + grow, m + grow, bool(grow), ones if grow else None))
+    out = _insert_one(d, 2 * m, ones, lift) if grow else d
+    return out, 2 * m + grow, zeros + (grow and zeros > ones)
 
 
 def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceStep]:
@@ -153,18 +171,16 @@ def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceS
     return out, TraceStep(n + 1, out.period, out.weight, r is not None, r)
 
 
-def build_orientable(
-    starter: GeneratingCycle,
-    n0: int,
-    n_target: int,
-) -> tuple[GeneratingCycle, ConstructionTrace]:
+def build_orientable(starter: GeneratingCycle, n0: int,
+                     n_target: int) -> tuple[GeneratingCycle, ConstructionTrace]:
     """Iterate the recursion from a validated starter up to n_target.
 
     The starter must be orientable at order n0, good, and of odd weight; the
     first failing property is reported.  A target whose period would not fit
     in physical memory raises ValueError before any step.  Only the starter is
     scanned for its 0^{n0-4}; by the run lemma each step's preimage gives the
-    next 0^{n-3}, and its 1^{n-3}, from where the last one was.
+    next 0^{n-3}, and its 1^{n-3}, from where the last one was.  Steps go two
+    per prefix XOR, after one ordinary step if their count is odd.
     """
     if n_target < n0:
         raise PreconditionError(f"target order {n_target} below starter order {n0}")
@@ -177,11 +193,14 @@ def build_orientable(
     period = capped_size(steps, lambda: predicted_period(starter.period, *divmod(steps, 2)))
     require_memory(f"the sequence and its copies at order {n_target}", period)
     trace = ConstructionTrace([TraceStep(n0, starter.period, starter.weight, False, None)])
-    c, p = starter, starter.period - _cyclic_runs(starter, n0 - 4, 0).bit_length()
-    for n in range(n0, n_target):
-        c, step, p = _step(c, n, p)
-        trace.steps.append(step)
-    return c, trace
+    x, m = starter.value, starter.period
+    p = m - _cyclic_runs(starter, n0 - 4, 0).bit_length()
+    if steps % 2:
+        x, m, p = _step(prefix_xor(x, m), m, p, n0, trace)
+    for n in range(n0 + steps % 2, n_target, 2):
+        x, m, p = _step(prefix_xor(x, m, 2), m, p, n, trace, lift=True)
+        x, m, p = _step(x, m, p, n + 1, trace)
+    return GeneratingCycle._trusted(x, m), trace
 
 
 def predicted_period(m_start: int, j: int, offset: int) -> int:

@@ -370,6 +370,16 @@ CONTRACT = {
     "verify-order-10e6": (["verify", "{seq}", "--order", "1000000"], 0),
     "verify-order-10e12": (["verify", "{seq}", "--order", "1000000000000"], 2),
     "locate-order-zero": (["locate", "--seq", "{seq}", "--order", "0", "--window", "0"], 2),
+    "locate-order-zero-empty-window": (
+        ["locate", "--seq", "{seq}", "--order", "0", "--window", ""], 2
+    ),
+    "locate-order-negative": (["locate", "--seq", "{seq}", "--order", "-3", "--window", "0"], 2),
+    "verify-header-order-negative": (["verify", "{minus3}"], 2),
+    "locate-header-order-negative": (["locate", "--seq", "{minus3}", "--window", "0"], 2),
+    "construct-starter-order-zero": (
+        ["construct", "periodic", "--target-order", "8", "--starter", "{seq}",
+         "--starter-order", "0"], 2
+    ),
     "construct-periodic-target-3": (["construct", "periodic", "--target-order", "3"], 2),
     "construct-debruijn-order-0": (["construct", "debruijn", "--order", "0"], 2),
     "locate-window-wrong-length": (["locate", "--seq", "{seq}", "--window", "0011"], 2),
@@ -398,6 +408,18 @@ CONTRACT = {
     "construct-aperiodic-order-64": (["construct", "aperiodic", "--target-order", "64"], 2),
     "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
 }
+# An order below 1, from a header or a flag, is refused in one wording by every
+# command that reads a sequence file, before the file's bits or the window are used.
+CONTRACT_ERRORS = {
+    "verify-order-zero": "error: window order must be >= 1, got 0\n",
+    "verify-order-negative": "error: window order must be >= 1, got -3\n",
+    "locate-order-zero": "error: window order must be >= 1, got 0\n",
+    "locate-order-zero-empty-window": "error: window order must be >= 1, got 0\n",
+    "locate-order-negative": "error: window order must be >= 1, got -3\n",
+    "construct-starter-order-zero": "error: window order must be >= 1, got 0\n",
+    "verify-header-order-negative": "error: window order must be >= 1, got -3\n",
+    "locate-header-order-negative": "error: window order must be >= 1, got -3\n",
+}
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
 # a witness of the right size that is not orientable at order 5, optima at
 # orders 6 (periodic) and 5 (aperiodic) whose values are floats, not ints, and a
@@ -418,13 +440,15 @@ def test_cli_contract(tmp_path, case):
     seq, short = tmp_path / "seq.txt", tmp_path / "short.txt"
     write_sequence(seq, "001101", mode="periodic", order=5)
     write_sequence(short, "0101", mode="aperiodic", order=8)
+    minus3 = tmp_path / "minus3.txt"  # a header order below 1
+    write_sequence(minus3, "001101", mode="periodic", order=-3)
     repeats = tmp_path / "repeats.txt"  # 200,000 bits of period 2
     write_sequence(repeats, "01" * 100_000, mode="periodic", order=5)
     resume = {name: tmp_path / f"{name}.json" for name in RESUME}
     for name, path in resume.items():
         path.write_text(json.dumps(RESUME[name]))
     argv, expected = CONTRACT[case]
-    argv = [a.format(seq=seq, short=short, repeats=repeats, **resume) for a in argv]
+    argv = [a.format(seq=seq, short=short, repeats=repeats, minus3=minus3, **resume) for a in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -438,6 +462,7 @@ def test_cli_contract(tmp_path, case):
         # One line, however large the input it refuses.
         assert proc.stderr.startswith("error:") and len(proc.stderr) < 200
         assert proc.stderr.count("\n") == 1
+    assert proc.stderr == CONTRACT_ERRORS.get(case, proc.stderr)
 
 
 # Every command's exact exit code, stdout, stderr and written files, run in

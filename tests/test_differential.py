@@ -17,10 +17,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import string_oracle as oracle
@@ -421,6 +422,52 @@ class TestRunTracking:
         assert bits_of(outcome(next_orientable, c, n)) == expected
 
 
+@st.composite
+def ideal_starters(draw, orders):
+    """(bits, n): an ideal orientable word at an order n drawn from orders, read off a
+    random walk on the shift graph from 0^{n-1} that claims each window's orbit
+    {w, reverse(w)} and never a symmetric window, cut where it visits 1^{n-1}
+    (None if it never does)."""
+    n = draw(st.sampled_from(orders))
+    vmask = (1 << (n - 1)) - 1
+    cur, claimed, bits, ends = 0, set(), "", []
+    while True:
+        free = [(e, r) for e in (cur << 1, cur << 1 | 1)
+                if (r := reverse_value(e, n)) != e and min(e, r) not in claimed]
+        if not free:
+            break
+        e, r = free[draw(st.integers(0, len(free) - 1))]
+        claimed.add(min(e, r))
+        bits += str(e & 1)
+        cur = e & vmask
+        if cur == vmask:
+            ends.append(len(bits))
+    if not ends:
+        return None, n
+    return "0" * (n - 1) + bits[: draw(st.sampled_from(ends))], n
+
+
+class TestAperiodicStarters:
+    """build_aos from any ideal starter, lifted one level at a time or two per
+    pass, against a chain of merge_step and the string oracle.  Odd and even
+    starter orders pair the levels differently, and so do odd and even lifts."""
+
+    @pytest.mark.parametrize("orders", [(3, 5, 7), (4, 6, 8)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_build_equals_a_chain_of_merge_steps(self, orders, data):
+        bits, n0 = data.draw(ideal_starters(orders))
+        assume(bits is not None)
+        starter, lift = FiniteSeq(bits), data.draw(st.integers(1, 10))
+        built, trace = build_aos(n0 + lift, starter=starter, starter_order=n0)
+        s, steps, expected = starter, [TraceStep(n0, len(bits), bits.count("1"), False, None)], bits
+        for n in range(n0, n0 + lift):
+            s, expected = merge_step(s, n), oracle.merge_step(expected, n)
+            steps.append(TraceStep(n + 1, len(s), s.weight, n % 2 == 1, None))
+        assert built == s and trace.steps == steps
+        assert built.bits == expected
+
+
 def bits_of(result):
     """Packed results as the bit strings the oracle returns."""
     if isinstance(result, tuple) and isinstance(result[0], GeneratingCycle):
@@ -489,22 +536,44 @@ class TestFamiliesBitIdentical:
             assert join.debruijn_lempel(n).bits == oracle.debruijn_lempel(n)
 
     # (size, sha256 of the bits) of the largest builds perfbench's construct
-    # round checks, as pinned there.
+    # round checks, as pinned there, and of the default members that CI's
+    # console-script job certifies past them (slow: over 10^7 bits), pinned from
+    # the builders that took one order per prefix XOR.
     PINS = {
         "periodic-26": (9786709, "d3e5d9a8225076823aba0a9de61f6d333cc82cd8cecb3e6b8c9f123dafdb6693"),
         "aperiodic-24": (5592428, "e29d9dcb154f1645229f6f46a0f7163f86cfcf53c310506e38c20bf3d6806f6f"),
         "debruijn-19": (524288, "abbdb98574fd412d36006c824d726da134310bf4e01dbee19de1373b55586a10"),
+        "periodic-28": (39146837, "23c3bf890301168f5352e8d5d350f804a91ddd54fad3458a6d9507566b333939"),
+        "periodic-30": (156587349, "699db42f3d89da3757c6d5bcfb1400ee5bcf898d5485540f24d2798218257d90"),
+        "aperiodic-26": (22369646, "46b2febc568c5b35ce59e8e5b4980c8f500443a1263609280785b52e994725bb"),
     }
 
-    @pytest.mark.parametrize("name", sorted(PINS))
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.slow) if size > 10**7 else name
+        for name, (size, _) in sorted(PINS.items())
+    ])
     def test_pinned_digests(self, name):
+        kind, n = name.split("-")
         build = {
-            "periodic-26": lambda: build_orientable(DEFAULT_STARTER, 6, 26)[0],
-            "aperiodic-24": lambda: build_aos(24)[0],
-            "debruijn-19": lambda: join.debruijn_lempel(19),
-        }[name]
-        bits = build().bits
+            "periodic": lambda n: build_orientable(DEFAULT_STARTER, 6, n)[0],
+            "aperiodic": lambda n: build_aos(n)[0],
+            "debruijn": join.debruijn_lempel,
+        }[kind]
+        bits = build(int(n)).bits
         assert (len(bits), hashlib.sha256(bits.encode("ascii")).hexdigest()) == self.PINS[name]
+
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("n", [22, 24])
+    def test_builders_peak_below_0_6_bytes_per_bit(self, kind, n):
+        build = {"periodic": lambda: build_orientable(DEFAULT_STARTER, 6, n)[0],
+                 "aperiodic": lambda: build_aos(n)[0]}[kind]
+        tracemalloc.start()
+        try:
+            size = len(build())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * size, peak / size
 
     @pytest.mark.slow
     def test_order_24(self):

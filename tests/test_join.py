@@ -4,7 +4,7 @@ import pytest
 
 from orientseq.join import debruijn_lempel, find_conjugate_positions, join_at
 from orientseq.lempel import d_inverse_periodic
-from orientseq.seqcore import GeneratingCycle, PreconditionError
+from orientseq.seqcore import GeneratingCycle, PreconditionError, WindowRangeError
 from orientseq.verifier import verify_disjoint, verify_nwindow
 
 from string_oracle import all_windows, conjugate, cyclic_slice
@@ -21,6 +21,16 @@ def naive_conjugate_scan(s, t, n):
             if cyclic_slice(s.bits, i, n) == conjugate(cyclic_slice(t.bits, j, n)):
                 return (i, j)
     return None
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_orders_below_one_are_refused_as_the_verifier_refuses_them(n):
+    s, t = GeneratingCycle("0001"), GeneratingCycle("1110")
+    message = f"^window order must be >= 1, got {n}$"
+    with pytest.raises(WindowRangeError, match=message):
+        find_conjugate_positions(s, t, n)
+    with pytest.raises(WindowRangeError, match=message):
+        join_at(s, t, 0, 0, n)
 
 
 class TestFindConjugatePositions:
