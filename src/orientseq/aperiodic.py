@@ -82,10 +82,8 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     """
     if not is_ideal(s, n):
         raise PreconditionError(f"input of length {len(s)} is not ideal at order {n}")
-    inv, m = d_inverse_aperiodic(s), len(s) + 1
-    keep = m - (n if n % 2 == 0 else n - 1)
-    u = reverse_value(inv.second.value, m) & ((1 << keep) - 1)
-    return FiniteSeq._trusted((inv.first.value << keep) | u, m + keep)
+    t = d_inverse_aperiodic(s).first.value  # T, s's integral
+    return FiniteSeq._trusted(*_merge(t, len(s), n, ConstructionTrace([])))
 
 
 def build_aos(n_target: int, *, starter: FiniteSeq = DEFAULT_STARTER,

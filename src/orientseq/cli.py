@@ -5,10 +5,10 @@ locate, tables.  Exit codes: 0 success, 1 property violation (the
 counterexample is reported) or lookup miss, 2 usage or input error or out of
 memory; never a traceback.  Deterministic; --json gives machine output.  seqio
 reads a file's body as packed bits, which _load_seq makes a cycle in periodic
-mode.  verify and locate certify a default family member orientable: _certified
-rebuilds the member of the file's size.  Any other file of that size is checked
-exactly at the windows that differ from it, any other file window by window, as
-is any --property nwindow; locate refuses a file that is not orientable.
+mode.  verify and locate pass verifier.verify_orientable_near the default member
+of the file's size, rebuilt by _certified, which certifies that member and checks
+any other file of its size at the differing windows, any other window by window
+(as verify does --property nwindow); locate refuses a non-orientable file.
 """
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ from typing import Optional
 from . import aperiodic, periodic, seqio
 from .seqcore import BitsError, GeneratingCycle, PreconditionError, WindowRangeError
 from .seqcore import as_bits, capped_size
-from .verifier import require_orientable, verify_nwindow, verify_orientable
-from .verifier import verify_orientable_near
+from .verifier import verify_nwindow, verify_orientable_near
 
 __all__ = ["main"]
 
@@ -102,10 +101,8 @@ def _cmd_verify(args) -> int:
     # nwindow stays exact, so cli-session still times verify_nwindow (ROADMAP item 8).
     orientable = args.property == "orientable"
     member = _certified(seq, mode, order) if orientable else None
-    certified = member == seq
-    cx = (None if certified else verify_orientable_near(seq, member, order) if member is not None
-          else (verify_orientable if orientable else verify_nwindow)(seq, order))
-    method = "certificate" if certified else "exact"
+    cx = verify_orientable_near(seq, member, order) if orientable else verify_nwindow(seq, order)
+    method = "certificate" if member == seq else "exact"
     payload = {"ok": cx is None, "mode": mode, "order": order, "method": method}
     if cx is None:
         payload["size"] = len(seq)
@@ -166,9 +163,7 @@ def _cmd_locate(args) -> int:
         raise ValueError(f"window has {len(args.window)} bits, expected {order}")
     member = _certified(seq, mode, order)
     try:
-        if member is not None and member != seq:
-            require_orientable(seq, order, "source", member)
-        hit = locator.find(seq, order, args.window, orientable=member is not None)
+        hit = locator.find(seq, order, args.window, near=member)
     except PreconditionError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1

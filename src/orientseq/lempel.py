@@ -54,12 +54,6 @@ def prefix_xor(x: int, n: int, shift: int = 1) -> int:
     return x
 
 
-def _integrate(x: int, n: int, t0: int) -> int:
-    """The n-bit word t with t[0] = t0 and t[i+1] = t[i] ^ x[i]."""
-    t = prefix_xor(x, n) >> 1
-    return t ^ ((1 << n) - 1) if t0 else t
-
-
 def d_forward_periodic(c: GeneratingCycle) -> GeneratingCycle:
     """Adjacent XOR around the cycle, reduced to its minimal period."""
     x, m = c.value, c.period
@@ -76,15 +70,13 @@ def d_inverse_periodic(c: GeneratingCycle) -> InverseImage:
     """
     x, m = c.value, c.period
     ones = (1 << m) - 1
+    t = prefix_xor(x, m) >> 1  # t[0] = 0 and t[i+1] = t[i] ^ x[i]
     # The outputs are always minimal periods: a shorter period in the
     # preimage would force a shorter period in c itself.
     if c.weight % 2 == 0:
-        first = _integrate(x, m, 0)
-        return InverseImage(
-            GeneratingCycle._trusted(first, m), GeneratingCycle._trusted(first ^ ones, m)
-        )
-    # Odd weight flips the second pass of the integral: a word, then its complement.
-    half = _integrate(x, m, x >> (m - 1))
+        return InverseImage(GeneratingCycle._trusted(t, m), GeneratingCycle._trusted(t ^ ones, m))
+    # Odd weight flips the second pass: a word from x's first bit, then its complement.
+    half = t ^ ones if x >> (m - 1) else t
     return InverseImage(GeneratingCycle._trusted((half << m) | (half ^ ones), 2 * m))
 
 

@@ -8,7 +8,8 @@ where it occurs and the direction of travel.  There are two ways to look up:
   integer values, and each locate is one int() parse and one table read; it
   refuses an index past physical memory up front;
 * one lookup: find looks the query up, forward and then reversed, with the
-  verifier's window_finder, one bytes.find each, and builds no table.
+  verifier's window_finder, one bytes.find each, and builds no table; a source
+  equal to or near a known orientable one is proved from it (require_orientable).
 
 Both refuse non-orientable sources and read queries alike, so they agree: a
 query is a '0'/'1' string, and anything else of the right length is absent.
@@ -103,11 +104,10 @@ def locate(idx: LocatorIndex, t: str) -> Optional[tuple[int, str]]:
     return (k >> 1, FORWARD) if k > 0 else (-k >> 1, REVERSE) if k else None
 
 
-def find(s: Seq, n: int, t: str, *, orientable: bool = False) -> Optional[tuple[int, str]]:
-    """locate(build_index(s, n), t) without the table: one search per direction; the exact
-    check is skipped for orientable=True, an s the caller has proved orientable at order n."""
-    if not orientable:
-        require_orientable(s, n, "source")
+def find(s: Seq, n: int, t: str, *, near: Optional[Seq] = None) -> Optional[tuple[int, str]]:
+    """locate(build_index(s, n), t) without the table: one search per direction, once
+    require_orientable(s, n, "source", near) has passed; near, if given, is orientable."""
+    require_orientable(s, n, "source", near)
     if not _well_formed(t, n) or t.strip("01"):  # a digit 2-9 is no hit either
         return None
     find_window = window_finder(s, n)

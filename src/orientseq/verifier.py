@@ -17,9 +17,9 @@ where that costs at most _DENSE bytes per window (every family member), else in
 a set; the other readings are probed at C speed.  A check needs O(N) memory for
 N windows, and one that would not fit in physical memory raises ValueError
 before any window is read.  Only a failing check scans again, for the
-lexicographically first offending pair and its kind.  verify_orientable_near
-answers as verify_orientable from only the windows that differ from a known
-orientable sequence.
+lexicographically first offending pair and its kind.  verify_orientable_near is
+the one place that chooses how s is proved orientable: equal to a known orientable
+t, by that alone; near t, from only the windows that differ; else window by window.
 """
 from __future__ import annotations
 
@@ -193,8 +193,9 @@ def verify_orientable(s: Seq, n: int) -> Optional[Counterexample]:
 _NEAR = 64
 
 
-def verify_orientable_near(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
-    """verify_orientable(s, n), given t orientable at order n, of s's type and length.
+def verify_orientable_near(s: Seq, t: Optional[Seq], n: int) -> Optional[Counterexample]:
+    """verify_orientable(s, n), given t None or orientable at order n, of s's type and length;
+    s == t reads no window.
 
     A window holding no bit where s and t differ is t's, and t's windows are distinct
     and none the reversal of another, so every pair that collides has a dirty window.
@@ -202,6 +203,13 @@ def verify_orientable_near(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:
     occurrences in s are few, found by one window_finder search in t.  The least pair
     is among: the first two occurrences of a dirty window's value v; (that window, the
     first occurrence of v's reversal r); (the first r, the first v)."""
+    if t is None:
+        return verify_orientable(s, n)
+    if type(t) is not type(s) or len(t) != len(s):
+        raise PreconditionError(f"cannot check a {type(s).__name__} of length {len(s)} near a "
+                                f"{type(t).__name__} of length {len(t)}")
+    if s == t:
+        return None
     diff, length, cyclic = s.value ^ t.value, len(s), isinstance(s, GeneratingCycle)
     dirty = {}  # position -> value; each differing bit dirties a window of its own
     while diff and len(dirty) <= _NEAR and diff.bit_count() <= _NEAR:
@@ -252,8 +260,8 @@ def verify_primitive(s: Seq, n: int) -> Optional[Counterexample]:
 
 def require_orientable(s: Seq, n: int, what: str, near: Optional[Seq] = None) -> None:
     """Raise PreconditionError naming the first collision unless s is orientable, as
-    verify_orientable_near(s, near, n) finds it where near is given."""
-    cx = verify_orientable(s, n) if near is None else verify_orientable_near(s, near, n)
+    verify_orientable_near(s, near, n) finds it: near, if given, is orientable at order n."""
+    cx = verify_orientable_near(s, near, n)
     if cx is not None:
         raise PreconditionError(
             f"{what} is not orientable at order {n}: windows at "

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orientseq import aperiodic, cli, locator, periodic, verifier
+from orientseq import aperiodic, locator, periodic, verifier
 from orientseq.cli import _certified, _load_seq, main
 from orientseq.join import debruijn_lempel
 from orientseq.lempel import d_inverse_aperiodic, d_inverse_periodic
@@ -249,16 +249,17 @@ def queries(seq, n, rng):
 class TestLocateMethod:
     @pytest.fixture
     def exact_calls(self, monkeypatch):
-        """The sources locate's exact check is asked about, in order: the locator's own
-        check, or the cli's against the member of the source's size."""
+        """The sources locate's exact check is asked about, in order: the locator's check,
+        window by window or against the member of the source's size, but not of the
+        member itself, which is certified."""
         calls = []
 
-        def spy(s, n, what, *near):
-            calls.append(s)
-            return require_orientable(s, n, what, *near)
+        def spy(s, n, what, near=None):
+            if near != s:
+                calls.append(s)
+            return require_orientable(s, n, what, near)
 
         monkeypatch.setattr(locator, "require_orientable", spy)
-        monkeypatch.setattr(cli, "require_orientable", spy)
         return calls
 
     def test_members_are_certified_and_answer_as_their_index(self, capsys, tmp_path, exact_calls):
@@ -313,7 +314,6 @@ class TestLocateMethod:
         whole = verifier.verify_orientable
         monkeypatch.setattr(verifier, "verify_orientable",
                             lambda *a: checked.append(a[0]) or whole(*a))
-        monkeypatch.setattr(cli, "verify_orientable", verifier.verify_orientable)
         path = tmp_path / "e12.seq"
         for seq, (cx, answers) in expected.items():
             write_sequence(path, seq.bits, mode="periodic", order=12)

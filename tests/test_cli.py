@@ -186,7 +186,7 @@ def test_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("orientseq.cli.verify_orientable", exhausted)
+    monkeypatch.setattr("orientseq.cli.verify_orientable_near", exhausted)
     path = tmp_path / "bad.seq"
     write_sequence(path, "00110", mode="periodic", order=2)
     code, out, err = run(capsys, "verify", str(path))

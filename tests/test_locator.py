@@ -9,7 +9,7 @@ from array import array
 
 import pytest
 
-from orientseq import locator
+from orientseq import locator, verifier
 from orientseq.aperiodic import build_aos
 from orientseq.locator import build_index, locate
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
@@ -207,6 +207,24 @@ class TestLocate:
             for i, w in enumerate(all_windows(s, n)):
                 assert locate(idx, w) == (i, FORWARD)
                 assert locate(idx, w[::-1]) == (i, REVERSE)
+
+
+class TestFind:
+    def test_a_source_near_itself_is_searched_at_once(self, monkeypatch):
+        # The proof lays out no window: only find's own search, which locator imported.
+        def laid_out(*a):
+            raise AssertionError("a window was laid out")
+
+        members = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 12)[0], build_aos(12)[0]
+        monkeypatch.setattr(verifier, "read_windows", laid_out)
+        monkeypatch.setattr(verifier, "window_finder", laid_out)
+        for s in members:
+            w = s.bits[100:112]
+            assert locator.find(s, 12, w, near=s) == (100, FORWARD)
+            assert locator.find(s, 12, w[::-1], near=s) == (100, REVERSE)
+            assert locator.find(s, 12, "0" * 12, near=s) is None
+            with pytest.raises(AssertionError, match="a window was laid out"):
+                locator.find(s, 12, w)
 
 
 @pytest.mark.slow

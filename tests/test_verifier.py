@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from orientseq import verifier
 from orientseq.aperiodic import build_aos
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
-from orientseq.seqcore import FiniteSeq, GeneratingCycle, WindowRangeError
+from orientseq.seqcore import FiniteSeq, GeneratingCycle, PreconditionError, WindowRangeError
 from orientseq.verifier import (
     BYTES_PER_WINDOW,
     Counterexample,
@@ -336,3 +336,41 @@ class TestNear:
             del calls[:]
             assert verify_orientable_near(s, source, 12) == whole(s, 12) is not None
             assert len(calls) == whole_calls, count
+
+    def test_no_source_is_the_whole_check(self):
+        rng = random.Random(32)
+        sources = [member(kind, 10) for kind in ("periodic", "aperiodic")]
+        words = ["".join(rng.choice("01") for _ in range(size)) for size in (20, 40, 300)]
+        for s in (*sources, *(edited(t, [b]) for t in sources for b in (0, 50, len(t) - 1)),
+                  *(kind(w) for kind in (GeneratingCycle, FiniteSeq) for w in words)):
+            if s is not None:
+                for n in (3, 8, 10):
+                    assert verify_orientable_near(s, None, n) == verify_orientable(s, n), (s, n)
+
+    def test_the_source_itself_reads_and_charges_no_window(self, monkeypatch):
+        def laid_out(*a):
+            raise AssertionError("a window was laid out")
+
+        members = [member(kind, 16) for kind in ("periodic", "aperiodic")]
+        # One 4 KiB page of memory: the windows of either order-16 member need more.
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.__getitem__)
+        for s in members:
+            with pytest.raises(ValueError, match="^the window bytes at order 16 need about"):
+                verify_orientable_near(edited(s, [100]), s, 16)
+        monkeypatch.setattr(verifier, "read_windows", laid_out)
+        monkeypatch.setattr(verifier, "window_finder", laid_out)
+        for s in members:
+            assert verify_orientable_near(s, s, 16) is None
+            assert verify_orientable_near(type(s)(s.bits), s, 16) is None
+
+    def test_a_source_of_another_type_or_length_is_refused(self):
+        word, cycle = member("aperiodic", 8), member("periodic", 8)
+        # 0 and word: its first window is 0^8, its own reversal.
+        longer = FiniteSeq._trusted(word.value, len(word) + 1)
+        assert verify_orientable(longer, 8) == (0, 0, "symmetric")
+        for s, t in ((longer, word), (word, cycle), (FiniteSeq._trusted(cycle.value, len(cycle)),
+                                                     cycle), (cycle, word)):
+            with pytest.raises(PreconditionError) as info:
+                verify_orientable_near(s, t, 8)
+            assert str(info.value) == (f"cannot check a {type(s).__name__} of length {len(s)}"
+                                       f" near a {type(t).__name__} of length {len(t)}")
