@@ -24,6 +24,8 @@ and A = 1010..., as the tail's bits 0..j are T's bits keep-1-j..keep-1 negated.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 from .lempel import d_inverse_aperiodic, prefix_xor
 from .periodic import ConstructionTrace, TraceStep
 from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value, window_bits
@@ -83,7 +85,7 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     if not is_ideal(s, n):
         raise PreconditionError(f"input of length {len(s)} is not ideal at order {n}")
     t = d_inverse_aperiodic(s).first.value  # T, s's integral
-    return FiniteSeq._trusted(*_merge(t, len(s), n, ConstructionTrace([])))
+    return FiniteSeq._trusted(*_merge(t, len(s), n, None))
 
 
 def build_aos(n_target: int, *, starter: FiniteSeq = DEFAULT_STARTER,
@@ -115,19 +117,20 @@ def build_aos(n_target: int, *, starter: FiniteSeq = DEFAULT_STARTER,
     return FiniteSeq._trusted(x, ell), trace
 
 
-def _merge(x: int, ell: int, n: int, trace: ConstructionTrace,
+def _merge(x: int, ell: int, n: int, trace: Optional[ConstructionTrace],
            lift: bool = False) -> tuple[int, int]:
     """build_aos's merge_step, fed the integral x of an ideal s of length ell: the
-    output and its length, the step put on the trace.  If lift, x is s's stride-2
-    integral and the output's integral comes out (the update above)."""
+    output and its length, the step put on the trace if one is kept.  If lift, x is
+    s's stride-2 integral and the output's integral comes out (the update above)."""
     m, keep, top = ell + 1, ell + 1 - n + n % 2, x >> n - n % 2  # merge_step's keep
     # A ^ 1111... = 0101... = (1 << keep) // 3
     tail = (reverse_value(top >> 1, keep) ^ (1 << keep + 1 - ((top ^ x) & 1)) // 3 if lift
             else reverse_value(top, keep) ^ (1 << keep) - 1)
     del top
-    t = x ^ (x >> 1) if lift else x  # T: its ones, and the zeros of its top are the tail's
-    weight = t.bit_count() + keep - (t >> m - keep).bit_count()
-    trace.steps.append(TraceStep(n + 1, m + keep, weight, n % 2 == 1, None))
+    if trace is not None:
+        t = x ^ (x >> 1) if lift else x  # T: its ones, and the zeros of its top are the tail's
+        weight = t.bit_count() + keep - (t >> m - keep).bit_count()
+        trace.steps.append(TraceStep(n + 1, m + keep, weight, n % 2 == 1, None))
     return (x << keep) | tail, m + keep
 
 

@@ -26,13 +26,15 @@ lexicographically least.  A root uses the incoming best in two places: to
 decide whether it is skipped, which the merge applies, and to choose the
 candidates compared, which the merge compares again; a walk reads no bound.
 So each root visits the same nodes, and an exhaustive run on a process allowed
-two or more CPUs starts one helper process (multiprocessing, spawn) that walks
-roots from the back while the caller walks them from the front.  None outlives
-the search; only multiprocessing's resource tracker, which spawning starts once
-per process, stays until the process exits.  Budgeted runs and one-CPU hosts
-walk every root in the caller alone, with the same results.  Like any spawned
-process, the helper imports the caller's main module: a script that searches
-keeps its top level under `if __name__ == "__main__":`.
+two or more CPUs starts one helper process that walks roots from the back while
+the caller walks them from the front; none outlives the search.  On Linux a
+caller running one OS thread forks it: no interpreter boots, no main module is
+re-imported and no resource tracker starts.  Elsewhere, and from a threaded
+caller, it is spawned: it imports the caller's main module, so a script that
+searches keeps its top level under `if __name__ == "__main__":`, and
+multiprocessing's resource tracker, started once per process, stays until the
+process exits.  Budgeted runs and one-CPU hosts walk every root in the caller
+alone, with the same results.
 """
 from __future__ import annotations
 
@@ -262,9 +264,16 @@ class _Helper:
 
     def __init__(self, n: int, closed: bool, count: int):
         import multiprocessing  # paid only by exhaustive runs on two or more CPUs
+        from multiprocessing.util import register_after_fork
 
-        context = multiprocessing.get_context("spawn")
+        try:  # one OS thread, C threads included, as CPython counts before it warns of fork
+            fork = sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+        except OSError:
+            fork = False
+        context = multiprocessing.get_context("fork" if fork else "spawn")
         self.conn, child = context.Pipe()
+        # A forked helper drops its copy of the caller's end, to read EOF once the caller is gone.
+        register_after_fork(self.conn, type(self.conn).close)
         self.process = context.Process(target=_helper, args=(child, n, closed), daemon=True)
         self.low, self.results = count, {}  # the last root announced; results by root
         try:
@@ -294,7 +303,7 @@ class _Helper:
 
     def stop(self) -> None:
         if self.process is not None:
-            self.process.terminate()
+            self.process.kill()  # a forked helper may have inherited a SIGTERM handler
             self.process.join()
             self.process.close()
             self.process = None

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +267,134 @@ def exits_at_once(conn, n, closed):
 def dies_after_announcing(conn, n, closed):
     """A helper process that announces root 1 and exits without walking it."""
     conn.send(1)
+
+
+def sleeps(conn, n, closed):
+    """A helper process that walks no root and sleeps for a minute, through any
+    signal whose handler returns."""
+    time.sleep(60)
+
+
+def test_a_caller_that_ignores_sigterm_still_stops_its_helper(monkeypatch):
+    # A forked helper inherits the caller's Python handlers; SIGKILL has none.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    expected = max_aos_length(6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(search_module, "_helper", sleeps)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        start = time.monotonic()
+        assert alone(max_aos_length, 6) == expected
+        assert time.monotonic() - start < 30  # not the helper's minute
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="helpers are forked only on Linux")
+
+
+def fresh_python(code: str, *args: str, stdin: str | None = None) -> str:
+    """stdout of a fresh interpreter running code (or stdin, if code is '-'), which
+    must exit 0 with nothing on stderr; fresh, so that no thread of the test
+    process decides how a helper starts."""
+    src = str(Path(search_module.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-"] if code == "-" else [sys.executable, "-c", code, *args]
+    proc = subprocess.run(argv, input=stdin, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+# Searches on two CPUs, then on one, under the thread set-up named by argv[1], and
+# prints the start methods the helpers asked for, whether the resource tracker
+# started, the warnings raised, and whether both runs agree field for field.
+START_METHOD = """
+import faulthandler, json, multiprocessing, os, sys, threading, warnings
+from multiprocessing import resource_tracker
+from orientseq import max_aos_length, max_orientable_period
+
+methods, get_context = [], multiprocessing.get_context
+multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)
+done, setup = threading.Event(), sys.argv[1]
+if setup == "thread":
+    threading.Thread(target=done.wait, daemon=True).start()
+elif setup == "watchdog":  # a C thread, which threading.active_count() does not count
+    faulthandler.dump_traceback_later(600)
+elif setup == "no-proc":  # a thread count that cannot be read
+    def listdir(path, listdir=os.listdir):
+        if str(path).startswith("/proc"):
+            raise PermissionError(path)
+        return listdir(path)
+    os.listdir = listdir
+
+cases = [(max_orientable_period, 7), (max_aos_length, 6)]
+os.sched_getaffinity = lambda pid: {0, 1}
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    two = [search(n) for search, n in cases]
+children = multiprocessing.active_children()
+done.set()
+faulthandler.cancel_dump_traceback_later()
+os.sched_getaffinity = lambda pid: {0}
+one = [search(n) for search, n in cases]
+print(json.dumps({
+    "methods": methods,
+    "tracker": resource_tracker._resource_tracker._pid is not None,
+    "warnings": [w.category.__name__ for w in caught],
+    "same": two == one,
+    "children": len(children),
+}))
+"""
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "setup,method",
+    [("none", "fork"), ("thread", "spawn"), ("watchdog", "spawn"), ("no-proc", "spawn")],
+)
+def test_start_method(setup, method):
+    """Forked from a caller of one OS thread, else spawned; either way with the
+    one-CPU results, no warning, and a resource tracker only for spawn."""
+    out = json.loads(fresh_python(START_METHOD, setup))
+    assert out == {"methods": [method] * 2, "tracker": method == "spawn", "warnings": [],
+                   "same": True, "children": 0}
+
+
+@linux_only
+def test_a_forked_helper_reads_eof_once_the_caller_closes_its_end():
+    # The helper holds no copy of the caller's end, so it sees a killed caller go.
+    out = fresh_python(
+        "import sys\n"
+        "from orientseq import search\n"
+        "def reads(conn, n, closed):\n"
+        "    try:\n"
+        "        conn.recv()\n"
+        "    except EOFError:\n"
+        "        sys.exit(0)\n"
+        "    sys.exit(1)\n"
+        "search._helper = reads\n"
+        "helper = search._Helper(5, False, 8)\n"
+        "helper.conn.close()\n"
+        "helper.process.join(60)\n"
+        "print(helper.process.exitcode)\n"
+    )
+    assert out == "0\n"
+
+
+@linux_only
+def test_a_script_on_stdin_searches_on_two_cpus():
+    # A spawned helper would look for the main module's file, '<stdin>', and fail.
+    script = ("import os\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from orientseq import max_aos_length, search\n"
+              "start = search._Helper.__init__\n"
+              "def start_and_wait(self, *args):  # until the helper announces a root, or dies\n"
+              "    start(self, *args)\n"
+              "    self.conn.poll(60)\n"
+              "search._Helper.__init__ = start_and_wait\n"
+              "print(tuple(max_aos_length(6)))\n")
+    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807)\n"
 
 
 class TestAgainstUnprunedOracle:
