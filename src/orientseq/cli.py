@@ -27,10 +27,11 @@ from .verifier import verify_nwindow, verify_orientable_near
 __all__ = ["main"]
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, *lines: str) -> None:
     if args.json:
         import json
-    print(json.dumps(payload, indent=2) if args.json else human)
+        lines = (json.dumps(payload, indent=2),)
+    print(*lines, sep="\n")  # apart, so that a line of bits is not copied to join them
 
 
 def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: str = ""):
@@ -77,7 +78,7 @@ def _cmd_construct(args) -> int:
             import json
             with open(args.trace, "w", encoding="ascii") as fh:
                 json.dump(payload["trace"], fh, indent=2)
-    _emit(args, payload, f"{title} order {order} {size_name} {len(seq)}\n{bits}")
+    _emit(args, payload, f"{title} order {order} {size_name} {len(seq)}", bits)
     return 0
 
 
@@ -150,8 +151,8 @@ def _cmd_search(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2)
     status = "exhaustive" if result.exhaustive else "budget-limited best"
-    _emit(args, payload, f"{status} optimum at order {args.order} ({args.mode}): "
-                         f"{result.value}\n{result.witness}\nnodes: {result.nodes}")
+    _emit(args, payload, f"{status} optimum at order {args.order} ({args.mode}): {result.value}",
+          result.witness, f"nodes: {result.nodes}")
     return 0
 
 
@@ -201,7 +202,7 @@ def _cmd_tables(args) -> int:
     for n in range(2, top):
         bound, per, length, aos_bound = (col.get(n, "-") for col in columns)
         rows.append(f"{n:>5}  {bound:>12}  {per:>15}  {length:>16}  {aos_bound:>15}")
-    _emit(args, payload, "\n".join(rows))
+    _emit(args, payload, *rows)
     return 0
 
 

@@ -25,16 +25,12 @@ of 0, and the results are merged in root order: longer wins, else the
 lexicographically least.  A root uses the incoming best in two places: to
 decide whether it is skipped, which the merge applies, and to choose the
 candidates compared, which the merge compares again; a walk reads no bound.
-So each root visits the same nodes, and an exhaustive run on a process allowed
-two or more CPUs starts one helper process that walks roots from the back while
-the caller walks them from the front; none outlives the search.  On Linux a
-caller running one OS thread forks it: no interpreter boots, no main module is
-re-imported and no resource tracker starts.  Elsewhere, and from a threaded
-caller, it is spawned: it imports the caller's main module, so a script that
-searches keeps its top level under `if __name__ == "__main__":`, and
-multiprocessing's resource tracker, started once per process, stays until the
-process exits.  Budgeted runs and one-CPU hosts walk every root in the caller
-alone, with the same results.
+So each root visits the same nodes, and an exhaustive run on Linux, from a
+caller running one OS thread that is allowed two or more CPUs, forks one helper
+process that walks roots from the back while the caller walks them from the
+front; none outlives the search, nor its caller.  No helper starts anywhere
+else: budgeted runs, one-CPU hosts, threaded callers and other platforms walk
+every root in the caller alone, with the same results.
 """
 from __future__ import annotations
 
@@ -209,7 +205,7 @@ def _branch_and_bound(
     initial_best: Optional[tuple[int, str]],
 ) -> SearchResult:
     """Walk the roots in order from best 0 (_Roots), merging their results; an
-    exhaustive run on two or more CPUs has a _Helper walk roots from the back."""
+    exhaustive run that can fork on two or more CPUs has a _Helper walk roots from the back."""
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     roots = _Roots(n, closed)
@@ -226,9 +222,13 @@ def _branch_and_bound(
         require_orientable(seed, n, "initial_best witness")
         best_len, best_bits = value, seed.bits
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helper = None
-    if node_budget is None and min(cpus, roots.count) > 1:
-        helper = _Helper(n, closed, roots.count)
+    try:  # forked on Linux from a caller running one OS thread, C threads included, as
+        # CPython counts before it warns of fork; no helper starts anywhere else
+        fork = (node_budget is None and min(cpus, roots.count) > 1 and sys.platform == "linux"
+                and len(os.listdir("/proc/self/task")) == 1)
+    except OSError:
+        fork = False
+    helper = _Helper(n, closed, roots.count) if fork else None
     budget = sys.maxsize if node_budget is None else node_budget
     nodes = 0
     try:
@@ -263,16 +263,12 @@ class _Helper:
     the root where they meet, the helper's copy is dropped."""
 
     def __init__(self, n: int, closed: bool, count: int):
-        import multiprocessing  # paid only by exhaustive runs on two or more CPUs
+        import multiprocessing  # paid only by runs that fork a helper
         from multiprocessing.util import register_after_fork
 
-        try:  # one OS thread, C threads included, as CPython counts before it warns of fork
-            fork = sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
-        except OSError:
-            fork = False
-        context = multiprocessing.get_context("fork" if fork else "spawn")
+        context = multiprocessing.get_context("fork")
         self.conn, child = context.Pipe()
-        # A forked helper drops its copy of the caller's end, to read EOF once the caller is gone.
+        # The helper drops its copy of the caller's end, to read EOF once the caller is gone.
         register_after_fork(self.conn, type(self.conn).close)
         self.process = context.Process(target=_helper, args=(child, n, closed), daemon=True)
         self.low, self.results = count, {}  # the last root announced; results by root
@@ -303,7 +299,7 @@ class _Helper:
 
     def stop(self) -> None:
         if self.process is not None:
-            self.process.kill()  # a forked helper may have inherited a SIGTERM handler
+            self.process.kill()  # the helper may have inherited a SIGTERM handler
             self.process.join()
             self.process.close()
             self.process = None
@@ -315,6 +311,9 @@ def _helper(conn, n: int, closed: bool) -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops this
+    caller = os.getppid()  # a caller killed mid-root cannot stop this: exit 0.5 s after it
+    signal.signal(signal.SIGALRM, lambda *_: os.getppid() == caller or os._exit(0))
+    signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
     roots = _Roots(n, closed)
     if closed:
         for a in roots.anchors:

@@ -52,4 +52,4 @@ def read_sequence(path: Union[str, os.PathLike]) -> tuple[FiniteSeq, Optional[st
 def write_sequence(path: Union[str, os.PathLike], bits: str, *, mode: str, order: int) -> None:
     """Write the '0'/'1' string bits under the header `# mode=<mode> order=<order>`."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# mode={mode} order={order}\n{bits}\n")
+        fh.writelines((f"# mode={mode} order={order}\n", bits, "\n"))  # no copy of the body

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,25 @@ class TestVerify:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/no/such/file.seq")
         assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("order", [22, 24])
+@pytest.mark.parametrize("extra,limit", [([], 3.0), (["--json"], 4.0)], ids=["human", "json"])
+def test_construct_copies_the_sequence_few_times(tmp_path, monkeypatch, order, extra, limit):
+    # The bits string once, its ascii encoding as the file and stdout write it, and
+    # under --json the payload's text: no copy of the body to join it to a header.
+    out = tmp_path / "p.seq"
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert main(["construct", "periodic", "--target-order", str(order),
+                         "--out", str(out), *extra]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bits = len(read_sequence(out)[0])
+    assert peak / bits <= limit, f"{peak / bits:.2f} B a bit at order {order}"
 
 
 def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeypatch):

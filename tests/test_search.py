@@ -293,15 +293,20 @@ def test_a_caller_that_ignores_sigterm_still_stops_its_helper(monkeypatch):
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="helpers are forked only on Linux")
 
 
+def fresh_env() -> dict:
+    """The environment for a fresh interpreter that imports the orientseq under test."""
+    src = str(Path(search_module.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def fresh_python(code: str, *args: str, stdin: str | None = None) -> str:
     """stdout of a fresh interpreter running code (or stdin, if code is '-'), which
     must exit 0 with nothing on stderr; fresh, so that no thread of the test
-    process decides how a helper starts."""
-    src = str(Path(search_module.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    process decides whether a helper starts."""
     argv = [sys.executable, "-"] if code == "-" else [sys.executable, "-c", code, *args]
     proc = subprocess.run(argv, input=stdin, capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=fresh_env())
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
 
@@ -317,6 +322,7 @@ from orientseq import max_aos_length, max_orientable_period
 methods, get_context = [], multiprocessing.get_context
 multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)
 done, setup = threading.Event(), sys.argv[1]
+os.sched_getaffinity = lambda pid: {0, 1}
 if setup == "thread":
     threading.Thread(target=done.wait, daemon=True).start()
 elif setup == "watchdog":  # a C thread, which threading.active_count() does not count
@@ -327,9 +333,10 @@ elif setup == "no-proc":  # a thread count that cannot be read
             raise PermissionError(path)
         return listdir(path)
     os.listdir = listdir
+elif setup == "no-affinity":  # as on macOS and Windows
+    del os.sched_getaffinity
 
 cases = [(max_orientable_period, 7), (max_aos_length, 6)]
-os.sched_getaffinity = lambda pid: {0, 1}
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     two = [search(n) for search, n in cases]
@@ -351,14 +358,15 @@ print(json.dumps({
 @linux_only
 @pytest.mark.parametrize(
     "setup,method",
-    [("none", "fork"), ("thread", "spawn"), ("watchdog", "spawn"), ("no-proc", "spawn")],
+    [("none", "fork"), ("thread", "alone"), ("watchdog", "alone"), ("no-proc", "alone"),
+     ("no-affinity", "alone")],
 )
 def test_start_method(setup, method):
-    """Forked from a caller of one OS thread, else spawned; either way with the
-    one-CPU results, no warning, and a resource tracker only for spawn."""
+    """Forked from a caller of one OS thread, else no helper at all; either way
+    with the one-CPU results, no warning and no resource tracker."""
     out = json.loads(fresh_python(START_METHOD, setup))
-    assert out == {"methods": [method] * 2, "tracker": method == "spawn", "warnings": [],
-                   "same": True, "children": 0}
+    assert out == {"methods": ["fork"] * 2 if method == "fork" else [], "tracker": False,
+                   "warnings": [], "same": True, "children": 0}
 
 
 @linux_only
@@ -382,19 +390,78 @@ def test_a_forked_helper_reads_eof_once_the_caller_closes_its_end():
     assert out == "0\n"
 
 
+# Searches on two CPUs from a script on stdin, after the set-up in {setup}, holding
+# each helper back until it announces a root, or dies.
+STDIN_SCRIPT = """\
+import os, threading, time
+os.sched_getaffinity = lambda pid: {{0, 1}}
+{setup}
+from orientseq import max_aos_length, search
+start = search._Helper.__init__
+def start_and_wait(self, *args):
+    start(self, *args)
+    self.conn.poll(60)
+search._Helper.__init__ = start_and_wait
+print(tuple(max_aos_length(6)))
+"""
+
+
 @linux_only
 def test_a_script_on_stdin_searches_on_two_cpus():
-    # A spawned helper would look for the main module's file, '<stdin>', and fail.
+    # A forked helper imports nothing, so none looks for the main module's file, '<stdin>'.
+    script = STDIN_SCRIPT.format(setup="")
+    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807)\n"
+
+
+@linux_only
+def test_a_threaded_script_on_stdin_searches_alone():
+    # No helper starts from a threaded caller, so none looks for the file '<stdin>'.
+    script = STDIN_SCRIPT.format(
+        setup="threading.Thread(target=time.sleep, args=(60,), daemon=True).start()")
+    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807)\n"
+
+
+@linux_only
+def test_a_helper_exits_once_its_caller_is_killed():
+    # SIGKILL runs no finally, so the caller never stops its helper; the helper sees
+    # that it has been reparented and exits, though it is in the middle of a root.
     script = ("import os\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from orientseq import max_aos_length, search\n"
               "start = search._Helper.__init__\n"
-              "def start_and_wait(self, *args):  # until the helper announces a root, or dies\n"
+              "def start_and_report(self, *args):  # once the helper announces a root\n"
               "    start(self, *args)\n"
               "    self.conn.poll(60)\n"
-              "search._Helper.__init__ = start_and_wait\n"
-              "print(tuple(max_aos_length(6)))\n")
-    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807)\n"
+              "    print(self.process.pid, flush=True)\n"
+              "search._Helper.__init__ = start_and_report\n"
+              "max_aos_length(8)\n")  # about 6 x 10^13 nodes: no root ends in 5 s
+    caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                              env=fresh_env(), start_new_session=True)
+    try:
+        helper = int(caller.stdout.readline())
+        caller.kill()
+        caller.wait(60)
+        deadline = time.monotonic() + 5
+        while (state := process_state(helper, caller.pid)) not in (None, "Z"):
+            assert time.monotonic() < deadline, f"helper {helper} is still {state!r} after 5 s"
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(caller.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        caller.stdout.close()
+        caller.wait(60)
+
+
+def process_state(pid: int, pgid: int):
+    """The state letter of process pid while it is in process group pgid, else None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rpartition(")")[2].split()
+    except FileNotFoundError:
+        return None
+    return fields[0] if int(fields[2]) == pgid else None
 
 
 class TestAgainstUnprunedOracle:
