@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 # search, join, locator and json load only where they are used, so no other command
@@ -62,6 +63,8 @@ def _cmd_construct(args) -> int:
         title, (seq, trace) = "aperiodic orientable", aperiodic.build_aos(order)
     else:
         starter, n0 = periodic.DEFAULT_STARTER, periodic.DEFAULT_STARTER_ORDER
+        if args.starter_order is not None and not args.starter:
+            raise ValueError("--starter-order needs --starter")
         if args.starter:
             starter, _, n0 = _load_seq(args.starter, "periodic", args.starter_order,
                                        "starter file has no order header; pass --starter-order")
@@ -145,11 +148,13 @@ def _cmd_search(args) -> int:
         if prev.get("witness"):
             initial = (prev.get("value"), prev["witness"])
     find = search.max_orientable_period if args.mode == "periodic" else search.max_aos_length
-    result = find(args.order, node_budget=args.budget, initial_best=initial)
-    payload = {"mode": args.mode, "order": args.order, **result._asdict()}
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
+    # Opened first, to fail before the search; "a" keeps the result resumed from till the end.
+    with open(args.out, "a", encoding="ascii") if args.out else nullcontext() as out:
+        result = find(args.order, node_budget=args.budget, initial_best=initial)
+        payload = {"mode": args.mode, "order": args.order, **result._asdict()}
+        if out:
+            out.truncate(0)
+            json.dump(payload, out, indent=2)
     status = "exhaustive" if result.exhaustive else "budget-limited best"
     _emit(args, payload, f"{status} optimum at order {args.order} ({args.mode}): {result.value}",
           result.witness, f"nodes: {result.nodes}")

@@ -16,9 +16,9 @@ size or bound is wrong, or whose witness is not orientable at the order,
 raises ValueError.
 
 The tables behind the search hold one reversal, one orbit id, one claimed flag,
-one successor and one parity per n-bit window; an order whose tables would not
-fit in physical memory raises ValueError up front, in each process that builds
-them.
+one successor and one parity per n-bit window.  They are built and charged to the
+memory guard once, in the caller, so an order whose tables would not fit in
+physical memory raises ValueError up front; a forked helper walks its copy.
 
 Each root (a cycle's anchor edge, a path's start vertex) is walked from a best
 of 0, and the results are merged in root order: longer wins, else the
@@ -78,8 +78,8 @@ def _orbit_table(n: int) -> tuple[array, list[int], list[bool]]:
 
 
 class _Roots:
-    """The search tables at order n, charged to the memory guard in each process
-    that builds them, and depth-first walks on the shift graph from root k.
+    """The search tables at order n, charged to the memory guard where they are built,
+    once, in the caller, and depth-first walks on the shift graph from root k.
 
     Closed root k is the k-th anchor edge, the least orbit a walk from it uses,
     and a walk counts each time it returns to the anchor's start vertex; every
@@ -228,7 +228,7 @@ def _branch_and_bound(
                 and len(os.listdir("/proc/self/task")) == 1)
     except OSError:
         fork = False
-    helper = _Helper(n, closed, roots.count) if fork else None
+    helper = _Helper(roots, best_len) if fork else None
     budget = sys.maxsize if node_budget is None else node_budget
     nodes = 0
     try:
@@ -243,7 +243,7 @@ def _branch_and_bound(
             if roots.bound(k) <= best_len:
                 continue
             limit = None if node_budget is None else budget - nodes
-            found, length, bits = helper and helper.take(k, best_len) or roots.walk(k, limit)
+            found, length, bits = helper and helper.take(k) or roots.walk(k, limit)
             nodes += found
             if bits is not None and (-length, bits) < (-best_len, best_bits):
                 best_len, best_bits = length, bits
@@ -256,13 +256,13 @@ def _branch_and_bound(
 
 
 class _Helper:
-    """The caller's end of the helper process.  Before each root it walks, the
-    caller sends its index and best; before each root, the helper reads the
-    caller's latest and announces the root if it lies past the caller's and is
-    not to be skipped.  The caller waits only for announced roots; if both walk
-    the root where they meet, the helper's copy is dropped."""
+    """The caller's end of the helper process, which walks the K leading roots whose
+    bound beats the seed best (bounds never grow with k, so the seed skips the rest)
+    in a fixed order, K-1 down to 0, and sends each walk: the i-th is root K-1-i.
+    The caller sends a root's index only when it walks that root itself, while the
+    helper is on a later one; the helper stops before any root at or below it."""
 
-    def __init__(self, n: int, closed: bool, count: int):
+    def __init__(self, roots: _Roots, best: int):
         import multiprocessing  # paid only by runs that fork a helper
         from multiprocessing.util import register_after_fork
 
@@ -270,8 +270,9 @@ class _Helper:
         self.conn, child = context.Pipe()
         # The helper drops its copy of the caller's end, to read EOF once the caller is gone.
         register_after_fork(self.conn, type(self.conn).close)
-        self.process = context.Process(target=_helper, args=(child, n, closed), daemon=True)
-        self.low, self.results = count, {}  # the last root announced; results by root
+        count = sum(roots.bound(k) > best for k in range(roots.count))
+        self.process = context.Process(target=_helper, args=(child, roots, count), daemon=True)
+        self.low, self.results = count, {}  # the last root delivered; walks by root
         try:
             self.process.start()
         except (OSError, AssertionError):  # no process to spare, or a daemonic caller
@@ -280,19 +281,16 @@ class _Helper:
         finally:
             child.close()
 
-    def take(self, k: int, best: int) -> Optional[tuple[int, int, Optional[str]]]:
-        """The helper's walk of root k if it announced k, waited for if need be;
-        else None, once the helper knows that the caller walks k itself and its best."""
+    def take(self, k: int) -> Optional[tuple[int, int, Optional[str]]]:
+        """The helper's walk of root k if it has walked k or is on it, waited for if
+        need be; else None, once the helper knows that the caller walks k itself."""
         conn = self.conn
         try:
-            while not conn.closed and (conn.poll() or k >= self.low and k not in self.results):
-                message = conn.recv()
-                if type(message) is int:
-                    self.low = message
-                else:
-                    self.results[self.low] = message
+            while not conn.closed and (conn.poll() or k == self.low - 1):
+                self.low -= 1
+                self.results[self.low] = conn.recv()
             if not conn.closed and k < self.low:
-                conn.send((k, best))
+                conn.send(k)
         except (EOFError, OSError):  # the helper is gone: the caller walks what it did not deliver
             self.stop()
         return self.results.pop(k, None)
@@ -306,29 +304,26 @@ class _Helper:
         self.conn.close()
 
 
-def _helper(conn, n: int, closed: bool) -> None:
-    """The helper process: walk roots from the back while they lie past the caller's."""
+def _helper(conn, roots: _Roots, count: int) -> None:
+    """The helper process: walk roots count-1 down to 0 in its forked copy of the
+    caller's tables while they lie past the caller's."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops this
     caller = os.getppid()  # a caller killed mid-root cannot stop this: exit 0.5 s after it
     signal.signal(signal.SIGALRM, lambda *_: os.getppid() == caller or os._exit(0))
     signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
-    roots = _Roots(n, closed)
-    if closed:
-        for a in roots.anchors:
-            roots.taken[a] = 1
-    front, best = -1, 0
+    for a in roots.anchors[:count]:
+        roots.taken[a] = 1
+    front = -1
     try:
-        for k in reversed(range(roots.count)):
+        for k in reversed(range(count)):
             while conn.poll():
-                front, best = conn.recv()
+                front = conn.recv()
             if k <= front:
                 break
-            if roots.bound(k) > best:  # else the caller skips k too, as its best only grows
-                conn.send(k)
-                conn.send(roots.walk(k))
-            if closed:
+            conn.send(roots.walk(k))
+            if roots.closed:
                 roots.taken[roots.anchors[k]] = 0  # free for the roots before it
     except (EOFError, OSError):  # the caller is gone, killed before it could stop this
         pass

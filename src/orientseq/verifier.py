@@ -203,7 +203,7 @@ def verify_orientable_near(s: Seq, t: Optional[Seq], n: int) -> Optional[Counter
     occurrences in s are few, found by one window_finder search in t.  The least pair
     is among: the first two occurrences of a dirty window's value v; (that window, the
     first occurrence of v's reversal r); (the first r, the first v)."""
-    if t is None:
+    if t is None or n < 1 or window_count(s, n) < 1:  # the whole check refuses these
         return verify_orientable(s, n)
     if type(t) is not type(s) or len(t) != len(s):
         raise PreconditionError(f"cannot check a {type(s).__name__} of length {len(s)} near a "

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from orientseq import search
 from orientseq.aperiodic import build_aos
 from orientseq.cli import main
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable, dai_bound
@@ -279,14 +280,28 @@ class TestSearch:
         )
         assert code == 0
         assert not json.loads(out)["exhaustive"]
+        # The result replaces the file it resumed from.
         code, out, _ = run(
             capsys,
             "search", "--order", "5", "--mode", "aperiodic",
-            "--resume", str(partial_path), "--json",
+            "--resume", str(partial_path), "--json", "--out", str(partial_path),
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == 14 and payload["exhaustive"]
+        assert partial_path.read_text(encoding="ascii") == out.rstrip("\n")
+
+    def test_an_out_path_that_cannot_be_opened_fails_before_the_search(
+            self, capsys, tmp_path, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("searched before --out was opened")
+
+        monkeypatch.setattr(search, "max_aos_length", searched)
+        code, out, err = run(capsys, "search", "--order", "7", "--mode", "aperiodic",
+                             "--out", str(tmp_path / "missing" / "x.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestIndexAndLocate:
@@ -424,6 +439,13 @@ CONTRACT = {
     "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
     # Sizes past any memory, and one past the float range, refused before any work.
     "search-order-1100": (["search", "--order", "1100"], 2),
+    # An --out path that cannot be opened, refused before a search of hours or more.
+    "search-out-not-a-directory": (
+        ["search", "--order", "8", "--mode", "aperiodic", "--out", "{seq}/x.json"], 2
+    ),
+    "construct-starter-order-without-starter": (
+        ["construct", "periodic", "--target-order", "8", "--starter-order", "7"], 2
+    ),
     "construct-periodic-order-64": (["construct", "periodic", "--target-order", "64"], 2),
     "construct-aperiodic-order-64": (["construct", "aperiodic", "--target-order", "64"], 2),
     "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
@@ -439,6 +461,7 @@ CONTRACT_ERRORS = {
     "construct-starter-order-zero": "error: window order must be >= 1, got 0\n",
     "verify-header-order-negative": "error: window order must be >= 1, got -3\n",
     "locate-header-order-negative": "error: window order must be >= 1, got -3\n",
+    "construct-starter-order-without-starter": "error: --starter-order needs --starter\n",
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
 # a witness of the right size that is not orientable at order 5, optima at

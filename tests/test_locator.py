@@ -13,7 +13,9 @@ from orientseq import locator, verifier
 from orientseq.aperiodic import build_aos
 from orientseq.locator import build_index, locate
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
-from orientseq.seqcore import FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError
+from orientseq.seqcore import (
+    FORWARD, REVERSE, FiniteSeq, GeneratingCycle, PreconditionError, WindowRangeError,
+)
 from orientseq.verifier import (
     dense, read_windows, require_orientable, verify_orientable, window_count,
 )
@@ -225,6 +227,13 @@ class TestFind:
             assert locator.find(s, 12, "0" * 12, near=s) is None
             with pytest.raises(AssertionError, match="a window was laid out"):
                 locator.find(s, 12, w)
+
+    def test_an_order_below_one_is_refused_near_the_source_too(self):
+        c = GeneratingCycle("001010111")
+        with pytest.raises(WindowRangeError, match="^window order must be >= 1, got 0$"):
+            locator.find(c, 0, "", near=c)
+        with pytest.raises(WindowRangeError, match="^window order must be >= 1, got 0$"):
+            require_orientable(c, 0, "x", c)
 
 
 @pytest.mark.slow

@@ -139,7 +139,7 @@ def no_hang_no_orphans():
 
 @pytest.fixture
 def helper_first(monkeypatch):
-    """Start each helper on two CPUs and let it announce its first root before the
+    """Start each helper on two CPUs and let it deliver its first walk before the
     caller walks any, so that it walks roots at any order; return the roots that
     the caller took from helpers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -147,10 +147,10 @@ def helper_first(monkeypatch):
 
     def start_and_wait(self, *args):
         start(self, *args)
-        assert self.conn.closed or self.conn.poll(60)  # an announcement, or the helper's exit
+        assert self.conn.closed or self.conn.poll(60)  # a walk, or the helper's exit
 
-    def spy(self, k, best):
-        found = take(self, k, best)
+    def spy(self, k):
+        found = take(self, k)
         taken.extend([k] if found else [])
         return found
 
@@ -214,7 +214,7 @@ class TestHelper:
         assert (r.value, r.witness, r.exhaustive, r.nodes) == (
             48, "000000100110000101011001110100011110110100111111", True, 3177525)
 
-    @pytest.mark.parametrize("target", ["exits_at_once", "dies_after_announcing"])
+    @pytest.mark.parametrize("target", ["exits_at_once", "dies_mid_root"])
     @pytest.mark.parametrize("closed,n", [(True, 6), (False, 6)], ids=["periodic-6", "aos-6"])
     def test_a_helper_that_delivers_nothing(self, target, closed, n, monkeypatch, helper_first):
         search = max_orientable_period if closed else max_aos_length
@@ -222,6 +222,24 @@ class TestHelper:
         helper_first.clear()
         monkeypatch.setattr(search_module, "_helper", globals()[target])
         assert alone(search, n) == expected and helper_first == []
+
+    @pytest.mark.parametrize("closed,n,pinned", [
+        (True, 6, (16, "0001010110010111", True, 319)),
+        (False, 6, (26, "00000100110111000101011111", True, 4807)),
+    ], ids=["periodic-6", "aos-6"])
+    def test_the_helper_walks_the_callers_tables(self, closed, n, pinned, monkeypatch,
+                                                 helper_first):
+        # A helper that built tables of its own would exit with code 3 here.
+        test, build = os.getpid(), search_module._Roots.__init__
+
+        def build_in_test_only(self, *args):
+            if os.getpid() != test:
+                os._exit(3)
+            build(self, *args)
+
+        monkeypatch.setattr(search_module._Roots, "__init__", build_in_test_only)
+        search = max_orientable_period if closed else max_aos_length
+        assert tuple(alone(search, n)) == pinned and helper_first != []
 
     def test_budgets_and_one_cpu_start_no_helper(self, monkeypatch):
         monkeypatch.setattr(search_module, "_Helper", None)  # starting one would raise TypeError
@@ -260,18 +278,19 @@ def alone(search, n, **kwargs):
     return r
 
 
-def exits_at_once(conn, n, closed):
+def exits_at_once(conn, roots, count):
     """A helper process that walks no root."""
 
 
-def dies_after_announcing(conn, n, closed):
-    """A helper process that announces root 1 and exits without walking it."""
-    conn.send(1)
+def dies_mid_root(conn, roots, count):
+    """A helper process that exits in the middle of its first root, sending nothing."""
+    roots.walk(count - 1, 10)
 
 
-def sleeps(conn, n, closed):
-    """A helper process that walks no root and sleeps for a minute, through any
-    signal whose handler returns."""
+def walks_then_sleeps(conn, roots, count, helper=search_module._helper):
+    """The helper process, which then sleeps for a minute, through any signal whose
+    handler returns."""
+    helper(conn, roots, count)
     time.sleep(60)
 
 
@@ -280,7 +299,7 @@ def test_a_caller_that_ignores_sigterm_still_stops_its_helper(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     expected = max_aos_length(6)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(search_module, "_helper", sleeps)
+    monkeypatch.setattr(search_module, "_helper", walks_then_sleeps)
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
     try:
         start = time.monotonic()
@@ -375,14 +394,14 @@ def test_a_forked_helper_reads_eof_once_the_caller_closes_its_end():
     out = fresh_python(
         "import sys\n"
         "from orientseq import search\n"
-        "def reads(conn, n, closed):\n"
+        "def reads(conn, roots, count):\n"
         "    try:\n"
         "        conn.recv()\n"
         "    except EOFError:\n"
         "        sys.exit(0)\n"
         "    sys.exit(1)\n"
         "search._helper = reads\n"
-        "helper = search._Helper(5, False, 8)\n"
+        "helper = search._Helper(search._Roots(5, False), 0)\n"
         "helper.conn.close()\n"
         "helper.process.join(60)\n"
         "print(helper.process.exitcode)\n"
@@ -391,7 +410,7 @@ def test_a_forked_helper_reads_eof_once_the_caller_closes_its_end():
 
 
 # Searches on two CPUs from a script on stdin, after the set-up in {setup}, holding
-# each helper back until it announces a root, or dies.
+# each helper back until it delivers a walk, or dies.
 STDIN_SCRIPT = """\
 import os, threading, time
 os.sched_getaffinity = lambda pid: {{0, 1}}
@@ -428,12 +447,12 @@ def test_a_helper_exits_once_its_caller_is_killed():
     script = ("import os\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from orientseq import max_aos_length, search\n"
-              "start = search._Helper.__init__\n"
-              "def start_and_report(self, *args):  # once the helper announces a root\n"
-              "    start(self, *args)\n"
-              "    self.conn.poll(60)\n"
-              "    print(self.process.pid, flush=True)\n"
-              "search._Helper.__init__ = start_and_report\n"
+              "caller, walk = os.getpid(), search._Roots.walk\n"
+              "def report_and_walk(self, *args):  # the helper reports as it starts a root\n"
+              "    if os.getpid() != caller:\n"
+              "        print(os.getpid(), flush=True)\n"
+              "    return walk(self, *args)\n"
+              "search._Roots.walk = report_and_walk\n"
               "max_aos_length(8)\n")  # about 6 x 10^13 nodes: no root ends in 5 s
     caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
                               env=fresh_env(), start_new_session=True)

@@ -363,6 +363,16 @@ class TestNear:
             assert verify_orientable_near(s, s, 16) is None
             assert verify_orientable_near(type(s)(s.bits), s, 16) is None
 
+    def test_orders_without_windows_are_refused_as_by_the_whole_check(self):
+        cycle, word = GeneratingCycle("001010111"), FiniteSeq("0011")
+        for s, t, n in ((cycle, cycle, 0), (cycle, cycle, -5), (word, word, 9),
+                        (GeneratingCycle("001010110"), cycle, 0)):
+            with pytest.raises(WindowRangeError) as whole:
+                verify_orientable(s, n)
+            with pytest.raises(WindowRangeError) as near:
+                verify_orientable_near(s, t, n)
+            assert str(near.value) == str(whole.value)
+
     def test_a_source_of_another_type_or_length_is_refused(self):
         word, cycle = member("aperiodic", 8), member("periodic", 8)
         # 0 and word: its first window is 0^8, its own reversal.
