@@ -17,10 +17,11 @@ odd orders: the window across the join, T's n alternating last bits and one
 more.  D sends it and its reverse to 1^n, a palindrome that s lacks, so neither
 is T's or U's, and it is no palindrome itself.
 
-build_aos merges from s's integral, which is T.  Two merges take one stride-2
-pass PT (lempel), T's integral: the merge's integral is PT, then, flipped by PT's
-last bit, A ^ top[keep-1]1...1 ^ reverse(top >> 1), with top PT's first keep bits
-and A = 1010..., as the tail's bits 0..j are T's bits keep-1-j..keep-1 negated.
+build_aos merges from s's integral T: one byte table reverses and complements T's first
+keep bits, x >> drop (drop = n - n % 2).  Two merges take one stride-2 pass PT (lempel),
+T's integral; the merge's integral is PT, then reverse(PT's first keep-1 bits, 0) ^ A,
+A = 1010..., complemented iff T's alternating last drop bits have odd weight.  The tail's
+ones are the zeros of T's first keep bits: the weight is keep + drop // 2, with no pass.
 """
 from __future__ import annotations
 
@@ -122,16 +123,13 @@ def _merge(x: int, ell: int, n: int, trace: Optional[ConstructionTrace],
     """build_aos's merge_step, fed the integral x of an ideal s of length ell: the
     output and its length, the step put on the trace if one is kept.  If lift, x is
     s's stride-2 integral and the output's integral comes out (the update above)."""
-    m, keep, top = ell + 1, ell + 1 - n + n % 2, x >> n - n % 2  # merge_step's keep
-    # A ^ 1111... = 0101... = (1 << keep) // 3
-    tail = (reverse_value(top >> 1, keep) ^ (1 << keep + 1 - ((top ^ x) & 1)) // 3 if lift
-            else reverse_value(top, keep) ^ (1 << keep) - 1)
-    del top
-    if trace is not None:
-        t = x ^ (x >> 1) if lift else x  # T: its ones, and the zeros of its top are the tail's
-        weight = t.bit_count() + keep - (t >> m - keep).bit_count()
-        trace.steps.append(TraceStep(n + 1, m + keep, weight, n % 2 == 1, None))
-    return (x << keep) | tail, m + keep
+    keep, drop = ell + 1 - n + n % 2, n - n % 2  # merge_step's keep, and T's other bits
+    # Lifted, A = 0xAA.., complemented when T's alternating last drop bits hold odd weight.
+    tail = reverse_value(x >> drop + lift, keep, (0xAA, 0x55)[n // 2 % 2] if lift else 0xFF)
+    if trace is not None:  # the tail's ones are the zeros of T's first keep bits, and
+        weight = keep + drop // 2  # T's last drop bits alternate: half of them are ones
+        trace.steps.append(TraceStep(n + 1, ell + 1 + keep, weight, n % 2 == 1, None))
+    return (x << keep) | tail, ell + 1 + keep
 
 
 def predicted_length(ell_n: int, n: int, m: int) -> int:

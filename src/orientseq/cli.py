@@ -2,20 +2,24 @@
 
 Subcommands: construct {periodic|aperiodic|debruijn}, verify, bound, search,
 locate, tables.  Exit codes: 0 success, 1 property violation (the
-counterexample is reported) or lookup miss, 2 usage or input error or out of
-memory; never a traceback.  Deterministic; --json gives machine output.  seqio
-reads a file's body as packed bits, which _load_seq makes a cycle in periodic
-mode.  verify and locate pass verifier.verify_orientable_near the default member
-of the file's size, rebuilt by _certified, which certifies that member and checks
-any other file of its size at the differing windows, any other window by window
-(as verify does --property nwindow); locate refuses a non-orientable file.
+counterexample is reported) or lookup miss, 2 usage or input error, out of
+memory or interrupt; never a traceback.  An output file is written whole or not
+at all, under a temp name that replaces it when the command succeeds.
+Deterministic; --json gives machine output.  seqio reads a file's body as packed
+bits, which _load_seq makes a cycle in periodic mode.  verify and locate pass
+verifier.verify_orientable_near the default member of the file's size, rebuilt by
+_certified, which certifies that member and checks any other file of its size at
+the differing windows, any other window by window (as verify does --property
+nwindow); locate refuses a non-orientable file.
 """
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
-from contextlib import nullcontext
-from typing import Optional
+from contextlib import contextmanager, suppress
+from typing import Iterator, Optional
 
 # search, join, locator and json load only where they are used, so no other command
 # pays for them.  The rest stay at module level, where the tests and the benchmark's
@@ -33,6 +37,27 @@ def _emit(args, payload: dict, *lines: str) -> None:
         import json
         lines = (json.dumps(payload, indent=2),)
     print(*lines, sep="\n")  # apart, so that a line of bits is not copied to join them
+
+
+@contextmanager
+def _replacing(path: Optional[str]) -> Iterator[Optional[str]]:
+    """The name to write path's output under: a temp sibling, made before the work so that
+    an unwritable path fails at once, which replaces path if the block ends normally and
+    is removed if not.  A link, or a device such as /dev/null, is written in place."""
+    if path is not None and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if path is None or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    open(tmp, "xb").close()
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: str = ""):
@@ -55,32 +80,33 @@ def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: st
 def _cmd_construct(args) -> int:
     """Build the sequence, write the --out and --trace files, then print it."""
     order, trace = args.target_order, None
-    if args.kind == "debruijn":
-        from .join import debruijn_lempel
+    with _replacing(args.out) as out, _replacing(getattr(args, "trace", None)) as trace_out:
+        if args.kind == "debruijn":
+            from .join import debruijn_lempel
 
-        title, seq = "de Bruijn", debruijn_lempel(order)
-    elif args.kind == "aperiodic":
-        title, (seq, trace) = "aperiodic orientable", aperiodic.build_aos(order)
-    else:
-        starter, n0 = periodic.DEFAULT_STARTER, periodic.DEFAULT_STARTER_ORDER
-        if args.starter_order is not None and not args.starter:
-            raise ValueError("--starter-order needs --starter")
-        if args.starter:
-            starter, _, n0 = _load_seq(args.starter, "periodic", args.starter_order,
-                                       "starter file has no order header; pass --starter-order")
-        title, (seq, trace) = "orientable", periodic.build_orientable(starter, n0, order)
-    mode = "aperiodic" if args.kind == "aperiodic" else "periodic"
-    size_name = "period" if mode == "periodic" else "length"
-    bits = seq.bits
-    if args.out:
-        seqio.write_sequence(args.out, bits, mode=mode, order=order)
-    payload = {"mode": mode, "order": order, size_name: len(seq), "bits": bits}
-    if trace is not None:
-        payload["trace"] = {"steps": [s._asdict() for s in trace.steps]}
-        if args.trace:
-            import json
-            with open(args.trace, "w", encoding="ascii") as fh:
-                json.dump(payload["trace"], fh, indent=2)
+            title, seq = "de Bruijn", debruijn_lempel(order)
+        elif args.kind == "aperiodic":
+            title, (seq, trace) = "aperiodic orientable", aperiodic.build_aos(order)
+        else:
+            starter, n0 = periodic.DEFAULT_STARTER, periodic.DEFAULT_STARTER_ORDER
+            if args.starter_order is not None and not args.starter:
+                raise ValueError("--starter-order needs --starter")
+            if args.starter:
+                starter, _, n0 = _load_seq(args.starter, "periodic", args.starter_order,
+                                           "starter file has no order header; pass --starter-order")
+            title, (seq, trace) = "orientable", periodic.build_orientable(starter, n0, order)
+        mode = "aperiodic" if args.kind == "aperiodic" else "periodic"
+        size_name = "period" if mode == "periodic" else "length"
+        bits = seq.bits
+        if out:
+            seqio.write_sequence(out, bits, mode=mode, order=order)
+        payload = {"mode": mode, "order": order, size_name: len(seq), "bits": bits}
+        if trace is not None:
+            payload["trace"] = {"steps": [s._asdict() for s in trace.steps]}
+            if trace_out:
+                import json
+                with open(trace_out, "w", encoding="ascii") as fh:
+                    json.dump(payload["trace"], fh, indent=2)
     _emit(args, payload, f"{title} order {order} {size_name} {len(seq)}", bits)
     return 0
 
@@ -148,13 +174,12 @@ def _cmd_search(args) -> int:
         if prev.get("witness"):
             initial = (prev.get("value"), prev["witness"])
     find = search.max_orientable_period if args.mode == "periodic" else search.max_aos_length
-    # Opened first, to fail before the search; "a" keeps the result resumed from till the end.
-    with open(args.out, "a", encoding="ascii") if args.out else nullcontext() as out:
+    with _replacing(args.out) as out:  # after the resume was read: --out may name it
         result = find(args.order, node_budget=args.budget, initial_best=initial)
         payload = {"mode": args.mode, "order": args.order, **result._asdict()}
         if out:
-            out.truncate(0)
-            json.dump(payload, out, indent=2)
+            with open(out, "w", encoding="ascii") as fh:
+                json.dump(payload, fh, indent=2)
     status = "exhaustive" if result.exhaustive else "budget-limited best"
     _emit(args, payload, f"{status} optimum at order {args.order} ({args.mode}): {result.value}",
           result.witness, f"nodes: {result.nodes}")
@@ -289,6 +314,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (ValueError, WindowRangeError, OSError, MemoryError) as exc:
         print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

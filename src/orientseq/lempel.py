@@ -54,6 +54,11 @@ def prefix_xor(x: int, n: int, shift: int = 1) -> int:
     return x
 
 
+def alternating(k: int) -> int:
+    """(1 << k) // 3, the k-bit word ...0101, from bytes: no long division."""
+    return int.from_bytes(b"\x55" * -(-k // 8), "big") >> -k % 8
+
+
 def d_forward_periodic(c: GeneratingCycle) -> GeneratingCycle:
     """Adjacent XOR around the cycle, reduced to its minimal period."""
     x, m = c.value, c.period

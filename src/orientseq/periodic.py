@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .lempel import d_inverse_periodic, prefix_xor
+from .lempel import alternating, d_inverse_periodic, prefix_xor
 from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, require_memory
 from .verifier import require_orientable
 
@@ -148,10 +148,10 @@ def _step(x: int, m: int, p: int, n: int, trace: ConstructionTrace,
     dp = t0 ^ ((x >> (m - p)) & (3 if lift else 1)).bit_count() & 1
     ones, zeros = (p, p + m) if dp else (p + m, p)
     # d is half, then its complement: all ones flip a word, and an integral gains
-    # A = 1010... = (1 << m + 1) // 3, or 0101... = (1 << m) // 3 after an odd half.
-    half = (x >> 1) ^ (((1 << m + 1) // 3 if lift else (1 << m) - 1) if t0 else 0)
+    # A = 1010... = alternating(m + 1), or 0101... = alternating(m) after an odd half.
+    half = (x >> 1) ^ ((alternating(m + 1) if lift else (1 << m) - 1) if t0 else 0)
     del x  # masks and copies go once used: the peak is the insertion's
-    d = (half << m) | (half ^ ((1 << m + 1 - (half & 1)) // 3 if lift else (1 << m) - 1))
+    d = (half << m) | (half ^ (alternating(m + 1 - (half & 1)) if lift else (1 << m) - 1))
     del half
     grow = 1 - m % 2  # d has weight m, so a 1 goes in iff m is even
     trace.steps.append(TraceStep(n + 1, 2 * m + grow, m + grow, bool(grow), ones if grow else None))

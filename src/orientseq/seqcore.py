@@ -195,11 +195,11 @@ def least_period(x: int, m: int) -> int:
     return p
 
 
-def reverse_value(x: int, m: int) -> int:
-    """The m-bit value x with its bit order reversed, via a byte-table lookup."""
-    pad = -m % 8
-    data = (x << pad).to_bytes((m + pad) // 8, "little")
-    return int.from_bytes(data.translate(_REVERSED_BYTES), "big")
+def reverse_value(x: int, m: int, mask: int = 0) -> int:
+    """The m-bit x reversed, XOR the byte mask repeated from its first bit: one table."""
+    table = bytes(b ^ mask for b in _REVERSED_BYTES) if mask else _REVERSED_BYTES
+    data = x.to_bytes(-(-m // 8), "little").translate(table)
+    return int.from_bytes(data, "big") >> -m % 8
 
 
 def cyclic_value(c: Seq, start: int, length: int) -> int:

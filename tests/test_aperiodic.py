@@ -75,6 +75,14 @@ class TestBuildAos:
         assert [s.period for s in trace.steps] == [2, 4, 8, 14, 26, 48, 92, 178, 350]
         assert len(seq) == 350
 
+    def test_trace_steps_are_the_members(self):
+        # Each step's weight comes from the merge's sizes alone (keep + drop // 2); it
+        # is the whole member's count of ones at every order, lifted or not.
+        _, trace = build_aos(22)
+        for step in trace.steps:
+            member, _ = build_aos(step.order)
+            assert (step.period, step.weight) == (len(member), member.weight), step
+
     def test_invariants_at_every_order(self):
         for n in range(2, 11):
             s, _ = build_aos(n)

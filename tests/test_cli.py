@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -443,6 +445,20 @@ CONTRACT = {
     "search-out-not-a-directory": (
         ["search", "--order", "8", "--mode", "aperiodic", "--out", "{seq}/x.json"], 2
     ),
+    "search-out-a-directory": (["search", "--order", "8", "--out", "{tmp}"], 2),
+    # A search that fails writes nothing: no new file, and an existing one is kept as it was.
+    "search-resume-over-bound-out-new": (
+        ["search", "--order", "5", "--resume", "{over_bound}", "--out", "{tmp}/new.json"], 2
+    ),
+    "search-resume-over-bound-out-existing": (
+        ["search", "--order", "5", "--resume", "{over_bound}", "--out", "{seq}"], 2
+    ),
+    "construct-out-not-a-directory": (
+        ["construct", "aperiodic", "--target-order", "8", "--out", "{seq}/x.seq"], 2
+    ),
+    "construct-failing-out-existing": (
+        ["construct", "periodic", "--target-order", "3", "--out", "{seq}", "--trace", "{short}"], 2
+    ),
     "construct-starter-order-without-starter": (
         ["construct", "periodic", "--target-order", "8", "--starter-order", "7"], 2
     ),
@@ -478,6 +494,13 @@ RESUME = {
 }
 
 
+def _child_env() -> dict:
+    """The environment for a CLI subprocess that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACT))
 def test_cli_contract(tmp_path, case):
     seq, short = tmp_path / "seq.txt", tmp_path / "short.txt"
@@ -491,13 +514,12 @@ def test_cli_contract(tmp_path, case):
     for name, path in resume.items():
         path.write_text(json.dumps(RESUME[name]))
     argv, expected = CONTRACT[case]
-    argv = [a.format(seq=seq, short=short, repeats=repeats, minus3=minus3, **resume) for a in argv]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    argv = [a.format(seq=seq, short=short, repeats=repeats, minus3=minus3, tmp=tmp_path, **resume)
+            for a in argv]
+    before = {f: f.read_bytes() for f in tmp_path.iterdir()}
     proc = subprocess.run(
         [sys.executable, "-m", "orientseq.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -506,6 +528,48 @@ def test_cli_contract(tmp_path, case):
         assert proc.stderr.startswith("error:") and len(proc.stderr) < 200
         assert proc.stderr.count("\n") == 1
     assert proc.stderr == CONTRACT_ERRORS.get(case, proc.stderr)
+    # No case writes a file: none is made, not even a temp one, and none changes.
+    assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_an_interrupted_search_leaves_no_traceback_and_no_file(tmp_path, existing):
+    out = tmp_path / "F.json"
+    if existing:
+        out.write_text("{}")
+    proc = subprocess.Popen([sys.executable, "-m", "orientseq.cli", "search", "--order", "8",
+                             "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=_child_env())
+    try:
+        # The temp file is made just before the search, which at order 8 runs for days.
+        deadline = time.monotonic() + 30
+        while not (tmp_path / f"F.json.{proc.pid}.tmp").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stdout, stderr) == (2, "", "error: interrupted\n")
+    assert [f.name for f in tmp_path.iterdir()] == (["F.json"] if existing else [])
+    if existing:
+        assert out.read_text() == "{}"
+
+
+def test_outputs_replace_files_whole(capsys, tmp_path):
+    seq, trace = tmp_path / "a.seq", tmp_path / "a.json"
+    seq.write_text("old")
+    code, out, _ = run(capsys, "construct", "aperiodic", "--target-order", "6",
+                       "--out", str(seq), "--trace", str(trace))
+    assert code == 0 and read_sequence(seq)[0].bits == out.split()[-1]
+    assert json.loads(trace.read_text())["steps"][-1]["period"] == len(out.split()[-1])
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a.json", "a.seq"]
+    # A link is written through, as a device such as /dev/null is, not replaced.
+    link = tmp_path / "link.seq"
+    link.symlink_to(seq)
+    code, out, _ = run(capsys, "construct", "debruijn", "--order", "4", "--out", str(link))
+    assert code == 0 and link.is_symlink() and read_sequence(seq)[0].bits == out.split()[-1]
 
 
 # Every command's exact exit code, stdout, stderr and written files, run in

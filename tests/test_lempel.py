@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orientseq.lempel import (
+    alternating,
     d_forward_aperiodic,
     d_forward_periodic,
     d_inverse_aperiodic,
@@ -136,3 +137,9 @@ class TestTupleLevelMap:
             assert len(pre) == 2
             a, b = sorted(pre)
             assert b == complement(a)
+
+
+class TestAlternating:
+    def test_is_the_long_division(self):
+        for k in [*range(301), 1_000_003]:
+            assert alternating(k) == (1 << k) // 3, k

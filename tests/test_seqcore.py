@@ -215,6 +215,14 @@ class TestTupleOps:
         x, mask = int(w, 2), (1 << len(w)) - 1
         assert reverse_value(x ^ mask, len(w)) == reverse_value(x, len(w)) ^ mask
 
+    # The masks the merge fuses into its one table pass, and the verifier's 0.
+    @pytest.mark.parametrize("mask", [0, 0xFF, 0x55, 0xAA])
+    @given(w=st.text("01", max_size=80))
+    def test_masked_reversal_is_the_string_reversal_xor_the_repeated_byte(self, mask, w):
+        x, m = int(w or "0", 2), len(w)
+        repeated = (format(mask, "08b") * (m // 8 + 1))[:m]
+        assert reverse_value(x, m, mask) == int(w[::-1] or "0", 2) ^ int(repeated or "0", 2)
+
 
 class TestWeightAndOccurrences:
     def test_weight_examples(self):
