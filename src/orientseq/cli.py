@@ -3,8 +3,8 @@
 Subcommands: construct {periodic|aperiodic|debruijn}, verify, bound, search,
 locate, tables.  Exit codes: 0 success, 1 property violation (the
 counterexample is reported) or lookup miss, 2 usage or input error, out of
-memory or interrupt; never a traceback.  An output file is written whole or not
-at all, under a temp name that replaces it when the command succeeds.
+memory, or interrupt by SIGINT or SIGTERM; never a traceback.  An output file
+is written whole or not at all, under a temp name that replaces it on success.
 Deterministic; --json gives machine output.  seqio reads a file's body as packed
 bits, which _load_seq makes a cycle in periodic mode.  verify and locate pass
 verifier.verify_orientable_near the default member of the file's size, rebuilt by
@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager, suppress
 from typing import Iterator, Optional
 
@@ -80,6 +82,9 @@ def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: st
 def _cmd_construct(args) -> int:
     """Build the sequence, write the --out and --trace files, then print it."""
     order, trace = args.target_order, None
+    outputs = [os.path.realpath(path) for path in (args.out, getattr(args, "trace", None)) if path]
+    if len(set(outputs)) < len(outputs):  # both would write under one temp name
+        raise ValueError("--out and --trace name the same file")
     with _replacing(args.out) as out, _replacing(getattr(args, "trace", None)) as trace_out:
         if args.kind == "debruijn":
             from .join import debruijn_lempel
@@ -310,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM interrupts the main thread as Ctrl-C does, so that temp outputs are removed.
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if main_thread else None
     try:
         return args.func(args)
     except (ValueError, WindowRangeError, OSError, MemoryError) as exc:
@@ -318,6 +326,9 @@ def main(argv: Optional[list] = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 2
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ window without the grown 1^{N-3} is one of d's; the four with it, p u 0 1^{N-3},
 u 0 1^{N-3} 0, 0 1^{N-3} 0 x and 1^{N-3} 0 x q, hold it at offsets 3, 2, 1, 0,
 which reversal sends to 0, 1, 2, 3: none is symmetric, and the outer and the
 inner two reverse to each other only if u = x.  But d's window u 0 1^{N-4} 0 x
-is no palindrome: u != x.
+is no palindrome: u != x.  The step commutes with rotation: D^-1 of c rotated
+by k is d rotated by k or k+m, and the 1 goes into the one run wherever it
+lies, so a rotated starter lifts to a rotated member.
 
 Also provided: the closed-form period prediction for the iteration and the
 classical upper bound on the period of any orientable cycle.

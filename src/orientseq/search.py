@@ -26,16 +26,19 @@ lexicographically least.  A root uses the incoming best in two places: to
 decide whether it is skipped, which the merge applies, and to choose the
 candidates compared, which the merge compares again; a walk reads no bound.
 So each root visits the same nodes, and an exhaustive run on Linux, from a
-caller running one OS thread that is allowed two or more CPUs, forks one helper
-process that walks roots from the back while the caller walks them from the
-front; none outlives the search, nor its caller.  No helper starts anywhere
-else: budgeted runs, one-CPU hosts, threaded callers and other platforms walk
-every root in the caller alone, with the same results.
+caller running one OS thread that is allowed two or more CPUs, splits the roots
+that beat the seed best in two halves: the caller walks the even ones, and one
+forked helper process the odd ones, which it sends back in one message through a
+pipe, without multiprocessing; none outlives the search, nor its caller.  No
+helper starts anywhere else: budgeted runs, one-CPU hosts, threaded callers and
+other platforms walk every root in the caller alone, with the same results.
 """
 from __future__ import annotations
 
+import marshal
 import os
 import reprlib
+import signal
 import sys
 from array import array
 from itertools import compress
@@ -205,7 +208,7 @@ def _branch_and_bound(
     initial_best: Optional[tuple[int, str]],
 ) -> SearchResult:
     """Walk the roots in order from best 0 (_Roots), merging their results; an
-    exhaustive run that can fork on two or more CPUs has a _Helper walk roots from the back."""
+    exhaustive run that can fork on two or more CPUs takes walks from _split_walks."""
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     roots = _Roots(n, closed)
@@ -224,109 +227,91 @@ def _branch_and_bound(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:  # forked on Linux from a caller running one OS thread, C threads included, as
         # CPython counts before it warns of fork; no helper starts anywhere else
-        fork = (node_budget is None and min(cpus, roots.count) > 1 and sys.platform == "linux"
+        fork = (node_budget is None and cpus > 1 and best_len < cap and sys.platform == "linux"
                 and len(os.listdir("/proc/self/task")) == 1)
     except OSError:
         fork = False
-    helper = _Helper(roots, best_len) if fork else None
+    # The roots whose bound beats the seed best: bounds never grow with k, so it skips the rest.
+    count = sum(roots.bound(k) > best_len for k in range(roots.count)) if fork else 0
+    walks = _split_walks(roots, count) if count > 1 else {}
     budget = sys.maxsize if node_budget is None else node_budget
     nodes = 0
-    try:
-        for k in range(roots.count):
-            if best_len >= cap:
-                break
-            if closed:
-                roots.taken[roots.anchors[k]] = 1  # bars the anchor's orbit from later roots too
-            nodes += 1
-            if nodes > budget:
-                return SearchResult(best_len, best_bits, False, nodes)
-            if roots.bound(k) <= best_len:
-                continue
-            limit = None if node_budget is None else budget - nodes
-            found, length, bits = helper and helper.take(k) or roots.walk(k, limit)
-            nodes += found
-            if bits is not None and (-length, bits) < (-best_len, best_bits):
-                best_len, best_bits = length, bits
-            if nodes > budget:
-                return SearchResult(best_len, best_bits, False, nodes)
-    finally:
-        if helper is not None:
-            helper.stop()
+    for k in range(roots.count):
+        if best_len >= cap:
+            break
+        if closed:
+            roots.taken[roots.anchors[k]] = 1  # bars the anchor's orbit from later roots too
+        nodes += 1
+        if nodes > budget:
+            return SearchResult(best_len, best_bits, False, nodes)
+        if roots.bound(k) <= best_len:
+            continue
+        limit = None if node_budget is None else budget - nodes
+        found, length, bits = walks.get(k) or roots.walk(k, limit)
+        nodes += found
+        if bits is not None and (-length, bits) < (-best_len, best_bits):
+            best_len, best_bits = length, bits
+        if nodes > budget:
+            return SearchResult(best_len, best_bits, False, nodes)
     return SearchResult(best_len, best_bits, True, nodes)
 
 
-class _Helper:
-    """The caller's end of the helper process, which walks the K leading roots whose
-    bound beats the seed best (bounds never grow with k, so the seed skips the rest)
-    in a fixed order, K-1 down to 0, and sends each walk: the i-th is root K-1-i.
-    The caller sends a root's index only when it walks that root itself, while the
-    helper is on a later one; the helper stops before any root at or below it."""
-
-    def __init__(self, roots: _Roots, best: int):
-        import multiprocessing  # paid only by runs that fork a helper
-        from multiprocessing.util import register_after_fork
-
-        context = multiprocessing.get_context("fork")
-        self.conn, child = context.Pipe()
-        # The helper drops its copy of the caller's end, to read EOF once the caller is gone.
-        register_after_fork(self.conn, type(self.conn).close)
-        count = sum(roots.bound(k) > best for k in range(roots.count))
-        self.process = context.Process(target=_helper, args=(child, roots, count), daemon=True)
-        self.low, self.results = count, {}  # the last root delivered; walks by root
-        try:
-            self.process.start()
-        except (OSError, AssertionError):  # no process to spare, or a daemonic caller
-            self.process = None
-            self.conn.close()
-        finally:
-            child.close()
-
-    def take(self, k: int) -> Optional[tuple[int, int, Optional[str]]]:
-        """The helper's walk of root k if it has walked k or is on it, waited for if
-        need be; else None, once the helper knows that the caller walks k itself."""
-        conn = self.conn
-        try:
-            while not conn.closed and (conn.poll() or k == self.low - 1):
-                self.low -= 1
-                self.results[self.low] = conn.recv()
-            if not conn.closed and k < self.low:
-                conn.send(k)
-        except (EOFError, OSError):  # the helper is gone: the caller walks what it did not deliver
-            self.stop()
-        return self.results.pop(k, None)
-
-    def stop(self) -> None:
-        if self.process is not None:
-            self.process.kill()  # the helper may have inherited a SIGTERM handler
-            self.process.join()
-            self.process.close()
-            self.process = None
-        self.conn.close()
-
-
-def _helper(conn, roots: _Roots, count: int) -> None:
-    """The helper process: walk roots count-1 down to 0 in its forked copy of the
-    caller's tables while they lie past the caller's."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops this
-    caller = os.getppid()  # a caller killed mid-root cannot stop this: exit 0.5 s after it
-    signal.signal(signal.SIGALRM, lambda *_: os.getppid() == caller or os._exit(0))
-    signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
-    for a in roots.anchors[:count]:
+def _walk_shard(roots: _Roots, count: int, shard: int) -> dict:
+    """The walks of the roots k < count with k % 2 == shard, count-1 down to 0.  The anchors
+    before count are claimed, then freed as each is passed: all are free again at the end."""
+    anchors, walks = roots.anchors[:count], {}
+    for a in anchors:
         roots.taken[a] = 1
-    front = -1
+    for k in reversed(range(count)):
+        if k % 2 == shard:
+            walks[k] = roots.walk(k)
+        if roots.closed:
+            roots.taken[anchors[k]] = 0
+    return walks
+
+
+def _split_walks(roots: _Roots, count: int) -> dict:
+    """The walks of the roots before count: shard 0 here, shard 1 in one message from a forked
+    helper walking its copy of the tables.  The merge walks what a failed helper did not send."""
     try:
-        for k in reversed(range(count)):
-            while conn.poll():
-                front = conn.recv()
-            if k <= front:
-                break
-            conn.send(roots.walk(k))
-            if roots.closed:
-                roots.taken[roots.anchors[k]] = 0  # free for the roots before it
-    except (EOFError, OSError):  # the caller is gone, killed before it could stop this
-        pass
+        r, w = os.pipe()
+    except OSError:  # no descriptor to spare
+        return {}
+    with open(r, "rb") as pipe:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(w)
+            return {}
+        if pid == 0:
+            _helper(roots, count, w)
+        os.close(w)
+        try:
+            walks = _walk_shard(roots, count, 0)
+            message = pipe.read()  # to EOF, which the helper's exit brings at the latest
+        except BaseException:  # the caller stopped first: interrupted, or out of memory
+            os.kill(pid, signal.SIGKILL)  # the helper may have inherited a SIGTERM handler
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status == 0:  # the helper exits 0 only once its whole message is written
+        walks.update(marshal.loads(message))
+    return walks
+
+
+def _helper(roots: _Roots, count: int, w: int) -> None:
+    """The helper process: walk shard 1 and write it to w.  It leaves only through
+    os._exit, with status 0 once the whole message is written and 1 on any exception."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops this
+        caller = os.getppid()  # a caller killed mid-shard cannot stop this: exit 0.5 s after it
+        signal.signal(signal.SIGALRM, lambda *_: os.getppid() == caller or os._exit(1))
+        signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
+        with open(w, "wb") as pipe:
+            pipe.write(marshal.dumps(_walk_shard(roots, count, 1)))
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def max_orientable_period(

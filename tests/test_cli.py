@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,11 @@ CONTRACT = {
     "construct-starter-order-without-starter": (
         ["construct", "periodic", "--target-order", "8", "--starter-order", "7"], 2
     ),
+    # Two outputs in one file, refused before any work rather than as a temp name clash.
+    "construct-out-and-trace-one-file": (
+        ["construct", "aperiodic", "--target-order", "8", "--out", "{tmp}/F", "--trace",
+         "{tmp}/./F"], 2
+    ),
     "construct-periodic-order-64": (["construct", "periodic", "--target-order", "64"], 2),
     "construct-aperiodic-order-64": (["construct", "aperiodic", "--target-order", "64"], 2),
     "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
@@ -478,6 +484,7 @@ CONTRACT_ERRORS = {
     "verify-header-order-negative": "error: window order must be >= 1, got -3\n",
     "locate-header-order-negative": "error: window order must be >= 1, got -3\n",
     "construct-starter-order-without-starter": "error: --starter-order needs --starter\n",
+    "construct-out-and-trace-one-file": "error: --out and --trace name the same file\n",
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
 # a witness of the right size that is not orientable at order 5, optima at
@@ -532,29 +539,52 @@ def test_cli_contract(tmp_path, case):
     assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_an_interrupted_search_leaves_no_traceback_and_no_file(tmp_path, existing):
+@pytest.mark.parametrize(
+    "signum,existing", [(signal.SIGINT, False), (signal.SIGINT, True), (signal.SIGTERM, False)],
+    ids=["new", "existing", "sigterm-new"],
+)
+def test_an_interrupted_search_leaves_no_traceback_and_no_file(tmp_path, signum, existing):
     out = tmp_path / "F.json"
     if existing:
         out.write_text("{}")
     proc = subprocess.Popen([sys.executable, "-m", "orientseq.cli", "search", "--order", "8",
                              "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=_child_env())
+                            text=True, env=_child_env(), start_new_session=True)
     try:
         # The temp file is made just before the search, which at order 8 runs for days.
         deadline = time.monotonic() + 30
         while not (tmp_path / f"F.json.{proc.pid}.tmp").exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.2)
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         stdout, stderr = proc.communicate(timeout=30)
+        # The search's helper process, if it forked one, is gone within 1 s.
+        deadline = time.monotonic() + 1
+        while (left := group_members(proc.pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert left == []
     finally:
-        proc.kill()
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
     assert (proc.returncode, stdout, stderr) == (2, "", "error: interrupted\n")
     assert [f.name for f in tmp_path.iterdir()] == (["F.json"] if existing else [])
     if existing:
         assert out.read_text() == "{}"
+
+
+def group_members(pgid: int) -> list:
+    """The processes of group pgid that have not exited, as /proc lists them, if it exists."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc") if os.path.isdir("/proc") else []):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:  # gone since the listing
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(pid))
+    return members
 
 
 def test_outputs_replace_files_whole(capsys, tmp_path):

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientseq.periodic import (
     DEFAULT_STARTER,
@@ -140,6 +142,33 @@ class TestRecursion:
                 assert step.period == 2 * prev.period + 1
             else:
                 assert step.period == 2 * prev.period
+
+
+def rotated(c: GeneratingCycle, k: int) -> GeneratingCycle:
+    k %= c.period
+    return GeneratingCycle(c.bits[k:] + c.bits[:k])
+
+
+def is_rotation(a: GeneratingCycle, b: GeneratingCycle) -> bool:
+    return a.period == b.period and b.bits in a.bits + a.bits
+
+
+class TestRotation:
+    """The step commutes with rotation (the module docstring), so a rotated member or
+    starter lifts to a rotation of the unrotated one's result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(6, 12), st.integers(0, 2**16))
+    def test_a_step_from_a_rotated_member(self, n, k):
+        c = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0]
+        assert is_rotation(next_orientable(rotated(c, k), n)[0], next_orientable(c, n)[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, DEFAULT_STARTER.period - 1), st.integers(6, 14))
+    def test_a_build_from_a_rotated_starter(self, k, n):
+        member = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0]
+        built = build_orientable(rotated(DEFAULT_STARTER, k), DEFAULT_STARTER_ORDER, n)[0]
+        assert is_rotation(built, member)
 
 
 class TestPredictedPeriod:

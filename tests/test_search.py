@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import marshal
 import multiprocessing
 import os
 import signal
@@ -10,6 +12,7 @@ import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -134,28 +137,28 @@ def no_hang_no_orphans():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    no_children()
+
+
+def no_children():
+    """Check that this process has no child, running or exited and not waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
-def helper_first(monkeypatch):
-    """Start each helper on two CPUs and let it deliver its first walk before the
-    caller walks any, so that it walks roots at any order; return the roots that
-    the caller took from helpers."""
+def helper_walks(monkeypatch):
+    """Give each search two CPUs; return the roots whose walks the caller took from
+    helpers' messages."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    start, take, taken = search_module._Helper.__init__, search_module._Helper.take, []
+    taken = []
 
-    def start_and_wait(self, *args):
-        start(self, *args)
-        assert self.conn.closed or self.conn.poll(60)  # a walk, or the helper's exit
+    def loads(message):
+        walks = marshal.loads(message)
+        taken.extend(walks)
+        return walks
 
-    def spy(self, k):
-        found = take(self, k)
-        taken.extend([k] if found else [])
-        return found
-
-    monkeypatch.setattr(search_module._Helper, "__init__", start_and_wait)
-    monkeypatch.setattr(search_module._Helper, "take", spy)
+    monkeypatch.setattr(search_module, "marshal", SimpleNamespace(dumps=marshal.dumps, loads=loads))
     return taken
 
 
@@ -168,6 +171,7 @@ OPTIMA = {
     (False, 4): (8, "00010111"),
     (False, 5): (14, "00001101001111"),
     (False, 6): (26, "00000100110111000101011111"),
+    (False, 7): (48, "000000100110000101011001110100011110110100111111"),
 }
 
 
@@ -190,7 +194,7 @@ class TestHelper:
         [(True, 5), (True, 6), (True, 7), (False, 4), (False, 5), (False, 6)],
         ids=["periodic-5", "periodic-6", "periodic-7", "aos-4", "aos-5", "aos-6"],
     )
-    def test_same_results_as_on_one_cpu(self, closed, n, monkeypatch, helper_first):
+    def test_same_results_as_on_one_cpu(self, closed, n, monkeypatch, helper_walks):
         search = max_orientable_period if closed else max_aos_length
         cases = seeds(closed, n)
         with_helper = [alone(search, n, initial_best=seed) for seed in cases]
@@ -200,35 +204,34 @@ class TestHelper:
         turned = with_helper[-1]
         assert turned.value == value
         assert turned.witness == (cases[-1][1] if turned.nodes == 0 else witness)
-        if not closed:  # every open root is walked, the last one first by the helper
-            assert len(helper_first) >= len(cases)
+        assert helper_walks and all(k % 2 for k in helper_walks)  # the helper's half
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert [search(n, initial_best=seed) for seed in cases] == with_helper
 
-    def test_aperiodic_order_seven(self, monkeypatch, helper_first):
-        # 3,177,525 nodes over 32 roots, the caller and the helper meeting in between.
+    def test_aperiodic_order_seven(self, monkeypatch, helper_walks):
+        # 3,177,525 nodes over 32 roots, the odd ones walked by the helper.
         r = alone(max_aos_length, 7)
-        assert len(helper_first) > 1
+        assert sorted(helper_walks) == list(range(1, 32, 2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert max_aos_length(7) == r
         assert (r.value, r.witness, r.exhaustive, r.nodes) == (
             48, "000000100110000101011001110100011110110100111111", True, 3177525)
 
-    @pytest.mark.parametrize("target", ["exits_at_once", "dies_mid_root"])
+    @pytest.mark.parametrize("fault", ["exits_at_once", "dies_mid_root", "writes_half"])
     @pytest.mark.parametrize("closed,n", [(True, 6), (False, 6)], ids=["periodic-6", "aos-6"])
-    def test_a_helper_that_delivers_nothing(self, target, closed, n, monkeypatch, helper_first):
+    def test_a_helper_that_delivers_nothing(self, fault, closed, n, monkeypatch, helper_walks):
         search = max_orientable_period if closed else max_aos_length
         expected = alone(search, n)
-        helper_first.clear()
-        monkeypatch.setattr(search_module, "_helper", globals()[target])
-        assert alone(search, n) == expected and helper_first == []
+        helper_walks.clear()
+        globals()[fault](monkeypatch)
+        assert alone(search, n) == expected and helper_walks == []
 
     @pytest.mark.parametrize("closed,n,pinned", [
         (True, 6, (16, "0001010110010111", True, 319)),
         (False, 6, (26, "00000100110111000101011111", True, 4807)),
     ], ids=["periodic-6", "aos-6"])
     def test_the_helper_walks_the_callers_tables(self, closed, n, pinned, monkeypatch,
-                                                 helper_first):
+                                                 helper_walks):
         # A helper that built tables of its own would exit with code 3 here.
         test, build = os.getpid(), search_module._Roots.__init__
 
@@ -239,10 +242,11 @@ class TestHelper:
 
         monkeypatch.setattr(search_module._Roots, "__init__", build_in_test_only)
         search = max_orientable_period if closed else max_aos_length
-        assert tuple(alone(search, n)) == pinned and helper_first != []
+        assert tuple(alone(search, n)) == pinned and helper_walks != []
 
     def test_budgets_and_one_cpu_start_no_helper(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_Helper", None)  # starting one would raise TypeError
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", None)  # forking would raise TypeError
         r = max_aos_length(6, node_budget=10**6)
         assert (r.value, r.witness, r.exhaustive, r.nodes) == (
             26, "00000100110111000101011111", True, 4807)
@@ -250,15 +254,16 @@ class TestHelper:
         r = max_orientable_period(6)
         assert (r.value, r.witness, r.exhaustive, r.nodes) == (16, "0001010110010111", True, 319)
 
-    def test_a_daemonic_caller_walks_alone(self):
-        # A daemonic process may not start one of its own, as in a Pool's workers.
-        context = multiprocessing.get_context("spawn")
+    def test_a_daemonic_caller_forks_its_helper(self):
+        # A daemonic multiprocessing process, as in a Pool's workers, may start no
+        # multiprocessing child, but it forks the helper like any other caller.
+        context = multiprocessing.get_context("fork")
         conn, child = context.Pipe()
         process = context.Process(target=search_in_child, args=(child,), daemon=True)
         process.start()
         child.close()
         try:
-            assert conn.poll(60) and conn.recv() == max_aos_length(5)
+            assert conn.poll(60) and conn.recv() == (max_aos_length(5), 1, True)
         finally:
             process.join(60)
             conn.close()
@@ -266,44 +271,79 @@ class TestHelper:
 
 
 def search_in_child(conn):
-    """Send max_aos_length(5), searched on two CPUs, back through conn."""
+    """Send max_aos_length(5), searched on two CPUs, the number of forks it made, and
+    whether no child outlived it back through conn."""
     os.sched_getaffinity = lambda pid: {0, 1}
-    conn.send(max_aos_length(5))
+    forks, fork = [], os.fork
+    os.fork = lambda: forks.append(1) or fork()
+    r, none_left = max_aos_length(5), False
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        none_left = True
+    conn.send((r, len(forks), none_left))
 
 
 def alone(search, n, **kwargs):
     """search(n, **kwargs), checking that no child process outlives it."""
     r = search(n, **kwargs)
-    assert multiprocessing.active_children() == []
+    no_children()
     return r
 
 
-def exits_at_once(conn, roots, count):
-    """A helper process that walks no root."""
+def in_helper(monkeypatch, fault):
+    """Run fault(roots, count) in the helper in place of its walks; the caller walks its own."""
+    walk_shard = search_module._walk_shard
+    monkeypatch.setattr(search_module, "_walk_shard", lambda roots, count, shard: (
+        fault(roots, count) if shard else walk_shard(roots, count, shard)))
 
 
-def dies_mid_root(conn, roots, count):
-    """A helper process that exits in the middle of its first root, sending nothing."""
-    roots.walk(count - 1, 10)
+def exits_at_once(monkeypatch):
+    """A helper that exits, with status 0 if it could, before any walk."""
+    in_helper(monkeypatch, lambda roots, count: sys.exit(0))
 
 
-def walks_then_sleeps(conn, roots, count, helper=search_module._helper):
-    """The helper process, which then sleeps for a minute, through any signal whose
-    handler returns."""
-    helper(conn, roots, count)
-    time.sleep(60)
+def dies_mid_root(monkeypatch):
+    """A helper killed in the middle of its first root."""
+
+    def fault(roots, count):
+        roots.walk(count - 1, 10)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    in_helper(monkeypatch, fault)
+
+
+class HalfWriter(io.FileIO):
+    """A pipe end that takes the first half of a write, then fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise BrokenPipeError
+
+
+def writes_half(monkeypatch):
+    """A helper that writes half of its message, then fails."""
+    monkeypatch.setattr(search_module, "open", lambda fd, mode: (
+        HalfWriter if "w" in mode else io.open)(fd, mode), raising=False)
 
 
 def test_a_caller_that_ignores_sigterm_still_stops_its_helper(monkeypatch):
-    # A forked helper inherits the caller's Python handlers; SIGKILL has none.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    expected = max_aos_length(6)
+    # A forked helper inherits the caller's Python handlers; SIGKILL has none.  The
+    # caller is interrupted on its own half, while the helper sleeps for a minute
+    # through any signal whose handler returns.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(search_module, "_helper", walks_then_sleeps)
+
+    def interrupted_or_asleep(roots, count, shard):
+        if shard:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search_module, "_walk_shard", interrupted_or_asleep)
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
     try:
         start = time.monotonic()
-        assert alone(max_aos_length, 6) == expected
+        with pytest.raises(KeyboardInterrupt):
+            max_aos_length(6)
         assert time.monotonic() - start < 30  # not the helper's minute
     finally:
         signal.signal(signal.SIGTERM, previous)
@@ -331,15 +371,14 @@ def fresh_python(code: str, *args: str, stdin: str | None = None) -> str:
 
 
 # Searches on two CPUs, then on one, under the thread set-up named by argv[1], and
-# prints the start methods the helpers asked for, whether the resource tracker
-# started, the warnings raised, and whether both runs agree field for field.
+# prints the number of forks, whether multiprocessing was imported, the warnings
+# raised, whether both runs agree field for field, and any child left.
 START_METHOD = """
-import faulthandler, json, multiprocessing, os, sys, threading, warnings
-from multiprocessing import resource_tracker
+import faulthandler, json, os, sys, threading, warnings
 from orientseq import max_aos_length, max_orientable_period
 
-methods, get_context = [], multiprocessing.get_context
-multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 done, setup = threading.Event(), sys.argv[1]
 os.sched_getaffinity = lambda pid: {0, 1}
 if setup == "thread":
@@ -359,17 +398,21 @@ cases = [(max_orientable_period, 7), (max_aos_length, 6)]
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     two = [search(n) for search, n in cases]
-children = multiprocessing.active_children()
+children = 1
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    children = 0
 done.set()
 faulthandler.cancel_dump_traceback_later()
 os.sched_getaffinity = lambda pid: {0}
 one = [search(n) for search, n in cases]
 print(json.dumps({
-    "methods": methods,
-    "tracker": resource_tracker._resource_tracker._pid is not None,
+    "forks": len(forks),
+    "multiprocessing": "multiprocessing" in sys.modules,
     "warnings": [w.category.__name__ for w in caught],
     "same": two == one,
-    "children": len(children),
+    "children": children,
 }))
 """
 
@@ -382,46 +425,22 @@ print(json.dumps({
 )
 def test_start_method(setup, method):
     """Forked from a caller of one OS thread, else no helper at all; either way
-    with the one-CPU results, no warning and no resource tracker."""
+    with the one-CPU results, no warning and no multiprocessing."""
     out = json.loads(fresh_python(START_METHOD, setup))
-    assert out == {"methods": ["fork"] * 2 if method == "fork" else [], "tracker": False,
+    assert out == {"forks": 2 if method == "fork" else 0, "multiprocessing": False,
                    "warnings": [], "same": True, "children": 0}
 
 
-@linux_only
-def test_a_forked_helper_reads_eof_once_the_caller_closes_its_end():
-    # The helper holds no copy of the caller's end, so it sees a killed caller go.
-    out = fresh_python(
-        "import sys\n"
-        "from orientseq import search\n"
-        "def reads(conn, roots, count):\n"
-        "    try:\n"
-        "        conn.recv()\n"
-        "    except EOFError:\n"
-        "        sys.exit(0)\n"
-        "    sys.exit(1)\n"
-        "search._helper = reads\n"
-        "helper = search._Helper(search._Roots(5, False), 0)\n"
-        "helper.conn.close()\n"
-        "helper.process.join(60)\n"
-        "print(helper.process.exitcode)\n"
-    )
-    assert out == "0\n"
-
-
-# Searches on two CPUs from a script on stdin, after the set-up in {setup}, holding
-# each helper back until it delivers a walk, or dies.
+# Searches on two CPUs from a script on stdin, after the set-up in {setup}, and
+# prints the result and the number of forks.
 STDIN_SCRIPT = """\
 import os, threading, time
 os.sched_getaffinity = lambda pid: {{0, 1}}
 {setup}
-from orientseq import max_aos_length, search
-start = search._Helper.__init__
-def start_and_wait(self, *args):
-    start(self, *args)
-    self.conn.poll(60)
-search._Helper.__init__ = start_and_wait
-print(tuple(max_aos_length(6)))
+from orientseq import max_aos_length
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+print(tuple(max_aos_length(6)), len(forks))
 """
 
 
@@ -429,15 +448,15 @@ print(tuple(max_aos_length(6)))
 def test_a_script_on_stdin_searches_on_two_cpus():
     # A forked helper imports nothing, so none looks for the main module's file, '<stdin>'.
     script = STDIN_SCRIPT.format(setup="")
-    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807)\n"
+    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807) 1\n"
 
 
 @linux_only
 def test_a_threaded_script_on_stdin_searches_alone():
-    # No helper starts from a threaded caller, so none looks for the file '<stdin>'.
+    # No helper starts from a threaded caller.
     script = STDIN_SCRIPT.format(
         setup="threading.Thread(target=time.sleep, args=(60,), daemon=True).start()")
-    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807)\n"
+    assert fresh_python("-", stdin=script) == "(26, '00000100110111000101011111', True, 4807) 0\n"
 
 
 @linux_only
@@ -597,6 +616,25 @@ class TestWalkAgainstOracle:
             assert roots.taken == before
             for limit in (2**40, 2**64):
                 assert roots.walk(k, limit) == whole and roots.taken == before
+
+
+SHARDS = [(closed, n) for closed, n in WALKS if n >= 3]
+
+
+@pytest.mark.parametrize("closed,n", SHARDS, ids=walk_ids(SHARDS))
+def test_the_two_shards_are_the_walks_of_the_roots_they_split(closed, n):
+    # For each seed's count of roots walked, the even and the odd ones together are
+    # each root's own walk, and neither half leaves a flag changed.
+    roots = search_module._Roots(n, closed)
+    whole = {k: roots_at(n, closed, k).walk(k) for k in range(roots.count)}
+    bests = [seed[0] if seed else 0 for seed in seeds(closed, n)]
+    for count in {sum(roots.bound(k) > best for k in range(roots.count)) for best in bests}:
+        shards = {}
+        for shard in (0, 1):
+            before = roots.taken[:]
+            shards.update(search_module._walk_shard(roots, count, shard))
+            assert roots.taken == before
+        assert shards == {k: whole[k] for k in range(count)}
 
 
 @pytest.mark.parametrize("n", range(2, 13))
