@@ -25,8 +25,6 @@ ones are the zeros of T's first keep bits: the weight is keep + drop // 2, with 
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .lempel import d_inverse_aperiodic, prefix_xor
 from .periodic import ConstructionTrace, TraceStep
 from .seqcore import FiniteSeq, GeneratingCycle, PreconditionError, reverse_value, window_bits
@@ -86,7 +84,7 @@ def merge_step(s: FiniteSeq, n: int) -> FiniteSeq:
     if not is_ideal(s, n):
         raise PreconditionError(f"input of length {len(s)} is not ideal at order {n}")
     t = d_inverse_aperiodic(s).first.value  # T, s's integral
-    return FiniteSeq._trusted(*_merge(t, len(s), n, None))
+    return FiniteSeq._trusted(*_merge(t, len(s), n, ConstructionTrace([])))
 
 
 def build_aos(n_target: int, *, starter: FiniteSeq = DEFAULT_STARTER,
@@ -118,17 +116,16 @@ def build_aos(n_target: int, *, starter: FiniteSeq = DEFAULT_STARTER,
     return FiniteSeq._trusted(x, ell), trace
 
 
-def _merge(x: int, ell: int, n: int, trace: Optional[ConstructionTrace],
+def _merge(x: int, ell: int, n: int, trace: ConstructionTrace,
            lift: bool = False) -> tuple[int, int]:
-    """build_aos's merge_step, fed the integral x of an ideal s of length ell: the
-    output and its length, the step put on the trace if one is kept.  If lift, x is
-    s's stride-2 integral and the output's integral comes out (the update above)."""
+    """build_aos's merge_step, fed the integral x of an ideal s of length ell: the output
+    and its length, the step put on the trace.  If lift, x is s's stride-2 integral and
+    the output's integral comes out (the update above)."""
     keep, drop = ell + 1 - n + n % 2, n - n % 2  # merge_step's keep, and T's other bits
     # Lifted, A = 0xAA.., complemented when T's alternating last drop bits hold odd weight.
     tail = reverse_value(x >> drop + lift, keep, (0xAA, 0x55)[n // 2 % 2] if lift else 0xFF)
-    if trace is not None:  # the tail's ones are the zeros of T's first keep bits, and
-        weight = keep + drop // 2  # T's last drop bits alternate: half of them are ones
-        trace.steps.append(TraceStep(n + 1, ell + 1 + keep, weight, n % 2 == 1, None))
+    # The tail's ones are the zeros of T's first keep bits; half of T's last drop bits are ones.
+    trace.steps.append(TraceStep(n + 1, ell + 1 + keep, keep + drop // 2, n % 2 == 1, None))
     return (x << keep) | tail, ell + 1 + keep
 
 

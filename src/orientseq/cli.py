@@ -82,8 +82,11 @@ def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: st
 def _cmd_construct(args) -> int:
     """Build the sequence, write the --out and --trace files, then print it."""
     order, trace = args.target_order, None
+    # Two outputs in one file, made or not yet, would share a temp name; a device such as
+    # /dev/null is written in place, so both may name it.
     outputs = [os.path.realpath(path) for path in (args.out, getattr(args, "trace", None)) if path]
-    if len(set(outputs)) < len(outputs):  # both would write under one temp name
+    one = len(set(outputs)) < len(outputs) and outputs[0]
+    if one and (os.path.isfile(one) or not os.path.exists(one)):
         raise ValueError("--out and --trace name the same file")
     with _replacing(args.out) as out, _replacing(getattr(args, "trace", None)) as trace_out:
         if args.kind == "debruijn":

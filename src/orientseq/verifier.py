@@ -19,7 +19,8 @@ N windows, and one that would not fit in physical memory raises ValueError
 before any window is read.  Only a failing check scans again, for the
 lexicographically first offending pair and its kind.  verify_orientable_near is
 the one place that chooses how s is proved orientable: equal to a known orientable
-t, by that alone; near t, from only the windows that differ; else window by window.
+t, by that alone; near t, by first_collision over the few windows that can collide;
+else window by window.
 """
 from __future__ import annotations
 
@@ -199,10 +200,10 @@ def verify_orientable_near(s: Seq, t: Optional[Seq], n: int) -> Optional[Counter
 
     A window holding no bit where s and t differ is t's, and t's windows are distinct
     and none the reversal of another, so every pair that collides has a dirty window.
-    A value occurs at most once among the clean windows, where t has it, so its
-    occurrences in s are few, found by one window_finder search in t.  The least pair
-    is among: the first two occurrences of a dirty window's value v; (that window, the
-    first occurrence of v's reversal r); (the first r, the first v)."""
+    Any other window whose value is a dirty value or its reversal is dirty or t's one
+    window with that value, found by one window_finder search in t.  So every window of
+    every colliding pair is among these few, and first_collision over them, in position
+    order, finds the whole check's least pair."""
     if t is None or n < 1 or window_count(s, n) < 1:  # the whole check refuses these
         return verify_orientable(s, n)
     if type(t) is not type(s) or len(t) != len(s):
@@ -216,29 +217,17 @@ def verify_orientable_near(s: Seq, t: Optional[Seq], n: int) -> Optional[Counter
         b = length - diff.bit_length()  # the first differing bit; it dirties b-n+1..b
         diff ^= 1 << (length - 1 - b)
         lo, hi = (b - n + 1, b) if cyclic else (max(b - n + 1, 0), min(b, length - n))
-        span = hi - lo + n
-        x = cyclic_value(s, lo, span) if cyclic else s.value >> (length - lo - span)
-        for p, v in enumerate(_window_values(x & ((1 << span) - 1), span, n), lo):
+        span = hi - lo + n  # a word's span never wraps
+        for p, v in enumerate(_window_values(cyclic_value(s, lo, span), span, n), lo):
             dirty[p % length] = v
     if diff or len(dirty) > _NEAR:
         return verify_orientable(s, n)
-    find, at = window_finder(t, n), {}  # at: value -> its positions in s
-    for p in sorted(dirty):
-        at.setdefault(dirty[p], []).append(p)
-    for v in {*at, *(reverse_value(v, n) for v in at)}:
-        q = find(v)
-        at[v] = sorted(at.get(v, []) + ([q] if q >= 0 and q not in dirty else []))
-    found = []
-    for p, v in dirty.items():
-        fwd, rev = at[v], at[reverse_value(v, n)]
-        if len(fwd) > 1:
-            found.append((fwd[0], fwd[1], 0))
-        if rev:
-            found += [(i, j, 2 if i == j else 1) for i, j in ((p, rev[0]), (rev[0], fwd[0]))]
-    if not found:
-        return None
-    i, j, kind = min(found)
-    return Counterexample(i, j, _KINDS[kind])
+    find, values = window_finder(t, n), set(dirty.values())
+    clean = {q: v for v in values | {reverse_value(v, n) for v in values}
+             if (q := find(v)) >= 0 and q not in dirty}
+    positions, fwd = zip(*sorted({**dirty, **clean}.items()))
+    cx = first_collision((fwd, [reverse_value(v, n) for v in fwd]), fwd, n)
+    return None if cx is None else Counterexample(positions[cx.i], positions[cx.j], cx.kind)
 
 
 def verify_disjoint(s: Seq, t: Seq, n: int) -> Optional[Counterexample]:

@@ -602,6 +602,23 @@ def test_outputs_replace_files_whole(capsys, tmp_path):
     assert code == 0 and link.is_symlink() and read_sequence(seq)[0].bits == out.split()[-1]
 
 
+def test_both_outputs_may_name_a_device_but_not_one_file(capsys, tmp_path):
+    argv = ["construct", "aperiodic", "--target-order", "8"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--out", os.devnull, "--trace", os.devnull) == (0, out, "")
+    # A link and the file it points to are one file, whether or not it is made yet.
+    target, link = tmp_path / "F", tmp_path / "link"
+    link.symlink_to(target)
+    for made in (False, True):
+        if made:
+            target.write_text("old")
+        assert run(capsys, *argv, "--out", str(link), "--trace", str(target)) == (
+            2, "", "error: --out and --trace name the same file\n")
+    assert target.read_text() == "old"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["F", "link"]
+
+
 # Every command's exact exit code, stdout, stderr and written files, run in
 # order in one directory (later commands read earlier outputs); inputs and
 # expectations are in cli_transcript.json.

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orientseq.lempel import d_forward_periodic
 from orientseq.periodic import (
     DEFAULT_STARTER,
     DEFAULT_STARTER_ORDER,
+    _cyclic_runs,
     build_orientable,
     dai_bound,
     extend_odd,
@@ -169,6 +171,22 @@ class TestRotation:
         member = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0]
         built = build_orientable(rotated(DEFAULT_STARTER, k), DEFAULT_STARTER_ORDER, n)[0]
         assert is_rotation(built, member)
+
+
+    @pytest.mark.parametrize("n", range(DEFAULT_STARTER_ORDER + 1, 20))
+    def test_a_step_is_undone_from_any_rotation(self, n):
+        # An odd period holds the inserted 1 in its one run of n-3 ones; without it the
+        # member is the doubled preimage, which D sends to the order n-1 member.
+        member = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0]
+        below = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n - 1)[0]
+        for k in (0, 1, 5, 17, member.period // 2):
+            c = rotated(member, k)
+            if c.period % 2:
+                runs = _cyclic_runs(c, n - 3, 1)
+                assert runs.bit_count() == 1, k
+                c = GeneratingCycle(rotated(c, c.period - runs.bit_length()).bits[1:])
+            half = d_forward_periodic(c)
+            assert 2 * half.period == c.period and is_rotation(half, below), k
 
 
 class TestPredictedPeriod:

@@ -315,15 +315,20 @@ class TestNear:
             n = max(n, DEFAULT_STARTER_ORDER)
         source = member(kind, n)
         size = len(source)
-        # Flips near a cycle's wrap and a word's two ends dirty windows cut there.
+        # Flips near a cycle's wrap and a word's two ends dirty windows cut there, and up
+        # to 12 flips within one window of each other dirty windows that may collide.
         ends = st.one_of(st.integers(0, n - 2), st.integers(size - n + 1, size - 1))
-        flips = data.draw(st.lists(st.one_of(ends, st.integers(0, size - 1)), min_size=1,
-                                   max_size=4), label="flipped bits")
-        s = edited(source, flips)
+        apart = st.lists(st.one_of(ends, st.integers(0, size - 1)), min_size=1, max_size=4)
+        close = st.builds(lambda b, offsets: [(b + d) % size for d in offsets],
+                          st.integers(0, size - 1),
+                          st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+        s = edited(source, data.draw(st.one_of(apart, close), label="flipped bits"))
         assume(s is not None)
-        for dense in (math.inf, 0):
-            with mock.patch.object(verifier, "_DENSE", dense):
-                assert verify_orientable_near(s, source, n) == verify_orientable(s, n)
+        # An orientable sequence stays so one order up, where it is a source as well.
+        for order in (n, n + 1):
+            for dense in (math.inf, 0):
+                with mock.patch.object(verifier, "_DENSE", dense):
+                    assert verify_orientable_near(s, source, order) == verify_orientable(s, order)
 
     def test_many_dirty_windows_take_the_whole_check(self, monkeypatch):
         source, calls = member("periodic", 12), []
