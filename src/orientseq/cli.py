@@ -41,6 +41,11 @@ def _emit(args, payload: dict, *lines: str) -> None:
     print(*lines, sep="\n")  # apart, so that a line of bits is not copied to join them
 
 
+def _in_place(path: str) -> bool:
+    """Whether _replacing writes path itself, with no temp sibling: a link, or a device."""
+    return os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+
+
 @contextmanager
 def _replacing(path: Optional[str]) -> Iterator[Optional[str]]:
     """The name to write path's output under: a temp sibling, made before the work so that
@@ -48,7 +53,7 @@ def _replacing(path: Optional[str]) -> Iterator[Optional[str]]:
     is removed if not.  A link, or a device such as /dev/null, is written in place."""
     if path is not None and os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if path is None or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+    if path is None or _in_place(path):
         yield path
         return
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -82,11 +87,8 @@ def _load_seq(path: str, mode: Optional[str], order: Optional[int], no_order: st
 def _cmd_construct(args) -> int:
     """Build the sequence, write the --out and --trace files, then print it."""
     order, trace = args.target_order, None
-    # Two outputs in one file, made or not yet, would share a temp name; a device such as
-    # /dev/null is written in place, so both may name it.
     outputs = [os.path.realpath(path) for path in (args.out, getattr(args, "trace", None)) if path]
-    one = len(set(outputs)) < len(outputs) and outputs[0]
-    if one and (os.path.isfile(one) or not os.path.exists(one)):
+    if len(set(outputs)) < len(outputs) and not _in_place(outputs[0]):  # one temp name for both
         raise ValueError("--out and --trace name the same file")
     with _replacing(args.out) as out, _replacing(getattr(args, "trace", None)) as trace_out:
         if args.kind == "debruijn":
