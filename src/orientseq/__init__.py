@@ -21,7 +21,7 @@ _EXPORTS = {
               "d_inverse_periodic",
     "locator": "LocatorIndex build_index find locate",
     "periodic": "ConstructionTrace TraceStep build_orientable dai_bound extend_odd is_good "
-                "next_orientable predicted_period",
+                "predicted_period",
     "search": "SearchResult max_aos_length max_orientable_period",
     "seqcore": "BitsError FiniteSeq GeneratingCycle NonMinimalPeriodError PreconditionError "
                "WindowRangeError",

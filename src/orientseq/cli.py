@@ -325,7 +325,7 @@ def main(argv: Optional[list] = None) -> int:
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if main_thread else None
     try:
         return args.func(args)
-    except (ValueError, WindowRangeError, OSError, MemoryError) as exc:
+    except (ValueError, WindowRangeError, OSError, MemoryError, RecursionError) as exc:
         print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

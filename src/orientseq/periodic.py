@@ -11,7 +11,7 @@ preimage d (d[i+m] = 1 - d[i]) has runs of n-3 equal bits exactly at p and p+m:
 ones at one, zeros at the other, as d[p] tells.  The 1 goes into the run of
 ones, at r; the run of zeros, one place later if after r, is the next step's
 0^{n-3}.  d has weight m, so a bit goes in iff m is even, giving weight m or
-m+1.  build_orientable scans only its starter; the public steps scan their input.
+m+1.  build_orientable scans only its starter; extend_odd scans its input.
 
 build_orientable steps from c's integral P (P[i] = c[0] ^ ... ^ c[i]), two steps
 from one stride-2 pass PP (lempel), by three updates (A = 1010... integrates 1s):
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .lempel import alternating, d_inverse_periodic, prefix_xor
+from .lempel import alternating, prefix_xor
 from .seqcore import GeneratingCycle, PreconditionError, capped_size, cyclic_value, require_memory
 from .verifier import require_orientable
 
@@ -52,7 +52,6 @@ __all__ = [
     "dai_bound",
     "is_good",
     "extend_odd",
-    "next_orientable",
     "build_orientable",
     "predicted_period",
 ]
@@ -108,20 +107,6 @@ def is_good(c: GeneratingCycle, n: int) -> bool:
     return _cyclic_runs(c, n - 4, 0).bit_count() == 1
 
 
-def _extend_odd(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, Optional[int]]:
-    if n < 5:
-        raise ValueError(f"extension needs order >= 5, got {n}")
-    runs = _cyclic_runs(c, n - 4, 1)
-    if (found := runs.bit_count()) != 1:
-        raise PreconditionError(f"expected exactly one occurrence of 1^{n - 4}, found {found}")
-    if c.weight % 2 == 1:
-        return c, None
-    r = c.period - runs.bit_length()
-    # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
-    # The four windows over the grown run are distinct: each has 1^{n-3} at its own offset.
-    return GeneratingCycle._trusted(_insert_one(c.value, c.period, r), c.period + 1), r
-
-
 def _insert_one(x: int, m: int, r: int, integral: bool = False) -> int:
     """The m-bit x with a 1 inserted before position r, the start of its unique
     longest 1-run; if integral, x is a word's integral and so is the result."""
@@ -137,13 +122,24 @@ def extend_odd(c: GeneratingCycle, n: int) -> GeneratingCycle:
     Requires exactly one cyclic occurrence of 1^{n-4} in c.  Output always has
     odd weight; the period grows by one exactly when a bit was inserted.
     """
-    return _extend_odd(c, n)[0]
+    if n < 5:
+        raise ValueError(f"extension needs order >= 5, got {n}")
+    runs = _cyclic_runs(c, n - 4, 1)
+    if (found := runs.bit_count()) != 1:
+        raise PreconditionError(f"expected exactly one occurrence of 1^{n - 4}, found {found}")
+    if c.weight % 2 == 1:
+        return c
+    r = c.period - runs.bit_length()
+    # Minimality holds: the unique longest 1-run cannot recur at a shorter period.
+    # The four windows over the grown run are distinct: each has 1^{n-3} at its own offset.
+    return GeneratingCycle._trusted(_insert_one(c.value, c.period, r), c.period + 1)
 
 
 def _step(x: int, m: int, p: int, n: int, trace: ConstructionTrace,
           lift: bool = False) -> tuple[int, int, int]:
-    """next_orientable fed the integral x of a good odd-weight c of period m with 0^{n-4}
-    at p: the output, its period and its 0^{n-3} (the run lemma), the step traced.
+    """One step to order n+1 from the integral x of a good odd-weight c of period m
+    with 0^{n-4} at p: the inverse map, then a 1 into the run of ones if m is even.
+    Returns the output, its period and its 0^{n-3} (the run lemma), the step traced.
     If lift, x is c's stride-2 integral, and the output's integral comes out."""
     t0 = x >> (m - 1)
     # d[p] = c[0] ^ P[p-1], and P[p-1] = x[p-1] ^ x[p-2] if x is stride-2.
@@ -159,18 +155,6 @@ def _step(x: int, m: int, p: int, n: int, trace: ConstructionTrace,
     trace.steps.append(TraceStep(n + 1, 2 * m + grow, m + grow, bool(grow), ones if grow else None))
     out = _insert_one(d, 2 * m, ones, lift) if grow else d
     return out, 2 * m + grow, zeros + (grow and zeros > ones)
-
-
-def next_orientable(c: GeneratingCycle, n: int) -> tuple[GeneratingCycle, TraceStep]:
-    """One recursion step to order n+1: the inverse map, then extend_odd.
-
-    The input must be a good orientable cycle of odd weight at order n (as
-    build_orientable checks its starter); its preimage is one doubled cycle.
-    """
-    if c.weight % 2 == 0:
-        raise PreconditionError(f"input weight {c.weight} is even; the recursion needs odd weight")
-    out, r = _extend_odd(d_inverse_periodic(c).first, n + 1)
-    return out, TraceStep(n + 1, out.period, out.weight, r is not None, r)
 
 
 def build_orientable(starter: GeneratingCycle, n0: int,

@@ -257,7 +257,7 @@ def cyclic_positions(bits: str, t: str) -> list[int]:
 
 
 def extend_odd(bits: str, n: int) -> tuple[str, Optional[int]]:
-    """periodic._extend_odd: (output bits, insert position or None)."""
+    """periodic.extend_odd, and where its 1 went: (output bits, insert position or None)."""
     if n < 5:
         raise ValueError(f"extension needs order >= 5, got {n}")
     positions = cyclic_positions(bits, "1" * (n - 4))

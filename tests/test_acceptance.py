@@ -26,7 +26,6 @@ from orientseq.periodic import (
     build_orientable,
     dai_bound,
     is_good,
-    next_orientable,
     predicted_period,
 )
 from orientseq.search import max_aos_length, max_orientable_period
@@ -85,7 +84,7 @@ def test_acceptance_2_periodic_family():
             assert is_good(c, n)
             assert c.weight % 2 == 1
             if n < 10:
-                c, _ = next_orientable(c, n)
+                c, _ = build_orientable(c, n, n + 1)
 
         _, deep = build_orientable(DEFAULT_STARTER, 6, 30)
         for k, step in enumerate(deep.steps):

@@ -14,6 +14,7 @@ from orientseq.aperiodic import (
     merge_step,
     predicted_length,
 )
+from orientseq.lempel import d_forward_aperiodic, d_inverse_aperiodic
 from orientseq.seqcore import FiniteSeq, GeneratingCycle, PreconditionError
 from orientseq.verifier import verify_orientable
 
@@ -97,6 +98,14 @@ class TestBuildAos:
             ws = all_windows(s, n)
             both = set(ws) | {w[::-1] for w in ws}
             assert len(both) == 2 * len(s) - 2 * n + 2
+
+    @pytest.mark.parametrize("order", range(3, 21))
+    def test_a_step_is_undone(self, order):
+        # A merge at order n keeps T whole and first, then U less its first n - n % 2 bits:
+        # T is the member's first (L + n - n % 2) / 2 bits, and D sends it one order down.
+        n, member = order - 1, build_aos(order)[0]
+        below, t = build_aos(n)[0], FiniteSeq(member.bits[: (len(member) + n - n % 2) // 2])
+        assert t == d_inverse_aperiodic(below).first and d_forward_aperiodic(t) == below
 
     def test_custom_starter(self):
         s8, _ = build_aos(8)

@@ -91,7 +91,8 @@ def test_every_insertion_meets_a_maximal_run_with_unequal_outer_bits():
     and the bits u, x just outside it differ, so u 0 1^{N-4} 0 x is not a palindrome."""
     c, inserted = periodic.DEFAULT_STARTER, 0
     for n in range(periodic.DEFAULT_STARTER_ORDER, 24):
-        d, (out, step) = d_inverse_periodic(c).first, periodic.next_orientable(c, n)
+        out, trace = periodic.build_orientable(c, n, n + 1)
+        d, step = d_inverse_periodic(c).first, trace.steps[-1]
         if step.inserted_bit:
             big, r, k = d.bits * 3, step.insert_position, n + 1 - 4
             around = big[r - 2 + d.period : r + k + 2 + d.period]  # u 0 1^k 0 x

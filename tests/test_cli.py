@@ -437,6 +437,8 @@ CONTRACT = {
         ["search", "--order", "5", "--mode", "aperiodic", "--resume", "{float_aos}"], 2
     ),
     "search-resume-huge-value": (["search", "--order", "5", "--resume", "{huge_value}"], 2),
+    # Nesting past the JSON decoder's recursion limit is an input error, not a violation.
+    "search-resume-deeply-nested": (["search", "--order", "5", "--resume", "{deep}"], 2),
     "verify-long-non-minimal": (["verify", "{repeats}"], 2),
     "search-order-40": (["search", "--order", "40"], 2),
     "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
@@ -517,12 +519,14 @@ def test_cli_contract(tmp_path, case):
     write_sequence(minus3, "001101", mode="periodic", order=-3)
     repeats = tmp_path / "repeats.txt"  # 200,000 bits of period 2
     write_sequence(repeats, "01" * 100_000, mode="periodic", order=5)
+    deep = tmp_path / "deep.json"  # written as text: json.dumps cannot nest this deep either
+    deep.write_text("[" * 100_000 + "]" * 100_000)
     resume = {name: tmp_path / f"{name}.json" for name in RESUME}
     for name, path in resume.items():
         path.write_text(json.dumps(RESUME[name]))
     argv, expected = CONTRACT[case]
-    argv = [a.format(seq=seq, short=short, repeats=repeats, minus3=minus3, tmp=tmp_path, **resume)
-            for a in argv]
+    argv = [a.format(seq=seq, short=short, repeats=repeats, minus3=minus3, deep=deep, tmp=tmp_path,
+                     **resume) for a in argv]
     before = {f: f.read_bytes() for f in tmp_path.iterdir()}
     proc = subprocess.run(
         [sys.executable, "-m", "orientseq.cli", *argv],

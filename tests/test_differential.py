@@ -28,8 +28,7 @@ import string_oracle as oracle
 from string_oracle import flip
 from orientseq import join, lempel, locator, verifier
 from orientseq.aperiodic import build_aos, is_ideal, merge_step
-from orientseq.periodic import DEFAULT_STARTER, TraceStep, _extend_odd, build_orientable
-from orientseq.periodic import next_orientable
+from orientseq.periodic import DEFAULT_STARTER, TraceStep, build_orientable, extend_odd
 from orientseq.seqcore import (
     FORWARD,
     REVERSE,
@@ -385,8 +384,8 @@ def good_starters(n):
 
 class TestRunTracking:
     """The lemma against the scan: build_orientable carries the run of zeros from
-    step to step, while next_orientable, the inverse map then extend_odd, scans
-    each preimage for its run of ones."""
+    step to step, while a chain of the public steps, the inverse map then
+    extend_odd, scans each preimage for its run of ones."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(6, 8), st.data())
@@ -402,24 +401,11 @@ class TestRunTracking:
         built, trace = build_orientable(starter, n0, n0 + lift)
         c, steps = starter, trace.steps[:1]
         for n in range(n0, n0 + lift):
-            c, step = next_orientable(c, n)
-            steps.append(step)
+            doubled = lempel.d_inverse_periodic(c).first
+            c, r = extend_odd(doubled, n + 1), oracle.extend_odd(doubled.bits, n + 1)[1]
+            steps.append(TraceStep(n + 1, c.period, c.weight, r is not None, r))
         assert built == c and trace.steps == steps
         assert built.bits == oracle.build_orientable(starter.bits, n0, n0 + lift)
-
-    @given(cycles(max_size=40), st.integers(1, 12))
-    def test_next_orientable_on_any_input(self, c, n):
-        # Results and error texts as the oracle's inverse map, then its odd extension.
-        preimage = oracle.d_inverse_periodic(c.bits)
-        if len(preimage) == 2:  # a complementary pair, from an even weight
-            expected = (PreconditionError,
-                        f"input weight {c.weight} is even; the recursion needs odd weight")
-        else:
-            expected = outcome(oracle.extend_odd, preimage[0], n + 1)
-            if isinstance(expected[0], str):
-                bits, r = expected
-                expected = bits, TraceStep(n + 1, len(bits), bits.count("1"), r is not None, r)
-        assert bits_of(outcome(next_orientable, c, n)) == expected
 
 
 @st.composite
@@ -450,7 +436,8 @@ def ideal_starters(draw, orders):
 class TestAperiodicStarters:
     """build_aos from any ideal starter, lifted one level at a time or two per
     pass, against a chain of merge_step and the string oracle.  Odd and even
-    starter orders pair the levels differently, and so do odd and even lifts."""
+    starter orders pair the levels differently, and so do odd and even lifts.
+    The last step is undone from the member's bits alone."""
 
     @pytest.mark.parametrize("orders", [(3, 5, 7), (4, 6, 8)])
     @settings(max_examples=60, deadline=None)
@@ -462,16 +449,17 @@ class TestAperiodicStarters:
         built, trace = build_aos(n0 + lift, starter=starter, starter_order=n0)
         s, steps, expected = starter, [TraceStep(n0, len(bits), bits.count("1"), False, None)], bits
         for n in range(n0, n0 + lift):
-            s, expected = merge_step(s, n), oracle.merge_step(expected, n)
+            below, s, expected = s, merge_step(s, n), oracle.merge_step(expected, n)
             steps.append(TraceStep(n + 1, len(s), s.weight, n % 2 == 1, None))
         assert built == s and trace.steps == steps
         assert built.bits == expected
+        # T, the merge's first (L + n - n % 2) / 2 bits, is D's preimage of the level below.
+        t = FiniteSeq(built.bits[: (len(built) + n - n % 2) // 2])
+        assert t == lempel.d_inverse_aperiodic(below).first and lempel.d_forward_aperiodic(t) == below
 
 
 def bits_of(result):
     """Packed results as the bit strings the oracle returns."""
-    if isinstance(result, tuple) and isinstance(result[0], GeneratingCycle):
-        return result[0].bits, result[1]
     return result.bits if isinstance(result, (GeneratingCycle, FiniteSeq)) else result
 
 
@@ -494,7 +482,9 @@ class TestPackedSteps:
     @given(st.one_of(one_run_cycles(), st.tuples(cycles(max_size=60), st.integers(3, 12))))
     def test_extend_odd(self, case):
         c, n = case
-        assert bits_of(outcome(_extend_odd, c, n)) == outcome(oracle.extend_odd, c.bits, n)
+        expected = outcome(oracle.extend_odd, c.bits, n)  # bits and insert position, or an error
+        expected = expected[0] if isinstance(expected[0], str) else expected
+        assert bits_of(outcome(extend_odd, c, n)) == expected
 
     @given(st.integers(2, 12), pieces, st.booleans())
     def test_merge_step(self, n, middle, ideal):

@@ -28,10 +28,9 @@ EXPORTED = [
     "d_forward_periodic", "d_inverse_aperiodic", "d_inverse_periodic", "dai_bound",
     "debruijn_lempel", "extend_odd", "find", "find_conjugate_positions", "is_good",
     "is_ideal", "join", "join_at", "lempel", "locate", "locator", "max_aos_length",
-    "max_orientable_period", "merge_step", "next_orientable", "periodic",
-    "predicted_length", "predicted_period", "search", "seqcore", "verifier",
-    "verify_disjoint", "verify_nwindow", "verify_o_disjoint", "verify_orientable",
-    "verify_primitive",
+    "max_orientable_period", "merge_step", "periodic", "predicted_length",
+    "predicted_period", "search", "seqcore", "verifier", "verify_disjoint",
+    "verify_nwindow", "verify_o_disjoint", "verify_orientable", "verify_primitive",
 ]
 SUBMODULES = ["aperiodic", "join", "lempel", "locator", "periodic", "search", "seqcore", "verifier"]
 

@@ -17,7 +17,6 @@ from orientseq.periodic import (
     dai_bound,
     extend_odd,
     is_good,
-    next_orientable,
     predicted_period,
 )
 from orientseq.seqcore import GeneratingCycle, PreconditionError
@@ -66,17 +65,17 @@ class TestGoodness:
 class TestExtendOdd:
     def test_noop_on_odd_weight(self):
         # the order-7 doubled sequence already has odd weight
-        c = next_orientable(DEFAULT_STARTER, 6)[0]
+        c = build_orientable(DEFAULT_STARTER, 6, 7)[0]
         assert c.weight % 2 == 1
         assert extend_odd(c, 7) == c
 
     def test_insertion_on_even_weight(self):
         # preimage of the starter: weight 9 is odd so no insertion there,
         # but its own preimage at order 8 needs one
-        doubled = next_orientable(DEFAULT_STARTER, 6)[0]
+        doubled = build_orientable(DEFAULT_STARTER, 6, 7)[0]
         assert doubled.weight % 2 == 1
-        out, step = next_orientable(doubled, 7)
-        assert step.inserted_bit
+        out, trace = build_orientable(doubled, 7, 8)
+        assert trace.steps[-1].inserted_bit
         assert out.period == 2 * doubled.period + 1
         assert out.weight % 2 == 1
 
@@ -118,11 +117,7 @@ class TestRecursion:
             assert verify_orientable(c, n) is None
             assert is_good(c, n)
             assert c.weight == c.bits.count("1") and c.weight % 2 == 1
-            c = next_orientable(c, n)[0]
-
-    def test_rejects_even_weight_input(self):
-        with pytest.raises(PreconditionError):
-            next_orientable(GeneratingCycle("0011"), 5)
+            c = build_orientable(c, n, n + 1)[0]
 
     def test_starter_validation_messages(self):
         with pytest.raises(PreconditionError, match="not orientable"):
@@ -163,7 +158,8 @@ class TestRotation:
     @given(st.integers(6, 12), st.integers(0, 2**16))
     def test_a_step_from_a_rotated_member(self, n, k):
         c = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, n)[0]
-        assert is_rotation(next_orientable(rotated(c, k), n)[0], next_orientable(c, n)[0])
+        step = build_orientable(rotated(c, k), n, n + 1)[0]
+        assert is_rotation(step, build_orientable(c, n, n + 1)[0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, DEFAULT_STARTER.period - 1), st.integers(6, 14))
