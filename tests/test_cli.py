@@ -5,12 +5,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from contextlib import suppress
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orientseq import search
 from orientseq.aperiodic import build_aos
@@ -19,6 +22,7 @@ from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_ori
 from orientseq.seqcore import GeneratingCycle, cyclic_value, reverse_value
 from orientseq.seqio import read_sequence, write_sequence
 from orientseq.verifier import verify_orientable
+from conftest import child_env, run_child
 from string_oracle import flip
 
 
@@ -175,7 +179,7 @@ def test_verify_and_locate_past_physical_memory_exit_2(capsys, tmp_path, monkeyp
 
 
 def test_verify_past_the_address_space_limit_exit_2(tmp_path):
-    resource = pytest.importorskip("resource")
+    pytest.importorskip("resource")
     cycle, _ = build_orientable(DEFAULT_STARTER, DEFAULT_STARTER_ORDER, 26)
     edited, rotated = tmp_path / "e26.seq", tmp_path / "r26.seq"
     write_sequence(edited, flip(cycle.bits, 1000), mode="periodic", order=26)
@@ -183,16 +187,8 @@ def test_verify_past_the_address_space_limit_exit_2(tmp_path):
     # 192 MiB of address space: the member's rebuild fits (charged 78 MB), the rotated
     # file's 9,786,709 windows (charged 313 MB) do not, though physical memory would hold
     # them.  The edited file needs only the member's window bytes (charged 20 MB).
-    limit = 192 << 20
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
     def verify(seq_file):
-        return subprocess.run(
-            [sys.executable, "-m", "orientseq.cli", "verify", str(seq_file)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        return run_child("-m", "orientseq.cli", "verify", str(seq_file), limit=192 << 20)
 
     proc = verify(rotated)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -397,16 +393,20 @@ class TestTables:
         assert err == "error: tables end at order 2127 (640-digit sizes), got 2128\n"
 
 
-# Input and usage errors: each case's pinned exit code, and never a traceback.
-# {seq} is an orientable order-5 cycle file, {short} a 4-bit word headed order 8.
+# Input and usage errors: each case's pinned exit code, within 10 s, and never a
+# traceback.  {seq} is an orientable order-5 cycle file, {s9} the order-6 starter's,
+# {short} a 4-bit word headed order 8, {bad} the cycle 0011 headed order 2.
 CONTRACT = {
     "verify-shorter-than-order": (["verify", "{short}"], 2),
     "verify-order-zero": (["verify", "{seq}", "--order", "0"], 2),
     "verify-order-negative": (["verify", "{seq}", "--order", "-3"], 2),
+    "verify-not-orientable": (["verify", "{bad}"], 1),
     # Orders no default member reaches: the closed forms rule out a rebuild at once,
     # and the exact check runs, or is refused by the memory guard.
     "verify-order-10e6": (["verify", "{seq}", "--order", "1000000"], 0),
     "verify-order-10e12": (["verify", "{seq}", "--order", "1000000000000"], 2),
+    "verify-s9-order-10e6": (["verify", "{s9}", "--order", "1000000"], 0),
+    "verify-s9-order-10e12": (["verify", "{s9}", "--order", "1000000000000"], 2),
     "locate-order-zero": (["locate", "--seq", "{seq}", "--order", "0", "--window", "0"], 2),
     "locate-order-zero-empty-window": (
         ["locate", "--seq", "{seq}", "--order", "0", "--window", ""], 2
@@ -424,8 +424,10 @@ CONTRACT = {
     "locate-window-non-binary": (["locate", "--seq", "{seq}", "--window", "01201"], 2),
     "locate-window-empty": (["locate", "--seq", "{seq}", "--window", ""], 2),
     "tables-max-order-4": (["tables", "--max-order", "4"], 0),
+    "tables-max-order-40": (["tables", "--max-order", "40"], 0),
     # Sizes past the interpreter's int-to-str digit limit, refused before any row.
     "tables-max-order-15000": (["tables", "--max-order", "15000"], 2),
+    "tables-max-order-100000": (["tables", "--max-order", "100000"], 2),
     "search-resume-without-value": (["search", "--order", "5", "--resume", "{no_value}"], 2),
     "search-resume-list": (["search", "--order", "5", "--resume", "{a_list}"], 2),
     "search-resume-over-bound": (["search", "--order", "5", "--resume", "{over_bound}"], 2),
@@ -433,6 +435,7 @@ CONTRACT = {
         ["search", "--order", "5", "--resume", "{not_orientable}"], 2
     ),
     "search-resume-float-value": (["search", "--order", "6", "--resume", "{float_value}"], 2),
+    "search-resume-float-value-9": (["search", "--order", "6", "--resume", "{float_nine}"], 2),
     "search-resume-float-value-aperiodic": (
         ["search", "--order", "5", "--mode", "aperiodic", "--resume", "{float_aos}"], 2
     ),
@@ -440,13 +443,21 @@ CONTRACT = {
     # Nesting past the JSON decoder's recursion limit is an input error, not a violation.
     "search-resume-deeply-nested": (["search", "--order", "5", "--resume", "{deep}"], 2),
     "verify-long-non-minimal": (["verify", "{repeats}"], 2),
+    "search-order-19-budget-1000": (["search", "--order", "19", "--budget", "1000"], 0),
     "search-order-40": (["search", "--order", "40"], 2),
     "search-budget-negative": (["search", "--order", "5", "--budget", "-3"], 2),
+    "search-budget-minus-one": (["search", "--order", "5", "--budget", "-1"], 2),
     # Sizes past any memory, and one past the float range, refused before any work.
     "search-order-1100": (["search", "--order", "1100"], 2),
+    "search-order-10e11": (["search", "--order", "100000000000"], 2),
+    "search-aperiodic-10e11": (["search", "--order", "100000000000", "--mode", "aperiodic"], 2),
+    "bound-order-10e11": (["bound", "--order", "100000000000"], 2),
     # An --out path that cannot be opened, refused before a search of hours or more.
     "search-out-not-a-directory": (
         ["search", "--order", "8", "--mode", "aperiodic", "--out", "{seq}/x.json"], 2
+    ),
+    "search-out-missing-directory": (
+        ["search", "--order", "8", "--mode", "aperiodic", "--out", "{tmp}/missing/x.json"], 2
     ),
     "search-out-a-directory": (["search", "--order", "8", "--out", "{tmp}"], 2),
     # A search that fails writes nothing: no new file, and an existing one is kept as it was.
@@ -473,6 +484,9 @@ CONTRACT = {
     "construct-periodic-order-64": (["construct", "periodic", "--target-order", "64"], 2),
     "construct-aperiodic-order-64": (["construct", "aperiodic", "--target-order", "64"], 2),
     "construct-debruijn-order-64": (["construct", "debruijn", "--order", "64"], 2),
+    "construct-periodic-order-10e9": (["construct", "periodic", "--target-order", "1000000000"], 2),
+    "construct-aperiodic-10e9": (["construct", "aperiodic", "--target-order", "1000000000"], 2),
+    "construct-debruijn-order-10e11": (["construct", "debruijn", "--order", "100000000000"], 2),
 }
 # An order below 1, from a header or a flag, is refused in one wording by every
 # command that reads a sequence file, before the file's bits or the window are used.
@@ -490,8 +504,8 @@ CONTRACT_ERRORS = {
 }
 # Resume files: a witness with no value, a JSON list, a value past dai_bound(5) = 6,
 # a witness of the right size that is not orientable at order 5, optima at
-# orders 6 (periodic) and 5 (aperiodic) whose values are floats, not ints, and a
-# value that is a 100,000-element list.
+# orders 6 (periodic) and 5 (aperiodic) whose values are floats, not ints, the
+# order-6 starter with a float value, and a value that is a 100,000-element list.
 RESUME = {
     "no_value": {"witness": "0101"},
     "a_list": [1, 2],
@@ -499,15 +513,9 @@ RESUME = {
     "not_orientable": {"value": 6, "witness": "000111"},
     "float_value": {"value": 16.0, "witness": "0001010110010111"},
     "float_aos": {"value": 14.0, "witness": "00001101001111"},
+    "float_nine": {"value": 9.0, "witness": "001010111"},
     "huge_value": {"value": list(range(100_000)), "witness": "001101"},
 }
-
-
-def _child_env() -> dict:
-    """The environment for a CLI subprocess that imports this checkout's package."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT))
@@ -517,6 +525,9 @@ def test_cli_contract(tmp_path, case):
     write_sequence(short, "0101", mode="aperiodic", order=8)
     minus3 = tmp_path / "minus3.txt"  # a header order below 1
     write_sequence(minus3, "001101", mode="periodic", order=-3)
+    s9, bad = tmp_path / "s9.txt", tmp_path / "bad.txt"
+    write_sequence(s9, "001010111", mode="periodic", order=6)
+    write_sequence(bad, "0011", mode="periodic", order=2)
     repeats = tmp_path / "repeats.txt"  # 200,000 bits of period 2
     write_sequence(repeats, "01" * 100_000, mode="periodic", order=5)
     deep = tmp_path / "deep.json"  # written as text: json.dumps cannot nest this deep either
@@ -525,13 +536,10 @@ def test_cli_contract(tmp_path, case):
     for name, path in resume.items():
         path.write_text(json.dumps(RESUME[name]))
     argv, expected = CONTRACT[case]
-    argv = [a.format(seq=seq, short=short, repeats=repeats, minus3=minus3, deep=deep, tmp=tmp_path,
-                     **resume) for a in argv]
+    argv = [a.format(seq=seq, s9=s9, bad=bad, short=short, repeats=repeats, minus3=minus3,
+                     deep=deep, tmp=tmp_path, **resume) for a in argv]
     before = {f: f.read_bytes() for f in tmp_path.iterdir()}
-    proc = subprocess.run(
-        [sys.executable, "-m", "orientseq.cli", *argv],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
-    )
+    proc = run_child("-m", "orientseq.cli", *argv, timeout=10)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     if expected == 2:
@@ -541,6 +549,70 @@ def test_cli_contract(tmp_path, case):
     assert proc.stderr == CONTRACT_ERRORS.get(case, proc.stderr)
     # No case writes a file: none is made, not even a temp one, and none changes.
     assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+# The same contract over generated inputs, run in process.  Sequence files are hostile
+# bytes, or a file headed with an order that is negative, huge or '1_0', with CRLF line
+# ends, blank lines or a second body; resume files are JSON of any shape.
+GENERATED = [
+    ["verify", "{seq}"],
+    ["verify", "{seq}", "--json"],
+    ["locate", "--seq", "{seq}", "--window", "{window}"],
+    ["search", "--order", "{order}", "--resume", "{resume}", "--out", "{out}"],
+    ["search", "--order", "{order}", "--mode", "aperiodic", "--resume", "{resume}"],
+    ["construct", "periodic", "--target-order", "{target}", "--starter", "{seq}"],
+    ["construct", "periodic", "--target-order", "{target}", "--starter", "{seq}", "--out", "{out}"],
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=4),
+    max_leaves=8,
+)
+resume_files = st.binary(max_size=40) | (json_values | st.fixed_dictionaries(
+    {}, optional={"value": json_values, "witness": st.text("01", max_size=30) | json_values},
+)).map(lambda value: json.dumps(value).encode())
+
+
+@st.composite
+def sequence_files(draw) -> bytes:
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=80))
+    # Repeats weight the draws towards files that parse, so that each command gets past
+    # its input checks.
+    order = draw(st.sampled_from(["6"] * 6 + ["0", "-3", "1_0", "1000000", "1000000000000",
+                                              "2" * 30]))
+    mode = draw(st.sampled_from(["periodic"] * 3 + ["aperiodic"]))
+    bits = st.sampled_from([DEFAULT_STARTER.bits] * 3 + ["0" * 9]) | st.text("01", min_size=1,
+                                                                            max_size=40)
+    lines = [f"# mode={mode} order={order}", draw(bits)]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(bits))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + eol for line in lines).encode()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(GENERATED), seq=sequence_files(), resume=resume_files,
+       window=st.text("01", min_size=6, max_size=6) | st.text("01", max_size=8),
+       order=st.sampled_from(["5", "6"]),
+       target=st.integers(3, 12))
+def test_cli_contract_generated(capsys, argv, seq, resume, window, order, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {"seq": Path(tmp, "seq"), "resume": Path(tmp, "resume")}
+        inputs["seq"].write_bytes(seq)
+        inputs["resume"].write_bytes(resume)
+        argv = [a.format(**inputs, out=Path(tmp, "out"), window=window, order=order,
+                         target=target) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        written = {"out"} if code == 0 and "--out" in argv else set()
+        assert sorted(os.listdir(tmp)) == sorted({"seq", "resume"} | written)
 
 
 @pytest.mark.parametrize(
@@ -553,7 +625,7 @@ def test_an_interrupted_search_leaves_no_traceback_and_no_file(tmp_path, signum,
         out.write_text("{}")
     proc = subprocess.Popen([sys.executable, "-m", "orientseq.cli", "search", "--order", "8",
                              "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=_child_env(), start_new_session=True)
+                            text=True, env=child_env(), start_new_session=True)
     try:
         # The temp file is made just before the search, which at order 8 runs for days.
         deadline = time.monotonic() + 30

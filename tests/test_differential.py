@@ -526,9 +526,9 @@ class TestFamiliesBitIdentical:
             assert join.debruijn_lempel(n).bits == oracle.debruijn_lempel(n)
 
     # (size, sha256 of the bits) of the largest builds perfbench's construct
-    # round checks, as pinned there, and of the default members that CI's
-    # console-script job certifies past them (slow: over 10^7 bits), pinned from
-    # the builders that took one order per prefix XOR.
+    # round checks, as pinned there, and of the default members that
+    # test_console.py::test_large_members_are_certified certifies past them (slow:
+    # over 10^7 bits), pinned from the builders that took one order per prefix XOR.
     PINS = {
         "periodic-26": (9786709, "d3e5d9a8225076823aba0a9de61f6d333cc82cd8cecb3e6b8c9f123dafdb6693"),
         "aperiodic-24": (5592428, "e29d9dcb154f1645229f6f46a0f7163f86cfcf53c310506e38c20bf3d6806f6f"),

@@ -5,18 +5,13 @@ of the test process already holds every module."""
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_child
 from orientseq.aperiodic import build_aos
 from orientseq.periodic import DEFAULT_STARTER, DEFAULT_STARTER_ORDER, build_orientable
 from orientseq.seqio import write_sequence
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: The names ``from orientseq import *`` binds: the public functions and
 #: classes, and the submodules they come from.
@@ -36,12 +31,8 @@ SUBMODULES = ["aperiodic", "join", "lempel", "locator", "periodic", "search", "s
 
 
 def run_python(code: str, *args: str, cwd=None) -> str:
-    """stdout of a fresh interpreter running code, with the checkout's src first on its path."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
+    """stdout of a fresh interpreter running code, which imports the orientseq under test."""
+    proc = run_child("-c", code, *args, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

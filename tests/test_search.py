@@ -11,7 +11,6 @@ import sys
 import time
 import tracemalloc
 from itertools import product
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import string_oracle as oracle
+from conftest import child_env, run_child
 from orientseq import search as search_module
 from orientseq.aperiodic import burns_bound
 from orientseq.search import BYTES_PER_WINDOW, max_aos_length, max_orientable_period
@@ -352,20 +352,11 @@ def test_a_caller_that_ignores_sigterm_still_stops_its_helper(monkeypatch):
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="helpers are forked only on Linux")
 
 
-def fresh_env() -> dict:
-    """The environment for a fresh interpreter that imports the orientseq under test."""
-    src = str(Path(search_module.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def fresh_python(code: str, *args: str, stdin: str | None = None) -> str:
     """stdout of a fresh interpreter running code (or stdin, if code is '-'), which
     must exit 0 with nothing on stderr; fresh, so that no thread of the test
     process decides whether a helper starts."""
-    argv = [sys.executable, "-"] if code == "-" else [sys.executable, "-c", code, *args]
-    proc = subprocess.run(argv, input=stdin, capture_output=True, text=True, timeout=120,
-                          env=fresh_env())
+    proc = run_child(*(["-"] if code == "-" else ["-c", code, *args]), input=stdin, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
 
@@ -474,7 +465,7 @@ def test_a_helper_exits_once_its_caller_is_killed():
               "search._Roots.walk = report_and_walk\n"
               "max_aos_length(8)\n")  # about 6 x 10^13 nodes: no root ends in 5 s
     caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-                              env=fresh_env(), start_new_session=True)
+                              env=child_env(), start_new_session=True)
     try:
         helper = int(caller.stdout.readline())
         caller.kill()
