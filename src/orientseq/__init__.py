@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # Each submodule reachable as orientseq.<module>, with the names it exports here.
 _EXPORTS = {
     "aperiodic": "aos_from_periodic build_aos burns_bound is_ideal merge_step predicted_length",
-    "join": "debruijn_lempel find_conjugate_positions join_at",
+    "join": "debruijn_lempel",
     "lempel": "InverseImage d_forward_aperiodic d_forward_periodic d_inverse_aperiodic "
               "d_inverse_periodic",
     "locator": "LocatorIndex build_index find locate",

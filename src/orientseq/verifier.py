@@ -3,9 +3,9 @@
 The n-window property, orientability, disjointness of pairs in one or both
 reading directions, and primitivity, all checked exactly.  The builders check
 their starters with these verifiers; the tests check the families built.  This
-is the one module that reads, tabulates and searches n-windows: join and locator
-use read_windows, dense, window_count, first_collision and window_finder, which
-the package does not re-export.
+is the one module that reads, tabulates and searches n-windows: the locator uses
+read_windows, dense, window_count and window_finder, join only window_finder, and
+the package re-exports none of them; first_collision serves this module's checks.
 
 All five are one question, answered by first_collision: does an n-window of
 one or two readings of s, forward and reversed, occur in the forward reading

@@ -1,16 +1,16 @@
 """The packed layout and integer-window checks against the string oracle.
 
-Every verify_*, find_conjugate_positions and build_index must return exactly
-what tests/string_oracle.py returns: the same Counterexample (i, j and kind),
-the same pair, the same index, or an exception of the same type and message.
+Every verify_* and build_index must return exactly what tests/string_oracle.py
+returns: the same Counterexample (i, j and kind), the same index, or an
+exception of the same type and message.
 The one-shot locator.find must answer as a lookup in build_index's table does.
 Window orders run past 64, where the verifier's _window_values falls back to a
 list, and past the period, where cyclic windows wrap more than once.
 
 The construction steps on packed integers (inverse maps, odd extension, merge
-step, join) must give the same bits, or the same exception, as the
-string-layout steps they replaced, and the recursions built from them must
-give bit-identical family members.
+step) must give the same bits, or the same exception, as the string-layout
+steps they replaced, and the recursions built from them, the de Bruijn join's
+included, must give bit-identical family members.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from orientseq.seqcore import (
     FiniteSeq,
     GeneratingCycle,
     NonMinimalPeriodError,
-    PreconditionError,
     WindowRangeError,
     reverse_value,
     rotate_left,
@@ -121,65 +120,6 @@ class TestVerifiers:
                 assert_matches_oracle(name, s, 22)
         assert verifier.verify_orientable(source, 22) is None
         assert verifier.verify_orientable(mutant, 22) is not None
-
-
-class TestConjugatePositions:
-    @given(cycles(max_size=100), cycles(max_size=100), orders)
-    def test_random_pairs(self, s, t, n):
-        assert outcome(join.find_conjugate_positions, s, t, n) == outcome(
-            oracle.find_conjugate_positions, s, t, n
-        )
-
-    @given(cycles(min_size=2, max_size=100), orders, st.data())
-    def test_pairs_one_flip_apart(self, s, n, data):
-        # Flipping one bit of s makes the windows whose top bit it is conjugates.
-        t = as_cycle(flip(s.bits, data.draw(st.integers(0, s.period - 1))))
-        assert join.find_conjugate_positions(s, t, n) == oracle.find_conjugate_positions(s, t, n)
-
-    # Probes read windows of min(n, 8) bits, one byte each: up to order 8 a
-    # window is one byte, from 9 on several; 64 and 65 sit at the lane limit.
-    BYTE_ORDERS = [*range(1, 10), 33, 63, 64, 65, 70]
-
-    @pytest.mark.parametrize("n", BYTE_ORDERS)
-    def test_first_pair_past_the_probe_limit(self, n):
-        # s = 0^(P+n) 1: windows 0^n up to position P, whose conjugate 1 0^(n-1)
-        # t, the cycle of the conjugate of 0^(n-1) 1 ([1 0^(n-2) 1] from n = 3),
-        # lacks; the first pair is 0^(n-1) 1 at P+1 with t at 0.
-        s = GeneratingCycle("0" * (join._PROBES + n) + "1")
-        t = as_cycle(oracle.conjugate("0" * (n - 1) + "1"))
-        pos = join.find_conjugate_positions(s, t, n)
-        assert pos == oracle.find_conjugate_positions(s, t, n) == (join._PROBES + 1, 0)
-
-    @pytest.mark.parametrize("m,n,dense", [(14, 13, True), (12, 14, False)], ids=["marks", "set"])
-    def test_family_pair_past_the_probe_limit(self, m, n, dense):
-        # s = 0^(P+n) 1 against a periodic member: the pair lies past the probes and
-        # is found through a table of t's windows, 2^n marks or a set.
-        s, t = GeneratingCycle("0" * (join._PROBES + n) + "1"), family("periodic", m)
-        assert verifier.dense(n, verifier.window_count(t, n)) is dense
-        pos = join.find_conjugate_positions(s, t, n)
-        assert pos == oracle.find_conjugate_positions(s, t, n)
-        assert pos is not None and pos[0] >= join._PROBES
-
-    @pytest.mark.parametrize("n", [5, 8, 33, 70])
-    def test_no_pair_past_the_probe_limit(self, n):
-        # Every window of s has at most one 1, so every conjugate starts with 1
-        # and has at most two; from n = 5 on none alternates as [01]'s windows do.
-        s = GeneratingCycle("0" * (join._PROBES + n) + "1")
-        t = GeneratingCycle("01")
-        assert s.period > join._PROBES
-        assert join.find_conjugate_positions(s, t, n) is None
-        assert oracle.find_conjugate_positions(s, t, n) is None
-
-    @pytest.mark.parametrize("n", BYTE_ORDERS)
-    def test_seeded_pairs_at_the_byte_orders(self, n):
-        # Random pairs, and pairs one flip apart, so that large orders hit too.
-        rng = random.Random(n)
-        for _ in range(40):
-            s, t = (as_cycle(format(rng.getrandbits(150), "0150b")[: rng.randint(1, 150)])
-                    for _ in "st")
-            for other in (t, as_cycle(flip(s.bits, rng.randrange(s.period)))):
-                pos = join.find_conjugate_positions(s, other, n)
-                assert pos == oracle.find_conjugate_positions(s, other, n)
 
 
 class TestByteWindows:
@@ -493,24 +433,6 @@ class TestPackedSteps:
             oracle.merge_step, bits, n
         )
 
-    @given(cycles(max_size=40), cycles(max_size=40), st.integers(1, 8), st.data())
-    def test_join_at(self, s, t, n, data):
-        i, j = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
-        # A conjugate pair, where one exists, exercises the splice itself.
-        sites = [(i, j), oracle.find_conjugate_positions(s, t, n) or (i, j)]
-        for a, b in sites:
-            assert bits_of(outcome(join.join_at, s, t, a, b, n)) == outcome(
-                oracle.join_at, s.bits, t.bits, a, b, n
-            )
-
-    def test_join_rejects_non_conjugate_and_non_minimal_sites(self):
-        s, t = GeneratingCycle("0001"), GeneratingCycle("1110")
-        with pytest.raises(PreconditionError, match="not conjugate"):
-            join.join_at(s, t, 0, 0, 3)
-        # [0] spliced into [011] at conjugate 1-windows gives [0101].
-        with pytest.raises(NonMinimalPeriodError, match="repeats every 2 bits"):
-            join.join_at(GeneratingCycle("0"), GeneratingCycle("011"), 0, 1, 1)
-
 
 class TestFamiliesBitIdentical:
     @pytest.mark.parametrize("n", [12, 16, 20])
@@ -533,6 +455,8 @@ class TestFamiliesBitIdentical:
         "periodic-26": (9786709, "d3e5d9a8225076823aba0a9de61f6d333cc82cd8cecb3e6b8c9f123dafdb6693"),
         "aperiodic-24": (5592428, "e29d9dcb154f1645229f6f46a0f7163f86cfcf53c310506e38c20bf3d6806f6f"),
         "debruijn-19": (524288, "abbdb98574fd412d36006c824d726da134310bf4e01dbee19de1373b55586a10"),
+        "debruijn-20": (1048576, "e282be99c0b1182a55805cb77fbf5d78c708985c27a6696dff52574811a08746"),
+        "debruijn-22": (4194304, "7f19e9907f9da6a93e52dad06ac05248f52a09a5ca1a55cb1db2be08ae73f45f"),
         "periodic-28": (39146837, "23c3bf890301168f5352e8d5d350f804a91ddd54fad3458a6d9507566b333939"),
         "periodic-30": (156587349, "699db42f3d89da3757c6d5bcfb1400ee5bcf898d5485540f24d2798218257d90"),
         "aperiodic-26": (22369646, "46b2febc568c5b35ce59e8e5b4980c8f500443a1263609280785b52e994725bb"),

@@ -21,11 +21,11 @@ EXPORTED = [
     "SearchResult", "TraceStep", "WindowRangeError", "aos_from_periodic", "aperiodic",
     "build_aos", "build_index", "build_orientable", "burns_bound", "d_forward_aperiodic",
     "d_forward_periodic", "d_inverse_aperiodic", "d_inverse_periodic", "dai_bound",
-    "debruijn_lempel", "extend_odd", "find", "find_conjugate_positions", "is_good",
-    "is_ideal", "join", "join_at", "lempel", "locate", "locator", "max_aos_length",
-    "max_orientable_period", "merge_step", "periodic", "predicted_length",
-    "predicted_period", "search", "seqcore", "verifier", "verify_disjoint",
-    "verify_nwindow", "verify_o_disjoint", "verify_orientable", "verify_primitive",
+    "debruijn_lempel", "extend_odd", "find", "is_good", "is_ideal", "join", "lempel",
+    "locate", "locator", "max_aos_length", "max_orientable_period", "merge_step",
+    "periodic", "predicted_length", "predicted_period", "search", "seqcore", "verifier",
+    "verify_disjoint", "verify_nwindow", "verify_o_disjoint", "verify_orientable",
+    "verify_primitive",
 ]
 SUBMODULES = ["aperiodic", "join", "lempel", "locator", "periodic", "search", "seqcore", "verifier"]
 
